@@ -463,8 +463,14 @@ def validate(instance: Instance) -> ValidationReport:
     def err(code, message, unit=None, period=None):
         records.append(Violation(code, message, "error", unit, period))
 
+    seen: set[int] = set()
     for u in instance.units:
         j = u.unit_id
+        if j < 0:
+            err("negative-unit-id", "Unit ids must be nonnegative!", j)
+        if j in seen:
+            err("duplicate-unit-id", "Unit id listed more than once!", j)
+        seen.add(j)
         if not 0 <= u.initial_uptime <= T:
             err("initial-uptime-range", "Initial uptime out of range!", j)
         if not 0 <= u.initial_downtime <= T:

@@ -20,11 +20,24 @@ Constraint families (names used in constraint tags and stats):
     demand, reserve             softened system balance with slack variables
     prod-cost                   cost-defining equalities
     shutdown-cost, startup-cost epigraph rows for cd and cu
+
+Every consumer (exact engine, LP relaxation, residual check, MPS/LP writers,
+solution parser, reports) reads one layout that a model works out on first
+use and then keeps, so a built model is read-only: ``MilpModel.rows`` holds
+the constraints as compressed sparse rows in NumPy arrays, with per-row
+sense, right-hand side and family code, and ``MilpModel.columns`` the column
+names with their name -> column and (kind, unit, period) -> column maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ValidationFailed
 from .instance import Instance, validate
@@ -82,16 +95,89 @@ class LinearConstraint:
         return self.name.split("[", 1)[0]
 
 
+#: row senses in the order of their :attr:`RowMatrix.sense` codes
+SENSES = ("<=", "=", ">=")
+SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
+
+
+@dataclass(frozen=True, eq=False)
+class RowMatrix:
+    """Row i has the columns ``indices[indptr[i]:indptr[i + 1]]``, ascending,
+    with the coefficients ``data`` at the same positions.  ``sense`` holds
+    codes into SENSES and ``family`` codes into ``families``."""
+
+    indptr: np.ndarray       # int64, one more than there are rows
+    indices: np.ndarray      # int32
+    data: np.ndarray         # float64
+    sense: np.ndarray        # int8
+    rhs: np.ndarray          # float64
+    family: np.ndarray       # int64
+    families: tuple[str, ...]
+
+    @classmethod
+    def from_constraints(cls, constraints: list[LinearConstraint],
+                         num_columns: int) -> RowMatrix:
+        lengths = [len(c.coefficients) for c in constraints]
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        nnz = int(indptr[-1])
+        indices = np.fromiter(chain.from_iterable(
+            c.coefficients for c in constraints), np.int32, nnz)
+        data = np.fromiter(chain.from_iterable(
+            c.coefficients.values() for c in constraints), np.float64, nnz)
+        # ascending columns within each row
+        order = np.argsort(np.repeat(np.arange(len(constraints)), lengths)
+                           * num_columns + indices)
+        families: dict[str, int] = {}
+        family = [families.setdefault(c.family, len(families)) for c in constraints]
+        return cls(indptr, indices[order], data[order],
+                   np.array([SENSE_CODE[c.sense] for c in constraints], np.int8),
+                   np.array([c.rhs for c in constraints], np.float64),
+                   np.array(family, np.int64), tuple(families))
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every nonzero."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+    def row(self, i: int):
+        """(column, coefficient) pairs of row ``i``, columns ascending."""
+        start, stop = self.indptr[i], self.indptr[i + 1]
+        return zip(self.indices[start:stop].tolist(), self.data[start:stop].tolist())
+
+    def dense(self, num_columns: int) -> np.ndarray:
+        """The rows as a dense matrix, for desk-scale models."""
+        matrix = np.zeros((len(self.rhs), num_columns))
+        matrix[self.row_ids(), self.indices] = self.data
+        return matrix
+
+    def activities(self, x: np.ndarray) -> np.ndarray:
+        """The left-hand side of every row at the point ``x``."""
+        return np.bincount(self.row_ids(), weights=self.data * x[self.indices],
+                           minlength=len(self.rhs))
+
+
+class ColumnIndex(NamedTuple):
+    names: list[str]
+    by_name: dict[str, int]
+    by_key: dict[tuple, int]           # (kind, unit_id, period) -> column
+
+
 @dataclass
 class MilpModel:
     variables: list[VarRef]
     constraints: list[LinearConstraint]
     objective: dict[int, float]   # minimization
-    _by_name: dict[str, int] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if not self._by_name:
-            self._by_name = {v.name: v.column_index for v in self.variables}
+    @cached_property
+    def rows(self) -> RowMatrix:
+        return RowMatrix.from_constraints(self.constraints, self.num_columns)
+
+    @cached_property
+    def columns(self) -> ColumnIndex:
+        names = [v.name for v in self.variables]
+        cols = [v.column_index for v in self.variables]
+        return ColumnIndex(names, dict(zip(names, cols)),
+                           {(v.kind, v.unit_id, v.period): v.column_index
+                            for v in self.variables})
 
     @property
     def num_columns(self) -> int:
@@ -101,31 +187,13 @@ class MilpModel:
         return [v.column_index for v in self.variables if v.is_binary]
 
     def column_of(self, name: str) -> int:
-        return self._by_name[name]
+        return self.columns.by_name[name]
 
     def column_names(self) -> list[str]:
-        return [v.name for v in self.variables]
+        return self.columns.names
 
     def objective_value(self, values) -> float:
         return sum(coef * values[col] for col, coef in self.objective.items())
-
-
-class _Builder:
-    def __init__(self):
-        self.variables: list[VarRef] = []
-        self.constraints: list[LinearConstraint] = []
-        self.objective: dict[int, float] = {}
-        self.col: dict[tuple, int] = {}
-
-    def add_var(self, kind, unit_id, period):
-        ref = VarRef(kind, unit_id, period, len(self.variables))
-        self.variables.append(ref)
-        self.col[(kind, unit_id, period)] = ref.column_index
-        return ref.column_index
-
-    def add_con(self, name, coefficients, sense, rhs):
-        coefficients = {c: v for c, v in coefficients.items() if v != 0.0}
-        self.constraints.append(LinearConstraint(name, coefficients, sense, rhs))
 
 
 def build_model(instance: Instance,
@@ -151,45 +219,49 @@ def build_model(instance: Instance,
     units = sorted(instance.units, key=lambda u: u.unit_id)
     storage = [u for u in units if u.is_storage]
 
-    b = _Builder()
-
     # --- variables, kind-major then unit then period ------------------------
+    keys = []
     for kind in KIND_ORDER:
         if kind in PERIOD_KINDS:
-            for k in range(1, T + 1):
-                b.add_var(kind, None, k)
+            keys += [(kind, None, k) for k in range(1, T + 1)]
         else:
             owners = storage if kind in ("s", "c") else units
-            for u in owners:
-                for k in range(1, T + 1):
-                    b.add_var(kind, u.unit_id, k)
+            keys += [(kind, u.unit_id, k) for u in owners for k in range(1, T + 1)]
+    # rows are added below; the model's column index is the builder's map
+    model = MilpModel([VarRef(*key, i) for i, key in enumerate(keys)], [], {})
+    index = model.columns.by_key
+    objective = model.objective
 
     def col(kind, j, k):
-        return b.col[(kind, j, k)]
+        return index[(kind, j, k)]
+
+    def add_con(name, coefficients, sense, rhs):
+        coefficients = {c: v for c, v in coefficients.items() if v != 0.0}
+        model.constraints.append(LinearConstraint(name, coefficients, sense, rhs))
 
     # --- objective -----------------------------------------------------------
     for u in units:
         for k in range(1, T + 1):
-            b.objective[col("cp", u.unit_id, k)] = 1.0
-            b.objective[col("cu", u.unit_id, k)] = 1.0
-            b.objective[col("cd", u.unit_id, k)] = 1.0
+            objective[col("cp", u.unit_id, k)] = 1.0
+            objective[col("cu", u.unit_id, k)] = 1.0
+            objective[col("cd", u.unit_id, k)] = 1.0
     for k in range(1, T + 1):
         if g.under_prod_penalty != 0.0:
-            b.objective[col("p_under", None, k)] = g.under_prod_penalty
+            objective[col("p_under", None, k)] = g.under_prod_penalty
         if g.under_reserve_penalty != 0.0:
-            b.objective[col("r_under", None, k)] = g.under_reserve_penalty
+            objective[col("r_under", None, k)] = g.under_reserve_penalty
         if g.over_prod_penalty != 0.0:
-            b.objective[col("p_over", None, k)] = g.over_prod_penalty
+            objective[col("p_over", None, k)] = g.over_prod_penalty
 
     # --- initial state fixing ------------------------------------------------
     for u in units:
         j = u.unit_id
         for k in range(1, min(u.initial_uptime, T) + 1):
-            b.add_con(f"initial-on[{j},{k}]", {col("v", j, k): 1.0}, "=", 1.0)
+            add_con(f"initial-on[{j},{k}]", {col("v", j, k): 1.0}, "=", 1.0)
     for u in units:
         j = u.unit_id
         for k in range(1, min(u.initial_downtime, T) + 1):
-            b.add_con(f"initial-off[{j},{k}]", {col("v", j, k): 1.0}, "=", 0.0)
+            add_con(f"initial-off[{j},{k}]", {col("v", j, k): 1.0}, "=", 0.0)
 
     # --- minimal up/downtime -------------------------------------------------
     # A startup in period k (v(k) - v(k-1) = 1) forces v(k+i) = 1 for the
@@ -198,7 +270,7 @@ def build_model(instance: Instance,
         j = u.unit_id
         for k in range(u.initial_uptime + 2, T + 1):
             for i in range(1, min(u.min_uptime - 1, T - k) + 1):
-                b.add_con(
+                add_con(
                     f"min-up[{j},{k},{i}]",
                     {col("v", j, k + i): 1.0, col("v", j, k): -1.0,
                      col("v", j, k - 1): 1.0},
@@ -207,7 +279,7 @@ def build_model(instance: Instance,
         j = u.unit_id
         for k in range(u.initial_downtime + 2, T + 1):
             for i in range(1, min(u.min_downtime - 1, T - k) + 1):
-                b.add_con(
+                add_con(
                     f"min-down[{j},{k},{i}]",
                     {col("v", j, k + i): 1.0, col("v", j, k - 1): 1.0,
                      col("v", j, k): -1.0},
@@ -217,12 +289,12 @@ def build_model(instance: Instance,
     for u in units:
         j = u.unit_id
         for k in range(1, T + 1):
-            b.add_con(f"bounds[{j},{k},1]",
-                      {col("v", j, k): u.p_min, col("p", j, k): -1.0}, "<=", 0.0)
-            b.add_con(f"bounds[{j},{k},2]",
-                      {col("p", j, k): 1.0, col("p_max", j, k): -1.0}, "<=", 0.0)
-            b.add_con(f"bounds[{j},{k},3]",
-                      {col("p_max", j, k): 1.0, col("v", j, k): -u.p_max}, "<=", 0.0)
+            add_con(f"bounds[{j},{k},1]",
+                    {col("v", j, k): u.p_min, col("p", j, k): -1.0}, "<=", 0.0)
+            add_con(f"bounds[{j},{k},2]",
+                    {col("p", j, k): 1.0, col("p_max", j, k): -1.0}, "<=", 0.0)
+            add_con(f"bounds[{j},{k},3]",
+                    {col("p_max", j, k): 1.0, col("v", j, k): -u.p_max}, "<=", 0.0)
 
     # --- ramping --------------------------------------------------------------
     # The tightening constants use max(P_min, 0): the best variable-free lower
@@ -232,7 +304,7 @@ def build_model(instance: Instance,
         base = max(u.p_min, 0.0)
         rtu = min(u.startup_ramp, base + L * u.ramp_up) if ramp_tightening else 0.0
         for k in range(2, T + 1):
-            b.add_con(
+            add_con(
                 f"ramp-up[{j},{k}]",
                 {col("p_max", j, k): 1.0,
                  col("p", j, k - 1): -1.0,
@@ -241,7 +313,7 @@ def build_model(instance: Instance,
                 "<=", u.startup_ramp - rtu)
         rtd = min(u.shutdown_ramp, base + L * u.ramp_down) if ramp_tightening else 0.0
         for k in range(2, T + 1):
-            b.add_con(
+            add_con(
                 f"ramp-down[{j},{k}]",
                 {col("p", j, k): 1.0,
                  col("p", j, k - 1): -1.0,
@@ -249,7 +321,7 @@ def build_model(instance: Instance,
                  col("v", j, k - 1): rtd},
                 ">=", rtd - u.shutdown_ramp)
         for k in range(1, T):
-            b.add_con(
+            add_con(
                 f"shutdown-limit[{j},{k}]",
                 {col("p_max", j, k): 1.0,
                  col("v", j, k): -u.shutdown_ramp,
@@ -260,22 +332,22 @@ def build_model(instance: Instance,
     for u in storage:
         j = u.unit_id
         for k in range(1, T + 1):
-            b.add_con(f"storage-cap[{j},{k}]",
-                      {col("s", j, k): 1.0}, "<=", u.storage_capacity)
+            add_con(f"storage-cap[{j},{k}]",
+                    {col("s", j, k): 1.0}, "<=", u.storage_capacity)
         for k in range(1, T + 1):
-            b.add_con(f"consumption-cap[{j},{k}]",
-                      {col("c", j, k): 1.0}, "<=", max(0.0, -u.p_min))
+            add_con(f"consumption-cap[{j},{k}]",
+                    {col("c", j, k): 1.0}, "<=", max(0.0, -u.p_min))
         for k in range(2, T + 1):
-            b.add_con(
+            add_con(
                 f"storage-balance[{j},{k}]",
                 {col("s", j, k): 1.0,
                  col("s", j, k - 1): -1.0,
                  col("c", j, k - 1): -L * u.storage_efficiency,
                  col("p", j, k - 1): L},
                 "=", L * u.storage_inflow)
-        b.add_con(f"storage-initial[{j}]", {col("s", j, 1): 1.0},
-                  "=", u.initial_storage)
-        b.add_con(
+        add_con(f"storage-initial[{j}]", {col("s", j, 1): 1.0},
+                "=", u.initial_storage)
+        add_con(
             f"storage-final[{j}]",
             {col("s", j, T): 1.0,
              col("c", j, T): L * u.storage_efficiency,
@@ -289,7 +361,7 @@ def build_model(instance: Instance,
             coeffs[col("c", u.unit_id, k)] = -1.0
         coeffs[col("p_under", None, k)] = 1.0
         coeffs[col("p_over", None, k)] = -1.0
-        b.add_con(f"demand[{k}]", coeffs, "=", instance.periods.demand[k - 1])
+        add_con(f"demand[{k}]", coeffs, "=", instance.periods.demand[k - 1])
     for k in range(1, T + 1):
         coeffs = {}
         for u in units:
@@ -298,7 +370,7 @@ def build_model(instance: Instance,
         for u in storage:
             coeffs[col("c", u.unit_id, k)] = 1.0
         coeffs[col("r_under", None, k)] = 1.0
-        b.add_con(f"reserve[{k}]", coeffs, ">=", instance.periods.reserve[k - 1])
+        add_con(f"reserve[{k}]", coeffs, ">=", instance.periods.reserve[k - 1])
 
     # --- production cost equalities -----------------------------------------------
     for u in units:
@@ -307,7 +379,7 @@ def build_model(instance: Instance,
         for k in range(1, T + 1):
             var_rate = (u.var_fuel * fc[k - 1] + u.var_cost) * L
             fixed_rate = (u.fixed_fuel * fc[k - 1] + u.fixed_cost) * L
-            b.add_con(
+            add_con(
                 f"prod-cost[{j},{k}]",
                 {col("cp", j, k): 1.0,
                  col("p", j, k): -var_rate,
@@ -318,7 +390,7 @@ def build_model(instance: Instance,
     for u in units:
         j = u.unit_id
         for k in range(2, T + 1):
-            b.add_con(
+            add_con(
                 f"shutdown-cost[{j},{k}]",
                 {col("cd", j, k): 1.0,
                  col("v", j, k - 1): -u.shutdown_cost,
@@ -341,22 +413,16 @@ def build_model(instance: Instance,
                 coeffs = {col("cu", j, k): 1.0, col("v", j, k): -step}
                 for n in range(1, t + 1):
                     coeffs[col("v", j, k - n)] = coeffs.get(col("v", j, k - n), 0.0) + step
-                b.add_con(f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
+                add_con(f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
 
-    return MilpModel(b.variables, b.constraints, b.objective)
+    return model
 
 
 def model_stats(model: MilpModel) -> dict:
     """Constraint counts per family and variable counts per kind."""
-    families: dict[str, int] = {}
-    for con in model.constraints:
-        families[con.family] = families.get(con.family, 0) + 1
-    variables: dict[str, int] = {}
-    for var in model.variables:
-        variables[var.kind] = variables.get(var.kind, 0) + 1
     return {
-        "families": families,
-        "variables": variables,
+        "families": dict(Counter(con.family for con in model.constraints)),
+        "variables": dict(Counter(var.kind for var in model.variables)),
         "total_constraints": len(model.constraints),
         "total_variables": len(model.variables),
         "binaries": sum(1 for v in model.variables if v.is_binary),

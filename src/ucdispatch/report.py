@@ -13,23 +13,21 @@ from pathlib import Path
 
 from .errors import IoFailure
 from .instance import Instance
-from .model import KIND_TOKEN, MilpModel
+from .model import MilpModel
 from .solve import Solution
 
 _NUM_FMT = "{:.12g}"
 
 
 class SolvedValues:
-    """Name-based access to solution values (missing variables read as 0)."""
+    """Solution values by (kind, unit, period); missing variables read as 0."""
 
     def __init__(self, model: MilpModel, values: dict[int, float]):
-        self._columns = {v.name: v.column_index for v in model.variables}
+        self._columns = model.columns.by_key
         self._values = values
 
     def get(self, kind: str, unit_id: int | None, period: int) -> float:
-        token = KIND_TOKEN[kind]
-        name = f"{token}_{period}" if unit_id is None else f"{token}_{unit_id}_{period}"
-        col = self._columns.get(name)
+        col = self._columns.get((kind, unit_id, period))
         return 0.0 if col is None else self._values.get(col, 0.0)
 
 

@@ -31,14 +31,13 @@ from .errors import (
     TooManyBinaries,
     UnparsableSolution,
 )
-from .model import MilpModel
+from .model import SENSE_CODE, SENSES, MilpModel
 from .simplex import solve_dense_lp
 from .writers import write_mps
 
 logger = logging.getLogger(__name__)
 
-_SENSE_LE, _SENSE_EQ, _SENSE_GE = 0, 1, 2
-_SENSE_CODE = {"<=": _SENSE_LE, "=": _SENSE_EQ, ">=": _SENSE_GE}
+_SENSE_LE, _SENSE_EQ, _SENSE_GE = SENSE_CODE["<="], SENSE_CODE["="], SENSE_CODE[">="]
 
 
 @dataclass
@@ -82,103 +81,65 @@ class _ExactEngine:
     """Shared machinery for solve_exact and enumerate_optimal_patterns."""
 
     def __init__(self, model: MilpModel, config: SolverConfig):
-        self.model = model
-        self.config = config
         bin_cols = model.binary_columns()
         if len(bin_cols) > config.binary_budget:
             raise TooManyBinaries(
                 f"{len(bin_cols)} binary columns exceed the enumeration budget "
                 f"of {config.binary_budget}")
 
-        ncols = model.num_columns
-        is_bin = np.zeros(ncols, dtype=bool)
+        rows = model.rows
+        is_bin = np.zeros(model.num_columns, dtype=bool)
         is_bin[bin_cols] = True
         self.bin_cols = bin_cols
-        self.cont_cols = [c for c in range(ncols) if not is_bin[c]]
-        bpos = {c: i for i, c in enumerate(bin_cols)}
-        cpos = {c: i for i, c in enumerate(self.cont_cols)}
-        nb, nc = len(bin_cols), len(self.cont_cols)
-        self.nb, self.nc = nb, nc
+        self.cont_cols = np.flatnonzero(~is_bin).tolist()
+        self.nc = nc = len(self.cont_cols)
+        dense = rows.dense(model.num_columns)
+        brows, crows = dense[:, is_bin], dense[:, ~is_bin]
 
-        pure_w, pure_sense, pure_rhs = [], [], []
-        s_bin, s_rhs, s_var, s_inv, s_sense = [], [], [], [], []
-        m_bin, m_cont, m_sense, m_rhs = [], [], [], []
-        for con in model.constraints:
-            brow = np.zeros(nb)
-            cont_part = []
-            for col, coef in con.coefficients.items():
-                if is_bin[col]:
-                    brow[bpos[col]] = coef
-                else:
-                    cont_part.append((cpos[col], coef))
-            if not cont_part:
-                pure_w.append(brow)
-                pure_sense.append(_SENSE_CODE[con.sense])
-                pure_rhs.append(con.rhs)
-            elif len(cont_part) == 1:
-                # a single continuous variable: becomes a bound per pattern
-                var, coef = cont_part[0]
-                sense = _SENSE_CODE[con.sense]
-                if coef < 0.0 and sense != _SENSE_EQ:
-                    sense = _SENSE_GE if sense == _SENSE_LE else _SENSE_LE
-                s_bin.append(brow)
-                s_rhs.append(con.rhs)
-                s_var.append(var)
-                s_inv.append(1.0 / coef)
-                s_sense.append(sense)
-            else:
-                crow = np.zeros(nc)
-                for var, coef in cont_part:
-                    crow[var] = coef
-                m_bin.append(brow)
-                m_cont.append(crow)
-                m_sense.append(con.sense)
-                m_rhs.append(con.rhs)
+        # rows without a continuous variable prune patterns, rows with one
+        # become a bound per pattern, the rest form the LP
+        row_ids, nz_cont = rows.row_ids(), ~is_bin[rows.indices]
+        n_cont = np.bincount(row_ids[nz_cont], minlength=len(rows.rhs))
+        pure, single, lp = n_cont == 0, n_cont == 1, n_cont >= 2
+        self.pure_w = brows[pure]
+        self.pure_sense = rows.sense[pure]
+        self.pure_rhs = rows.rhs[pure]
 
-        self.pure_w = np.array(pure_w) if pure_w else np.zeros((0, nb))
-        self.pure_sense = np.array(pure_sense, dtype=np.int8)
-        self.pure_rhs = np.array(pure_rhs)
-        self.s_bin = np.array(s_bin) if s_bin else np.zeros((0, nb))
-        self.s_rhs = np.array(s_rhs)
-        self.s_var = np.array(s_var, dtype=np.int64)
-        self.s_inv = np.array(s_inv)
-        s_sense = np.array(s_sense, dtype=np.int8)
+        single_nz = nz_cont & single[row_ids]
+        coef = rows.data[single_nz]
+        s_sense = rows.sense[single]
+        s_sense = np.where((coef < 0.0) & (s_sense != _SENSE_EQ),
+                           _SENSE_LE + _SENSE_GE - s_sense, s_sense)
+        self.s_bin, self.s_rhs = brows[single], rows.rhs[single]
+        self.s_var = (np.cumsum(~is_bin) - 1)[rows.indices[single_nz]]
+        self.s_inv = 1.0 / coef
         self.s_is_ub = (s_sense == _SENSE_LE) | (s_sense == _SENSE_EQ)
         self.s_is_lb = (s_sense == _SENSE_GE) | (s_sense == _SENSE_EQ)
 
-        self.m_bin = np.array(m_bin) if m_bin else np.zeros((0, nb))
-        self.m_cont = np.array(m_cont) if m_cont else np.zeros((0, nc))
-        self.m_rhs = np.array(m_rhs)
+        self.m_bin, self.m_cont, self.m_rhs = brows[lp], crows[lp], rows.rhs[lp]
 
         # variables with a structurally finite upper bound get an explicit row
-        self.fin_vars = np.unique(self.s_var[self.s_is_ub]) if len(s_var) else \
-            np.array([], dtype=np.int64)
+        self.fin_vars = np.unique(self.s_var[self.s_is_ub])
         n_fin = len(self.fin_vars)
         eye_rows = np.zeros((n_fin, nc))
         eye_rows[np.arange(n_fin), self.fin_vars] = 1.0
-        self.lp_matrix = np.vstack([self.m_cont, eye_rows]) if nc else \
-            np.zeros((len(m_rhs) + n_fin, 0))
-        self.lp_senses = list(m_sense) + ["<="] * n_fin
+        self.lp_matrix = np.vstack([self.m_cont, eye_rows])
+        self.lp_senses = [SENSES[code] for code in rows.sense[lp]] + ["<="] * n_fin
 
-        self.c_cont = np.zeros(nc)
-        self.c_bin = np.zeros(nb)
-        for col, coef in model.objective.items():
-            if is_bin[col]:
-                self.c_bin[bpos[col]] = coef
-            else:
-                self.c_cont[cpos[col]] = coef
+        c = np.zeros(model.num_columns)
+        c[list(model.objective)] = list(model.objective.values())
+        self.c_cont, self.c_bin = c[~is_bin], c[is_bin]
 
         # bits fixed by singleton pure equality rows (initial on/off states)
-        self.fixed = np.full(nb, -1, dtype=np.int8)
+        self.fixed = np.full(len(bin_cols), -1, dtype=np.int8)
         self.contradictory = False
-        for w, sense, rhs in zip(self.pure_w, pure_sense, pure_rhs):
+        for w, sense, rhs in zip(self.pure_w, self.pure_sense, self.pure_rhs):
             nz = np.flatnonzero(w)
             if sense == _SENSE_EQ and len(nz) == 1:
                 value = rhs / w[nz[0]]
                 bit = int(round(value))
-                if abs(value - bit) > 1e-6 or bit not in (0, 1):
-                    self.contradictory = True
-                elif self.fixed[nz[0]] >= 0 and self.fixed[nz[0]] != bit:
+                if (abs(value - bit) > 1e-6 or bit not in (0, 1)
+                        or self.fixed[nz[0]] not in (-1, bit)):
                     self.contradictory = True
                 else:
                     self.fixed[nz[0]] = bit
@@ -236,6 +197,11 @@ class _ExactEngine:
         objective = float(self.c_cont @ x + self.c_bin @ pattern)
         return "optimal", objective, x
 
+    def solved(self):
+        """(pattern, status, objective, values) of every pattern, in order."""
+        for pattern in self.patterns():
+            yield (pattern, *self.solve_pattern(pattern))
+
     def values_for(self, pattern, x) -> dict[int, float]:
         values = {col: float(bit) for col, bit in zip(self.bin_cols, pattern)}
         values.update({col: float(v) for col, v in zip(self.cont_cols, x)})
@@ -255,19 +221,15 @@ def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solutio
 
     best_obj = np.inf
     best = None
-    unbounded = False
-    for pattern in engine.patterns():
-        status, objective, x = engine.solve_pattern(pattern)
+    for pattern, status, objective, x in engine.solved():
         if status == "unbounded":
-            unbounded = True
-            break
+            return Solution({}, -np.inf, "unbounded", "builtin-exact",
+                            time.perf_counter() - started)
         if status == "optimal" and objective < best_obj:
             best_obj = objective
             best = (pattern.copy(), x)
 
     elapsed = time.perf_counter() - started
-    if unbounded:
-        return Solution({}, -np.inf, "unbounded", "builtin-exact", elapsed)
     if best is None:
         return Solution({}, np.inf, "infeasible", "builtin-exact", elapsed)
     pattern, x = best
@@ -280,11 +242,9 @@ def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = N
     """All commitment patterns whose optimum lies within rel_tol of the best."""
     config = config or SolverConfig()
     engine = _ExactEngine(model, config)
-    scored = []
-    for pattern in engine.patterns():
-        status, objective, _ = engine.solve_pattern(pattern)
-        if status == "optimal":
-            scored.append((tuple(int(b) for b in pattern), objective))
+    scored = [(tuple(int(b) for b in pattern), objective)
+              for pattern, status, objective, _ in engine.solved()
+              if status == "optimal"]
     if not scored:
         return []
     best = min(objective for _, objective in scored)
@@ -295,23 +255,12 @@ def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = N
 def solve_lp_relaxation(model: MilpModel, tol: float = 1e-9) -> Solution:
     """Solve the LP relaxation (binaries relaxed to [0, 1])."""
     started = time.perf_counter()
-    n = model.num_columns
+    n, rows, bin_cols = model.num_columns, model.rows, model.binary_columns()
     c = np.zeros(n)
-    for col, coef in model.objective.items():
-        c[col] = coef
-    bin_cols = model.binary_columns()
-    rows = len(model.constraints) + len(bin_cols)
-    A = np.zeros((rows, n))
-    senses, b = [], np.zeros(rows)
-    for i, con in enumerate(model.constraints):
-        for col, coef in con.coefficients.items():
-            A[i, col] = coef
-        senses.append(con.sense)
-        b[i] = con.rhs
-    for offset, col in enumerate(bin_cols):
-        A[len(model.constraints) + offset, col] = 1.0
-        senses.append("<=")
-        b[len(model.constraints) + offset] = 1.0
+    c[list(model.objective)] = list(model.objective.values())
+    A = np.vstack([rows.dense(n), np.eye(n)[bin_cols]])
+    senses = [SENSES[code] for code in rows.sense] + ["<="] * len(bin_cols)
+    b = np.concatenate([rows.rhs, np.ones(len(bin_cols))])
     result = solve_dense_lp(c, A, senses, b, tol=tol)
     elapsed = time.perf_counter() - started
     if result.status != "optimal":
@@ -328,33 +277,25 @@ def check_solution(model: MilpModel, values, tolerance: float = 1e-6) -> Residua
     """Exact residuals of a candidate solution, grouped by constraint family."""
     x = np.zeros(model.num_columns)
     if isinstance(values, dict):
-        for col, val in values.items():
-            x[col] = val
+        x[list(values)] = list(values.values())
     else:
         x[: len(values)] = values
 
-    family_residuals: dict[str, float] = {}
-    max_residual = 0.0
-    for con in model.constraints:
-        lhs = sum(coef * x[col] for col, coef in con.coefficients.items())
-        if con.sense == "<=":
-            residual = max(0.0, lhs - con.rhs)
-        elif con.sense == ">=":
-            residual = max(0.0, con.rhs - lhs)
-        else:
-            residual = abs(lhs - con.rhs)
-        family = con.family
-        if residual > family_residuals.get(family, 0.0):
-            family_residuals[family] = residual
-        max_residual = max(max_residual, residual)
+    rows = model.rows
+    gap = rows.activities(x) - rows.rhs
+    # choices in the order of SENSES: <=, =, >=
+    residual = np.maximum(np.choose(rows.sense, (gap, np.abs(gap), -gap)), 0.0)
+    worst = np.zeros(len(rows.families))
+    np.fmax.at(worst, rows.family, residual)
+    family_residuals = {family: float(value)
+                        for family, value in zip(rows.families, worst) if value > 0.0}
 
-    integrality = 0.0
-    bound_violation = float(np.max(-x, initial=0.0))
-    for col in model.binary_columns():
-        integrality = max(integrality, min(abs(x[col]), abs(x[col] - 1.0)))
-        bound_violation = max(bound_violation, x[col] - 1.0)
-    return ResidualReport(family_residuals, max_residual, integrality,
-                          max(0.0, bound_violation), tolerance)
+    xb = x[model.binary_columns()]
+    integrality = float(np.max(np.minimum(np.abs(xb), np.abs(xb - 1.0)), initial=0.0))
+    bound_violation = max(float(np.max(-x, initial=0.0)),
+                          float(np.max(xb - 1.0, initial=0.0)))
+    return ResidualReport(family_residuals, float(residual.max(initial=0.0)),
+                          integrality, bound_violation, tolerance)
 
 
 def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
@@ -364,10 +305,10 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
     and indexed rows "<row#> name value [extra]".  Header/status lines are
     skipped with a warning; unknown variable names are ignored with a
     warning; model columns absent from the file default to 0 (one warning
-    each).  Raises :class:`UnparsableSolution` when a line mentions a known
-    column but its value cannot be read.
+    for all of them).  Raises :class:`UnparsableSolution` when a line
+    mentions a known column but its value cannot be read.
     """
-    known = {v.name: v.column_index for v in model.variables}
+    known = model.columns.by_name
     parsed: dict[int, float] = {}
 
     def read_value(name: str, raw: str, line: str):
@@ -401,15 +342,13 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
         else:
             logger.warning("solution file: skipping unrecognized line %r", line)
 
-    values = {}
-    for var in model.variables:
-        if var.column_index in parsed:
-            values[var.column_index] = parsed[var.column_index]
-        else:
-            logger.warning("solution file: column %s missing, defaulting to 0",
-                           var.name)
-            values[var.column_index] = 0.0
-    return values
+    names = model.column_names()
+    missing = [name for col, name in enumerate(names) if col not in parsed]
+    if missing:
+        logger.warning("solution file: %d columns missing, defaulting to 0: %s%s",
+                       len(missing), ", ".join(missing[:5]),
+                       ", ..." if len(missing) > 5 else "")
+    return {col: parsed.get(col, 0.0) for col in range(len(names))}
 
 
 def _is_int(token: str) -> bool:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .model import MilpModel
 
 _MPS_SENSE = {"<=": "L", "=": "E", ">=": "G"}
@@ -28,38 +30,37 @@ def _row_name(name: str) -> str:
 def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
     """Free-format MPS with INTORG/INTEND markers around binary columns."""
     lines = [f"NAME {name}", "ROWS", " N  OBJ"]
-    row_names = []
-    for con in model.constraints:
-        row = _row_name(con.name)
-        row_names.append(row)
-        lines.append(f" {_MPS_SENSE[con.sense]}  {row}")
+    row_names = [_row_name(con.name) for con in model.constraints]
+    lines += [f" {_MPS_SENSE[con.sense]}  {row}"
+              for row, con in zip(row_names, model.constraints)]
 
-    entries: dict[int, list[tuple[str, float]]] = {
-        v.column_index: [] for v in model.variables}
-    for row, con in zip(row_names, model.constraints):
-        for col, coef in sorted(con.coefficients.items()):
-            entries[col].append((row, coef))
+    # the nonzeros in column-major order; the stable sort keeps the rows of
+    # each column ascending
+    rows, names = model.rows, model.column_names()
+    order = np.argsort(rows.indices, kind="stable")
+    col_rows, col_data = rows.row_ids()[order], rows.data[order]
+    counts = np.bincount(rows.indices, minlength=model.num_columns)
+    col_ptr = [0, *np.cumsum(counts).tolist()]
 
     lines.append("COLUMNS")
     in_integer_block = False
     marker = 0
-    for var in model.variables:
+    for var, var_name in zip(model.variables, names):
         if var.is_binary != in_integer_block:
             marker += 1
             kind = "'INTORG'" if var.is_binary else "'INTEND'"
             lines.append(f"    MARKER{marker}  'MARKER'  {kind}")
             in_integer_block = var.is_binary
         col = var.column_index
-        written = False
+        start, stop = col_ptr[col], col_ptr[col + 1]
         if col in model.objective:
-            lines.append(f"    {var.name}  OBJ  {_num(model.objective[col])}")
-            written = True
-        for row, coef in entries[col]:
-            lines.append(f"    {var.name}  {row}  {_num(coef)}")
-            written = True
-        if not written:
+            lines.append(f"    {var_name}  OBJ  {_num(model.objective[col])}")
+        elif start == stop:
             # declare otherwise-unreferenced columns
-            lines.append(f"    {var.name}  OBJ  0")
+            lines.append(f"    {var_name}  OBJ  0")
+        lines.extend(f"    {var_name}  {row_names[row]}  {_num(coef)}"
+                     for row, coef in zip(col_rows[start:stop].tolist(),
+                                          col_data[start:stop].tolist()))
     if in_integer_block:
         marker += 1
         lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
@@ -70,9 +71,7 @@ def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
             lines.append(f"    RHS  {row}  {_num(con.rhs)}")
 
     lines.append("BOUNDS")
-    for var in model.variables:
-        if var.is_binary:
-            lines.append(f" BV BND  {var.name}")
+    lines.extend(f" BV BND  {names[col]}" for col in model.binary_columns())
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
@@ -81,10 +80,7 @@ def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
 def _lp_terms(pairs, names) -> list[str]:
     parts = []
     for col, coef in pairs:
-        if not parts:
-            prefix = "- " if coef < 0 else ""
-        else:
-            prefix = "- " if coef < 0 else "+ "
+        prefix = "- " if coef < 0 else "+ " if parts else ""
         parts.append(f"{prefix}{_num(abs(coef))} {names[col]}")
     return parts
 
@@ -110,17 +106,16 @@ def write_lp(model: MilpModel) -> str:
         lines.append(" obj: 0")
 
     lines.append("Subject To")
-    for con in model.constraints:
-        terms = _lp_terms(sorted(con.coefficients.items()), names)
+    for i, con in enumerate(model.constraints):
+        terms = _lp_terms(model.rows.row(i), names)
         terms += [con.sense, _num(con.rhs)]
         lines.extend(_wrap(f" {_row_name(con.name)}:", terms))
 
-    binaries = [v for v in model.variables if v.is_binary]
+    binaries = [names[col] for col in model.binary_columns()]
     if binaries:
         lines.append("Bounds")
-        for var in binaries:
-            lines.append(f" 0 <= {var.name} <= 1")
+        lines.extend(f" 0 <= {name} <= 1" for name in binaries)
         lines.append("Binaries")
-        lines.extend(_wrap("", [v.name for v in binaries]))
+        lines.extend(_wrap("", binaries))
     lines.append("End")
     return "\n".join(lines) + "\n"

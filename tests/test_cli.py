@@ -1,6 +1,9 @@
 """CLI subcommands and their exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,21 @@ class TestValidateCommand:
         assert main(["validate", "--json", *input_args(broken_files)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"][0]["code"] == "impossible-production-limits"
+
+    @pytest.mark.parametrize("unit_ids, code", [
+        ((1, 1), "duplicate-unit-id"),
+        ((-1,), "negative-unit-id"),
+    ])
+    def test_bad_unit_ids_exit_one(self, tmp_path, capsys, unit_ids, code):
+        instance = make_instance([make_unit(j) for j in unit_ids],
+                                 demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path / "ids")
+        assert main(["validate", "--json", *input_args(paths)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in payload["errors"]] == [code]
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--out-dir", str(out_dir), *input_args(paths)]) == 1
+        assert not out_dir.exists()
 
     def test_warnings_allowed(self, tmp_path, capsys):
         warn = make_instance([make_unit()], demand=(300.0, 100.0))
@@ -217,3 +235,14 @@ class TestReportCommand:
         assert main(["report", "--solution", str(tmp_path / "none.sol"),
                      "--out-dir", str(tmp_path / "rep"),
                      *input_args(fixture_files)]) == 2
+
+
+def test_imports_load_no_scipy():
+    # the shim imports scipy only inside its solve; a module-level scipy
+    # import would add about a quarter second to every CLI start
+    code = ("import sys, ucdispatch, ucdispatch.cli, ucdispatch.mipshim; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

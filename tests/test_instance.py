@@ -215,6 +215,18 @@ class TestValidate:
         # max drain is L*T*(P_max - SIF) = 2 MWh; 1000 -> 0 impossible
         assert "final-storage-overfull" in report.codes()
 
+    def test_duplicate_unit_id_rejected(self):
+        instance = make_instance([make_unit(1), make_unit(1)], demand=(100.0, 150.0))
+        report = validate(instance)
+        assert report.codes() == {"duplicate-unit-id"}
+        assert [r.unit for r in report.errors()] == [1]
+
+    def test_negative_unit_id_rejected(self):
+        instance = make_instance([make_unit(-1)], demand=(100.0, 150.0))
+        report = validate(instance)
+        assert report.codes() == {"negative-unit-id"}
+        assert report.errors()[0].unit == -1
+
     def test_negative_demand_rejected(self):
         instance = make_instance([make_unit()], demand=(-5.0, 100.0))
         report = validate(instance)

@@ -9,6 +9,7 @@ from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import (
     CONSTRAINT_FAMILIES,
     KIND_ORDER,
+    SENSES,
     build_model,
     model_stats,
 )
@@ -207,3 +208,25 @@ def test_variable_ordering_is_kind_unit_period(storage_inst):
     ranked = [(kind_rank[k], u if u is not None else -1, p) for k, u, p in seen]
     assert ranked == sorted(ranked)
     assert [v.column_index for v in model.variables] == list(range(len(seen)))
+
+
+def test_row_matrix_and_column_index_match_the_model(storage_inst):
+    model = build_model(storage_inst, thin_all(storage_inst))
+    rows = model.rows
+    assert len(rows.rhs) == len(model.constraints)
+    for i, con in enumerate(model.constraints):
+        assert list(rows.row(i)) == sorted(con.coefficients.items())
+        assert SENSES[rows.sense[i]] == con.sense
+        assert rows.rhs[i] == con.rhs
+        assert rows.families[rows.family[i]] == con.family
+    # row activities against a plain loop; only the summation order differs
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, model.num_columns)
+    expected = [sum(coef * x[col] for col, coef in con.coefficients.items())
+                for con in model.constraints]
+    np.testing.assert_allclose(rows.activities(x), expected, rtol=1e-12, atol=1e-9)
+
+    columns = model.columns
+    assert columns.names == [v.name for v in model.variables]
+    for var in model.variables:
+        assert columns.by_name[var.name] == var.column_index
+        assert columns.by_key[(var.kind, var.unit_id, var.period)] == var.column_index

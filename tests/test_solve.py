@@ -159,6 +159,12 @@ class TestCheckSolution:
         report = check_solution(model, {model.column_of("p_1_1"): -2.0})
         assert report.bound_violation == pytest.approx(2.0)
 
+    def test_nan_value_fails(self, fixture_inst):
+        model = build(fixture_inst)
+        values = solve_exact(model).values
+        values[model.column_of("p_1_1")] = float("nan")
+        assert not check_solution(model, values).passed
+
 
 class TestParseSolutionFile:
     def test_name_value_lines(self, fixture_inst):
@@ -173,7 +179,8 @@ class TestParseSolutionFile:
         with caplog.at_level("WARNING", logger="ucdispatch.solve"):
             values = parse_solution_file("", model)
         assert all(v == 0.0 for v in values.values())
-        assert len(caplog.records) == model.num_columns
+        assert len(caplog.records) == 1
+        assert f"{model.num_columns} columns missing" in caplog.records[0].getMessage()
 
     def test_unknown_names_ignored_with_warning(self, fixture_inst, caplog):
         model = build(fixture_inst)

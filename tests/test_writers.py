@@ -1,8 +1,11 @@
 """MPS and LP emission: shape, determinism, self-consistency."""
 
+import hashlib
+
 import pytest
 
-from helpers import fixture_instance, storage_instance
+from helpers import fixture_instance, make_instance, make_unit, storage_instance
+from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import LinearConstraint, MilpModel, VarRef, build_model, model_stats
 from ucdispatch.thinning import thin_all
 from ucdispatch.writers import write_lp, write_mps
@@ -105,3 +108,59 @@ def test_formats_cover_same_model():
     for var in model.variables:
         assert var.name in mps
         assert var.name in lp
+
+
+def multi_unit_instance():
+    """Three units over six periods with initial states, minimal up/down
+    times, shutdown costs, two fuels and multi-step startup curves."""
+    units = [
+        make_unit(1, min_uptime=3, min_downtime=2, initial_uptime=1,
+                  p_min=40.0, p_max=250.0, ramp_up=80.0, ramp_down=90.0,
+                  startup_ramp=120.0, shutdown_ramp=110.0, fuel_type="coal",
+                  var_fuel=2.5, fixed_fuel=3.0, shutdown_cost=45.0),
+        make_unit(2, min_uptime=2, min_downtime=3, initial_downtime=2,
+                  p_min=20.0, p_max=120.0, ramp_up=60.0, ramp_down=60.0,
+                  startup_ramp=70.0, shutdown_ramp=70.0, var_cost=25.5,
+                  fixed_cost=12.25, shutdown_cost=10.0),
+        make_unit(3, p_min=10.0, p_max=60.0, var_cost=40.0, fixed_cost=5.0),
+    ]
+    curves = {
+        1: StartupCostCurve(1, {1: 100.0, 2: 180.0, 3: 240.0, 4: 275.0}),
+        2: StartupCostCurve(2, {1: 30.0, 2: 30.0, 3: 55.5}),
+    }
+    return make_instance(
+        units,
+        demand=(150.0, 210.0, 320.0, 280.0, 190.0, 120.0),
+        reserve=(15.0, 20.0, 30.0, 30.0, 20.0, 10.0),
+        fuel_cost={"coal": (1.0, 1.0, 1.25, 1.25, 1.0, 0.75),
+                   "gas": (2.0, 2.5, 3.0, 3.0, 2.5, 2.0)},
+        curves=curves, length=1.5)
+
+
+#: SHA-256 of the MPS and LP emission of hand-built instances; any change to
+#: the model layout or the writers' formatting shows up here
+GOLDEN = {
+    "fixture": (
+        "7123e0155fabaac7b68f80c9e6514e47e7988ee3490be672296544b5b0f45ed8",
+        "51170cebf3c4ea9d6e12cc09fc6e7cea6c81dc4b82ee10a7c80d83b8af36f687"),
+    "storage": (
+        "38080be9f25df002232546029a56b0923dc6463b71ea1015635b67c4600fd56d",
+        "9e1919e17a0521f67514fb1a116c7dcf05b578fd0775c72c950f356c3323cfb1"),
+    "multi-unit": (
+        "eb419c81a739c14f04e88f2b17f397dec7b06e51d2106f876a7724d4a6d1688a",
+        "758a19f8c9fa4f72f7646656b3036799aeffecdd067ba20581a274d82e7c1169"),
+}
+GOLDEN_INSTANCES = {
+    "fixture": fixture_instance,
+    "storage": storage_instance,
+    "multi-unit": multi_unit_instance,
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_golden_emission(label):
+    instance = GOLDEN_INSTANCES[label]()
+    model = build_model(instance, thin_all(instance))
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    for text in (write_mps(model), write_lp(model)))
+    assert digests == GOLDEN[label]
