@@ -24,14 +24,7 @@ from .errors import (
 from .instance import load_instance, validate
 from .model import build_model, model_stats
 from .report import build_report, write_reports
-from .solve import (
-    SolverConfig,
-    Solution,
-    check_solution,
-    parse_solution_file,
-    solve_exact,
-    solve_external,
-)
+from .solve import SolverConfig, Solution, check_solution, parse_solution_file, solve
 from .thinning import thin_all
 from .writers import write_lp, write_mps
 
@@ -146,17 +139,8 @@ def _cmd_thin(args, parser) -> int:
     return 0
 
 
-def _require_valid(instance) -> None:
-    report = validate(instance)
-    if not report.ok:
-        raise ValidationFailed(report)
-
-
 def _cmd_build(args, parser) -> int:
-    instance = _load(args, parser)
-    _require_valid(instance)
-    thinned = thin_all(instance)
-    model = build_model(instance, thinned)
+    model = build_model(_load(args, parser))
     text = write_mps(model) if args.format == "mps" else write_lp(model)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -216,14 +200,8 @@ def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
 
 def _cmd_solve(args, parser) -> int:
     instance = _load(args, parser)
-    _require_valid(instance)
-    config = _solver_config(args, parser)
-    thinned = thin_all(instance)
-    model = build_model(instance, thinned)
-    if config.backend == "external":
-        solution = solve_external(model, config)
-    else:
-        solution = solve_exact(model, config)
+    model = build_model(instance)
+    solution = solve(model, _solver_config(args, parser))
     if solution.status != "optimal":
         print(f"solve failed: status {solution.status}", file=sys.stderr)
         return 3
@@ -235,9 +213,7 @@ def _cmd_solve(args, parser) -> int:
 
 def _cmd_report(args, parser) -> int:
     instance = _load(args, parser)
-    _require_valid(instance)
-    thinned = thin_all(instance)
-    model = build_model(instance, thinned)
+    model = build_model(instance)
     try:
         text = open(args.solution, encoding="utf-8").read()
     except OSError as exc:

@@ -193,6 +193,8 @@ def _parse_float(raw: str, where: str) -> float:
         raise MalformedNumber(f"{where}: cannot parse {raw!r} as a number") from None
     if math.isnan(value):
         raise MalformedNumber(f"{where}: NaN is not a valid value")
+    if math.isinf(value):
+        raise MalformedNumber(f"{where}: {raw!r} is not a finite number")
     return value
 
 
@@ -436,6 +438,7 @@ CATALOG_CODES = (
     "min-uptime-range",
     "min-downtime-range",
     "impossible-production-limits",
+    "negative-ramp-rate",
     "startup-ramp-below-minimum",
     "shutdown-ramp-below-minimum",
     "decreasing-startup-costs",
@@ -484,6 +487,8 @@ def validate(instance: Instance) -> ValidationReport:
             err("min-downtime-range", "Minimal downtime out of range!", j)
         if u.p_min > u.p_max:
             err("impossible-production-limits", "Impossible production limits!", j)
+        if min(u.ramp_up, u.ramp_down, u.startup_ramp, u.shutdown_ramp) < 0:
+            err("negative-ramp-rate", "Ramp rates must be nonnegative!", j)
         if u.p_min > u.startup_ramp:
             err("startup-ramp-below-minimum", "Some unit is not able to start up!", j)
         if u.p_min > u.shutdown_ramp:

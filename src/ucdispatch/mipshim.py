@@ -335,8 +335,10 @@ def solve_problem(problem: MipProblem):
             (data, (rows_ix, cols_ix)), shape=(len(problem.rows), n))
         constraints.append(LinearConstraint(matrix, con_lb, con_ub))
 
+    # a zero gap: HiGHS's default 1e-4 stops short of the optimum the
+    # cross-check against the built-in solver needs
     result = milp(c=c, constraints=constraints, integrality=integrality,
-                  bounds=Bounds(lb, ub))
+                  bounds=Bounds(lb, ub), options={"mip_rel_gap": 0.0})
     if result.status != 0 or result.x is None:
         return result.message or f"status {result.status}", None, {}
     objective = float(result.fun)

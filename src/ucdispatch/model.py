@@ -21,12 +21,15 @@ Constraint families (names used in constraint tags and stats):
     prod-cost                   cost-defining equalities
     shutdown-cost, startup-cost epigraph rows for cd and cu
 
-Every consumer (exact engine, LP relaxation, residual check, MPS/LP writers,
-solution parser, reports) reads one layout that a model works out on first
-use and then keeps, so a built model is read-only: ``MilpModel.rows`` holds
-the constraints as compressed sparse rows in NumPy arrays, with per-row
-sense, right-hand side and family code, and ``MilpModel.columns`` the column
-names with their name -> column and (kind, unit, period) -> column maps.
+A model stores its constraints once, as ``MilpModel.rows``: compressed
+sparse rows in NumPy arrays with each row's name, sense, right-hand side and
+family code.  The builder collects its rows and hands them to
+:meth:`RowMatrix.from_constraints` in one call.  Every consumer (exact engine,
+LP relaxation, residual check, MPS/LP writers, solution parser, reports)
+reads ``rows`` and ``MilpModel.columns``, the column names with their
+name -> column and (kind, unit, period) -> column maps, so a built model is
+read-only.  ``MilpModel.constraints`` is a view that rebuilds
+:class:`LinearConstraint` objects from ``rows`` on each access.
 """
 
 from __future__ import annotations
@@ -102,9 +105,10 @@ SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
 
 @dataclass(frozen=True, eq=False)
 class RowMatrix:
-    """Row i has the columns ``indices[indptr[i]:indptr[i + 1]]``, ascending,
-    with the coefficients ``data`` at the same positions.  ``sense`` holds
-    codes into SENSES and ``family`` codes into ``families``."""
+    """Row i is named ``names[i]`` and has the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with the coefficients
+    ``data`` at the same positions.  ``sense`` holds codes into SENSES and
+    ``family`` codes into ``families``."""
 
     indptr: np.ndarray       # int64, one more than there are rows
     indices: np.ndarray      # int32
@@ -113,6 +117,7 @@ class RowMatrix:
     rhs: np.ndarray          # float64
     family: np.ndarray       # int64
     families: tuple[str, ...]
+    names: tuple[str, ...]
 
     @classmethod
     def from_constraints(cls, constraints: list[LinearConstraint],
@@ -132,7 +137,8 @@ class RowMatrix:
         return cls(indptr, indices[order], data[order],
                    np.array([SENSE_CODE[c.sense] for c in constraints], np.int8),
                    np.array([c.rhs for c in constraints], np.float64),
-                   np.array(family, np.int64), tuple(families))
+                   np.array(family, np.int64), tuple(families),
+                   tuple(c.name for c in constraints))
 
     def row_ids(self) -> np.ndarray:
         """The row of every nonzero."""
@@ -164,12 +170,17 @@ class ColumnIndex(NamedTuple):
 @dataclass
 class MilpModel:
     variables: list[VarRef]
-    constraints: list[LinearConstraint]
+    rows: RowMatrix
     objective: dict[int, float]   # minimization
 
-    @cached_property
-    def rows(self) -> RowMatrix:
-        return RowMatrix.from_constraints(self.constraints, self.num_columns)
+    @property
+    def constraints(self) -> list[LinearConstraint]:
+        """The rows as new :class:`LinearConstraint` objects, columns
+        ascending; built on each access and not kept."""
+        rows = self.rows
+        return [LinearConstraint(name, dict(rows.row(i)), SENSES[code], rhs)
+                for i, (name, code, rhs) in enumerate(
+                    zip(rows.names, rows.sense.tolist(), rows.rhs.tolist()))]
 
     @cached_property
     def columns(self) -> ColumnIndex:
@@ -227,17 +238,16 @@ def build_model(instance: Instance,
         else:
             owners = storage if kind in ("s", "c") else units
             keys += [(kind, u.unit_id, k) for u in owners for k in range(1, T + 1)]
-    # rows are added below; the model's column index is the builder's map
-    model = MilpModel([VarRef(*key, i) for i, key in enumerate(keys)], [], {})
-    index = model.columns.by_key
-    objective = model.objective
+    index = {key: i for i, key in enumerate(keys)}
+    objective: dict[int, float] = {}
+    constraints: list[LinearConstraint] = []
 
     def col(kind, j, k):
         return index[(kind, j, k)]
 
     def add_con(name, coefficients, sense, rhs):
         coefficients = {c: v for c, v in coefficients.items() if v != 0.0}
-        model.constraints.append(LinearConstraint(name, coefficients, sense, rhs))
+        constraints.append(LinearConstraint(name, coefficients, sense, rhs))
 
     # --- objective -----------------------------------------------------------
     for u in units:
@@ -415,15 +425,18 @@ def build_model(instance: Instance,
                     coeffs[col("v", j, k - n)] = coeffs.get(col("v", j, k - n), 0.0) + step
                 add_con(f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
 
-    return model
+    return MilpModel([VarRef(*key, i) for i, key in enumerate(keys)],
+                     RowMatrix.from_constraints(constraints, len(keys)), objective)
 
 
 def model_stats(model: MilpModel) -> dict:
     """Constraint counts per family and variable counts per kind."""
+    rows = model.rows
+    counts = np.bincount(rows.family, minlength=len(rows.families)).tolist()
     return {
-        "families": dict(Counter(con.family for con in model.constraints)),
+        "families": dict(zip(rows.families, counts)),
         "variables": dict(Counter(var.kind for var in model.variables)),
-        "total_constraints": len(model.constraints),
+        "total_constraints": len(rows.rhs),
         "total_variables": len(model.variables),
         "binaries": sum(1 for v in model.variables if v.is_binary),
     }

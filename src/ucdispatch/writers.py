@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .model import MilpModel
+from .model import SENSES, MilpModel
 
 _MPS_SENSE = {"<=": "L", "=": "E", ">=": "G"}
 _NAME_SANITIZE = re.compile(r"[^A-Za-z0-9_]+")
@@ -29,14 +29,14 @@ def _row_name(name: str) -> str:
 
 def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
     """Free-format MPS with INTORG/INTEND markers around binary columns."""
+    rows, names = model.rows, model.column_names()
     lines = [f"NAME {name}", "ROWS", " N  OBJ"]
-    row_names = [_row_name(con.name) for con in model.constraints]
-    lines += [f" {_MPS_SENSE[con.sense]}  {row}"
-              for row, con in zip(row_names, model.constraints)]
+    row_names = [_row_name(row) for row in rows.names]
+    lines += [f" {_MPS_SENSE[SENSES[code]]}  {row}"
+              for row, code in zip(row_names, rows.sense.tolist())]
 
     # the nonzeros in column-major order; the stable sort keeps the rows of
     # each column ascending
-    rows, names = model.rows, model.column_names()
     order = np.argsort(rows.indices, kind="stable")
     col_rows, col_data = rows.row_ids()[order], rows.data[order]
     counts = np.bincount(rows.indices, minlength=model.num_columns)
@@ -66,9 +66,8 @@ def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
         lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
 
     lines.append("RHS")
-    for row, con in zip(row_names, model.constraints):
-        if con.rhs != 0.0:
-            lines.append(f"    RHS  {row}  {_num(con.rhs)}")
+    lines.extend(f"    RHS  {row}  {_num(rhs)}"
+                 for row, rhs in zip(row_names, rows.rhs.tolist()) if rhs != 0.0)
 
     lines.append("BOUNDS")
     lines.extend(f" BV BND  {names[col]}" for col in model.binary_columns())
@@ -97,7 +96,7 @@ def _wrap(label: str, parts: list[str], width: int = 78) -> list[str]:
 
 def write_lp(model: MilpModel) -> str:
     """CPLEX-LP dialect, semantically identical to the MPS emission."""
-    names = model.column_names()
+    rows, names = model.rows, model.column_names()
     lines = ["Minimize"]
     objective = sorted(model.objective.items())
     if objective:
@@ -106,10 +105,10 @@ def write_lp(model: MilpModel) -> str:
         lines.append(" obj: 0")
 
     lines.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        terms = _lp_terms(model.rows.row(i), names)
-        terms += [con.sense, _num(con.rhs)]
-        lines.extend(_wrap(f" {_row_name(con.name)}:", terms))
+    for i, (row, code, rhs) in enumerate(
+            zip(rows.names, rows.sense.tolist(), rows.rhs.tolist())):
+        terms = _lp_terms(rows.row(i), names) + [SENSES[code], _num(rhs)]
+        lines.extend(_wrap(f" {_row_name(row)}:", terms))
 
     binaries = [names[col] for col in model.binary_columns()]
     if binaries:

@@ -71,6 +71,22 @@ class TestValidateCommand:
         assert main(["solve", "--out-dir", str(out_dir), *input_args(paths)]) == 1
         assert not out_dir.exists()
 
+    def test_negative_ramp_rate_exits_one(self, tmp_path, capsys):
+        instance = make_instance([make_unit(ramp_up=-5.0)], demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path / "ramp")
+        assert main(["validate", "--json", *input_args(paths)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in payload["errors"]] == ["negative-ramp-rate"]
+
+    def test_infinite_number_exits_two(self, tmp_path, capsys):
+        instance = make_instance([make_unit(p_max=float("inf"))], demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path / "inf")
+        assert main(["validate", *input_args(paths)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+        out = tmp_path / "model.mps"
+        assert main(["build", "--out", str(out), *input_args(paths)]) == 2
+        assert not out.exists()
+
     def test_warnings_allowed(self, tmp_path, capsys):
         warn = make_instance([make_unit()], demand=(300.0, 100.0))
         paths = write_instance_files(warn, tmp_path / "warn")

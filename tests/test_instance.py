@@ -108,6 +108,13 @@ class TestLoadInstance:
         with pytest.raises(MalformedNumber):
             load_instance(*paths)
 
+    @pytest.mark.parametrize("p_max", [float("inf"), float("-inf")])
+    def test_infinite_number(self, tmp_path, p_max):
+        instance = make_instance([make_unit(p_max=p_max)], demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path)
+        with pytest.raises(MalformedNumber, match="P_max: .* not a finite number"):
+            load_instance(*paths)
+
     def test_unknown_fuel_reference(self, tmp_path):
         paths = write_instance_files(fixture_instance(), tmp_path)
         periods = paths[3]
@@ -226,6 +233,15 @@ class TestValidate:
         report = validate(instance)
         assert report.codes() == {"negative-unit-id"}
         assert report.errors()[0].unit == -1
+
+    @pytest.mark.parametrize("field", ["ramp_up", "ramp_down", "startup_ramp",
+                                       "shutdown_ramp"])
+    def test_negative_ramp_rate_rejected(self, field):
+        report = validate(single_unit_instance(**{field: -5.0}))
+        ramp_errors = [r for r in report.errors() if r.code == "negative-ramp-rate"]
+        assert [r.unit for r in ramp_errors] == [1]
+        if field == "ramp_up":
+            assert report.codes() == {"negative-ramp-rate"}
 
     def test_negative_demand_rejected(self):
         instance = make_instance([make_unit()], demand=(-5.0, 100.0))

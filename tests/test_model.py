@@ -3,18 +3,28 @@
 import numpy as np
 import pytest
 
-from helpers import fixture_instance, make_instance, make_unit, storage_instance
+from helpers import (
+    fixture_instance,
+    make_instance,
+    make_unit,
+    multi_unit_instance,
+    storage_instance,
+)
 from ucdispatch.errors import ValidationFailed
 from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import (
     CONSTRAINT_FAMILIES,
     KIND_ORDER,
     SENSES,
+    MilpModel,
+    RowMatrix,
     build_model,
     model_stats,
 )
+from ucdispatch.report import build_report, write_reports
+from ucdispatch.solve import check_solution, solve_exact
 from ucdispatch.thinning import thin_all
-from ucdispatch.writers import write_mps
+from ucdispatch.writers import write_lp, write_mps
 
 
 def test_fixture_counts_match_hand_enumeration(fixture_inst):
@@ -211,6 +221,17 @@ def test_variable_ordering_is_kind_unit_period(storage_inst):
 
 
 def test_row_matrix_and_column_index_match_the_model(storage_inst):
+    # the constraints view rebuilds the very rows the builder handed over
+    for make in (fixture_instance, storage_instance, multi_unit_instance):
+        instance = make()
+        model = build_model(instance, thin_all(instance))
+        rows = model.rows
+        again = RowMatrix.from_constraints(model.constraints, model.num_columns)
+        for field in ("indptr", "indices", "data", "sense", "rhs", "family"):
+            ours, theirs = getattr(again, field), getattr(rows, field)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
+        assert (again.families, again.names) == (rows.families, rows.names)
+
     model = build_model(storage_inst, thin_all(storage_inst))
     rows = model.rows
     assert len(rows.rhs) == len(model.constraints)
@@ -230,3 +251,24 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
     for var in model.variables:
         assert columns.by_name[var.name] == var.column_index
         assert columns.by_key[(var.kind, var.unit_id, var.period)] == var.column_index
+
+
+@pytest.mark.parametrize("make", [fixture_instance, storage_instance])
+def test_pipeline_reads_only_the_row_matrix(make, tmp_path, monkeypatch):
+    instance = make()
+    model = build_model(instance)
+    assert set(vars(model)) == {"variables", "rows", "objective"}
+    first = model.constraints
+    assert first == model.constraints and first is not model.constraints
+
+    def no_view(self):
+        raise AssertionError("MilpModel.constraints was read")
+
+    monkeypatch.setattr(MilpModel, "constraints", property(no_view))
+    write_mps(model)
+    write_lp(model)
+    model_stats(model)
+    solution = solve_exact(model)
+    assert check_solution(model, solution.values).passed
+    report = build_report(instance, model, solution)
+    assert write_reports(instance, model, solution, report, tmp_path)

@@ -4,22 +4,28 @@ import hashlib
 
 import pytest
 
-from helpers import fixture_instance, make_instance, make_unit, storage_instance
-from ucdispatch.instance import StartupCostCurve
-from ucdispatch.model import LinearConstraint, MilpModel, VarRef, build_model, model_stats
+from helpers import fixture_instance, multi_unit_instance, storage_instance
+from ucdispatch.model import (
+    LinearConstraint,
+    MilpModel,
+    RowMatrix,
+    VarRef,
+    build_model,
+    model_stats,
+)
 from ucdispatch.thinning import thin_all
 from ucdispatch.writers import write_lp, write_mps
 
 
 def empty_model():
-    return MilpModel([], [], {})
+    return MilpModel([], RowMatrix.from_constraints([], 0), {})
 
 
 def single_constraint_model():
     # min x subject to x <= 5
     variables = [VarRef("p", 1, 1, 0)]
     constraints = [LinearConstraint("cap[1]", {0: 1.0}, "<=", 5.0)]
-    return MilpModel(variables, constraints, {0: 1.0})
+    return MilpModel(variables, RowMatrix.from_constraints(constraints, 1), {0: 1.0})
 
 
 def fixture_model():
@@ -73,7 +79,8 @@ class TestMps:
     def test_no_negative_zero(self):
         variables = [VarRef("p", 1, 1, 0)]
         constraints = [LinearConstraint("zero[1]", {0: -0.0 or 1.0}, "<=", -0.0)]
-        text = write_mps(MilpModel(variables, constraints, {}))
+        rows = RowMatrix.from_constraints(constraints, 1)
+        text = write_mps(MilpModel(variables, rows, {}))
         assert "-0 " not in text
 
 
@@ -108,33 +115,6 @@ def test_formats_cover_same_model():
     for var in model.variables:
         assert var.name in mps
         assert var.name in lp
-
-
-def multi_unit_instance():
-    """Three units over six periods with initial states, minimal up/down
-    times, shutdown costs, two fuels and multi-step startup curves."""
-    units = [
-        make_unit(1, min_uptime=3, min_downtime=2, initial_uptime=1,
-                  p_min=40.0, p_max=250.0, ramp_up=80.0, ramp_down=90.0,
-                  startup_ramp=120.0, shutdown_ramp=110.0, fuel_type="coal",
-                  var_fuel=2.5, fixed_fuel=3.0, shutdown_cost=45.0),
-        make_unit(2, min_uptime=2, min_downtime=3, initial_downtime=2,
-                  p_min=20.0, p_max=120.0, ramp_up=60.0, ramp_down=60.0,
-                  startup_ramp=70.0, shutdown_ramp=70.0, var_cost=25.5,
-                  fixed_cost=12.25, shutdown_cost=10.0),
-        make_unit(3, p_min=10.0, p_max=60.0, var_cost=40.0, fixed_cost=5.0),
-    ]
-    curves = {
-        1: StartupCostCurve(1, {1: 100.0, 2: 180.0, 3: 240.0, 4: 275.0}),
-        2: StartupCostCurve(2, {1: 30.0, 2: 30.0, 3: 55.5}),
-    }
-    return make_instance(
-        units,
-        demand=(150.0, 210.0, 320.0, 280.0, 190.0, 120.0),
-        reserve=(15.0, 20.0, 30.0, 30.0, 20.0, 10.0),
-        fuel_cost={"coal": (1.0, 1.0, 1.25, 1.25, 1.0, 0.75),
-                   "gas": (2.0, 2.5, 3.0, 3.0, 2.5, 2.0)},
-        curves=curves, length=1.5)
 
 
 #: SHA-256 of the MPS and LP emission of hand-built instances; any change to
