@@ -216,7 +216,7 @@ def _cmd_report(args, parser) -> int:
     model = build_model(instance)
     try:
         text = open(args.solution, encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {args.solution}: {exc}") from exc
     values = parse_solution_file(text, model)
     residuals = check_solution(model, values)

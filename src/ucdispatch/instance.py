@@ -9,6 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -217,7 +218,7 @@ def _read_config(path, overrides=None) -> GeneralConfig:
                     raise MalformedNumber(f"{path}: expected KEY = VALUE, got {line!r}")
                 key, _, value = line.partition("=")
                 entries[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read config file {path}: {exc}") from exc
 
     if overrides:
@@ -254,11 +255,13 @@ def _read_config(path, overrides=None) -> GeneralConfig:
 
 
 def _open_csv(path):
+    # decoded up front, so a byte that is not UTF-8 is a read failure here
+    # rather than an error from inside the csv reader
     try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return io.StringIO(handle.read(), newline="")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return handle
 
 
 def _check_columns(path, header, required) -> None:

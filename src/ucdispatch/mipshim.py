@@ -42,6 +42,15 @@ class MipProblem:
 # ---------------------------------------------------------------------------
 # MPS
 
+_MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
+
+
+def _mps_pairs(tokens):
+    """The (row, value) pairs after the leading name of a COLUMNS or RHS line."""
+    if len(tokens) % 2 == 0:
+        raise ValueError(f"unpaired entry {tokens[-1]!r} after {tokens[0]}")
+    return zip(tokens[1::2], tokens[2::2])
+
 
 def parse_mps(text: str) -> MipProblem:
     problem = MipProblem()
@@ -49,6 +58,7 @@ def parse_mps(text: str) -> MipProblem:
     objective_row = None
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
+    declared: set[str] = set()
     entries: dict[str, dict[str, float]] = {}
     rhs: dict[str, float] = {}
     integer_mode = False
@@ -62,12 +72,15 @@ def parse_mps(text: str) -> MipProblem:
         tokens = raw.split()
         if section == "ROWS":
             sense, name = tokens[0].upper(), tokens[1]
+            declared.add(name)
             if sense == "N":
                 if objective_row is None:
                     objective_row = name
-            else:
-                row_sense[name] = {"L": "<=", "G": ">=", "E": "="}[sense]
+            elif sense in _MPS_SENSE:
+                row_sense[name] = _MPS_SENSE[sense]
                 row_order.append(name)
+            else:
+                raise ValueError(f"unknown row type {tokens[0]!r} for row {name}")
         elif section == "COLUMNS":
             if "'MARKER'" in tokens:
                 integer_mode = "'INTORG'" in tokens
@@ -76,8 +89,7 @@ def parse_mps(text: str) -> MipProblem:
             problem.touch(name)
             if integer_mode:
                 problem.integers.add(name)
-            pairs = tokens[1:]
-            for row, value in zip(pairs[::2], pairs[1::2]):
+            for row, value in _mps_pairs(tokens):
                 coef = float(value)
                 if row == objective_row:
                     problem.objective[name] = problem.objective.get(name, 0.0) + coef
@@ -85,8 +97,7 @@ def parse_mps(text: str) -> MipProblem:
                     entries.setdefault(row, {})
                     entries[row][name] = entries[row].get(name, 0.0) + coef
         elif section == "RHS":
-            pairs = tokens[1:]
-            for row, value in zip(pairs[::2], pairs[1::2]):
+            for row, value in _mps_pairs(tokens):
                 rhs[row] = float(value)
         elif section == "RANGES":
             raise ValueError("MPS RANGES sections are not supported")
@@ -114,6 +125,9 @@ def parse_mps(text: str) -> MipProblem:
             else:
                 raise ValueError(f"unsupported bound type {btype}")
 
+    undeclared = (entries.keys() | rhs.keys()) - declared
+    if undeclared:
+        raise ValueError(f"entries on rows that ROWS does not declare: {sorted(undeclared)}")
     for row in row_order:
         problem.rows.append((entries.get(row, {}), row_sense[row], rhs.get(row, 0.0)))
     return problem
@@ -374,7 +388,7 @@ def main(argv=None) -> int:
 
     try:
         text = open(args.model, encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ucdispatch-mip: {exc}", file=sys.stderr)
         return 2
 

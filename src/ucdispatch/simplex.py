@@ -2,60 +2,25 @@
 
 Solves  min c.x  s.t.  A x (<=,=,>=) b,  x >= 0  with Bland's rule, which
 guarantees termination at the price of speed; a hard iteration cap acts as a
-cycling guard on top.  The pivot loop runs in a compiled kernel
-(ucdispatch._simplex_core) when available and falls back to the NumPy
-implementation; set UCDISPATCH_PURE_PYTHON=1 to force the fallback.
+cycling guard on top.  The pivot loop is plain NumPy.  The exact solver's
+lexicographic tie rule relies on its pivot choices, so keep the entering rule,
+the ratio test and the floating-point order of the elimination as they are.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _simplex_py
 from .errors import NumericalFailure
-
-try:
-    from . import _simplex_core
-except ImportError:  # extension not built
-    _simplex_core = None
-
-if os.environ.get("UCDISPATCH_PURE_PYTHON") == "1" or _simplex_core is None:
-    _default_kernel = _simplex_py
-else:
-    _default_kernel = _simplex_core
-
-OPTIMAL = _simplex_py.OPTIMAL
-UNBOUNDED = _simplex_py.UNBOUNDED
-ITER_LIMIT = _simplex_py.ITER_LIMIT
 
 MAX_ITERATIONS = 100_000
 
 
 def kernel_name() -> str:
-    return "cython" if _default_kernel is _simplex_core else "python"
-
-
-def available_kernels() -> dict[str, object]:
-    kernels = {"python": _simplex_py}
-    if _simplex_core is not None:
-        kernels["cython"] = _simplex_core
-    return kernels
-
-
-@contextmanager
-def use_kernel(name: str):
-    """Temporarily select a pivot kernel (benchmarking hook)."""
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = available_kernels()[name]
-    try:
-        yield
-    finally:
-        _default_kernel = previous
+    """Name of the pivot kernel, recorded with benchmark results."""
+    return "python"
 
 
 @dataclass
@@ -66,15 +31,55 @@ class LpResult:
     iterations: int
 
 
+def _pivot(tableau, basis, row, col):
+    """Make column ``col`` basic in ``row``, eliminating it from every other row."""
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, pivot_row)
+    basis[row] = col
+
+
+def _pivot_loop(tableau, basis, allowed, tol, max_iter):
+    """Run simplex pivots in place until optimal, unbounded or the cap.
+
+    ``tableau`` is (m+1) x (ncols+1): m constraint rows plus the reduced-cost
+    row, last column holds the right-hand sides and minus the objective.
+    Entering column: the first allowed one with reduced cost below -tol.
+    Leaving row: the minimal ratio, ties broken by the smallest basic column.
+    Returns (status, iterations), status "optimal", "unbounded" or "limit".
+    """
+    m = tableau.shape[0] - 1
+    cost = tableau[m]
+    iters = 0
+    while iters < max_iter:
+        entering = np.flatnonzero(allowed & (cost[:-1] < -tol))
+        if entering.size == 0:
+            return "optimal", iters
+        col = int(entering[0])
+
+        column = tableau[:m, col]
+        candidates = np.flatnonzero(column > tol)
+        if candidates.size == 0:
+            return "unbounded", iters
+        ratios = tableau[candidates, -1] / column[candidates]
+        best = ratios.min()
+        ties = candidates[ratios == best]
+        row = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
+
+        _pivot(tableau, basis, row, col)
+        iters += 1
+    return "limit", iters
+
+
 def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
-                   max_iter: int = MAX_ITERATIONS, kernel: str | None = None) -> LpResult:
+                   max_iter: int = MAX_ITERATIONS) -> LpResult:
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  Raises
     :class:`NumericalFailure` if the pivot cap is hit.
     """
-    impl = available_kernels()[kernel] if kernel else _default_kernel
-
     c = np.asarray(c, dtype=float)
     A = np.array(A, dtype=float, ndmin=2)
     b = np.array(b, dtype=float)
@@ -119,8 +124,8 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
         tableau[i, art_start + offset] = 1.0
         basis[i] = art_start + offset
 
-    allowed = np.ones(total, dtype=np.uint8)
-    allowed[art_start:] = 0  # artificials may leave but never re-enter
+    allowed = np.ones(total, dtype=bool)
+    allowed[art_start:] = False  # artificials may leave but never re-enter
 
     iterations = 0
     if n_art:
@@ -130,35 +135,26 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
             tableau[m, :] -= tableau[i, :]
         tableau[m, art_start:total] = 0.0
 
-        status, iters = impl.pivot_loop(tableau, basis, allowed, tol, max_iter)
+        status, iters = _pivot_loop(tableau, basis, allowed, tol, max_iter)
         iterations += iters
-        if status == ITER_LIMIT:
+        if status == "limit":
             raise NumericalFailure(f"simplex phase 1 exceeded {max_iter} pivots")
         infeasibility = -tableau[m, -1]
         if infeasibility > 1e-7 * (1.0 + float(np.max(b))):
             return LpResult("infeasible", None, np.inf, iterations)
 
         # drive leftover artificials out of the basis; drop redundant rows
-        redundant = []
+        redundant = set()
         for i in range(m):
             if basis[i] < art_start:
                 continue
-            pivot_col = -1
-            for j in range(art_start):
-                if abs(tableau[i, j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                redundant.append(i)
-                continue
-            pivot_row = tableau[i]
-            pivot_row /= pivot_row[pivot_col]
-            factors = tableau[:, pivot_col].copy()
-            factors[i] = 0.0
-            tableau -= np.outer(factors, pivot_row)
-            basis[i] = pivot_col
+            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > tol)
+            if nonzero.size == 0:
+                redundant.add(i)
+            else:
+                _pivot(tableau, basis, i, int(nonzero[0]))
         if redundant:
-            keep = [i for i in range(m) if i not in set(redundant)]
+            keep = [i for i in range(m) if i not in redundant]
             tableau = np.ascontiguousarray(tableau[keep + [m]])
             basis = basis[keep].copy()
             m = len(keep)
@@ -170,11 +166,11 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
         if basis[i] < n and c[basis[i]] != 0.0:
             tableau[m, :] -= c[basis[i]] * tableau[i, :]
 
-    status, iters = impl.pivot_loop(tableau, basis, allowed, tol, max_iter)
+    status, iters = _pivot_loop(tableau, basis, allowed, tol, max_iter)
     iterations += iters
-    if status == ITER_LIMIT:
+    if status == "limit":
         raise NumericalFailure(f"simplex phase 2 exceeded {max_iter} pivots")
-    if status == UNBOUNDED:
+    if status == "unbounded":
         return LpResult("unbounded", None, -np.inf, iterations)
 
     x = np.zeros(n)

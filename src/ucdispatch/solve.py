@@ -396,6 +396,8 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
             text = solution_path.read_text(encoding="utf-8")
         except OSError as exc:
             raise UnparsableSolution(f"solver wrote no solution file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UnparsableSolution(f"solution file is not UTF-8 text: {exc}") from exc
 
         values = parse_solution_file(text, model)
         report = check_solution(model, values, config.tolerance)

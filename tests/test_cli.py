@@ -87,6 +87,14 @@ class TestValidateCommand:
         assert main(["build", "--out", str(out), *input_args(paths)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["config", "units"])
+    def test_non_utf8_input_exits_two(self, fixture_files, capsys, which):
+        path = fixture_files[which]
+        path.write_bytes(path.read_bytes() + b"# \xe9\n")
+        assert main(["validate", *input_args(fixture_files)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "utf-8" in err
+
     def test_warnings_allowed(self, tmp_path, capsys):
         warn = make_instance([make_unit()], demand=(300.0, 100.0))
         paths = write_instance_files(warn, tmp_path / "warn")
@@ -246,6 +254,16 @@ class TestReportCommand:
         assert main(["report", "--solution", str(solution_file),
                      "--out-dir", str(tmp_path / "rep"),
                      *input_args(fixture_files)]) == 3
+
+    def test_non_utf8_solution_file_exits_two(self, fixture_files, tmp_path,
+                                              capsys):
+        solution_file = tmp_path / "model.sol"
+        solution_file.write_bytes(b"v_1_1 1\n# \xe9\n")
+        assert main(["report", "--solution", str(solution_file),
+                     "--out-dir", str(tmp_path / "rep"),
+                     *input_args(fixture_files)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_solution_file_exits_two(self, fixture_files, tmp_path):
         assert main(["report", "--solution", str(tmp_path / "none.sol"),

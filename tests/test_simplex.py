@@ -1,29 +1,18 @@
-"""The bundled dense simplex against scipy and across kernels."""
+"""The bundled dense simplex against scipy and its pinned pivot trajectories."""
 
-import os
-import subprocess
-import sys
+import hashlib
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from ucdispatch.errors import NumericalFailure
-from ucdispatch.simplex import available_kernels, kernel_name, solve_dense_lp
+from ucdispatch.simplex import kernel_name, solve_dense_lp
 
 
-def test_kernel_selection_reports_a_known_name():
-    assert kernel_name() in ("cython", "python")
-    assert "python" in available_kernels()
-
-
-def test_env_var_forces_the_fallback_kernel():
-    probe = "from ucdispatch.simplex import kernel_name; print(kernel_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "UCDISPATCH_PURE_PYTHON": "1"},
-        capture_output=True, text=True)
-    assert out.stdout.strip() == "python"
+def test_kernel_name_is_python():
+    # benchmark fingerprints record this name
+    assert kernel_name() == "python"
 
 
 def test_simple_optimum():
@@ -92,6 +81,43 @@ def _random_lp(rng):
     return c, A, senses, b
 
 
+def _integer_lp(rng):
+    # small integer data: degenerate vertices, ratio ties, artificials left
+    # basic at zero after phase 1 and the odd redundant equality row
+    m = int(rng.integers(1, 10))
+    n = int(rng.integers(1, 9))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    c = rng.integers(-1, 4, size=n).astype(float)
+    senses = [str(s) for s in rng.choice(["<=", ">=", "="], size=m, p=[0.4, 0.3, 0.3])]
+    b = rng.integers(0, 4, size=m).astype(float)
+    return c, A, senses, b
+
+
+#: SHA-256 over (status, pivots, x bytes) of 400 seeded draws; any change to
+#: the pivot rule or the floating-point order of the elimination shows up here
+GOLDEN_TRAJECTORIES = {
+    "random": "c2328df8dd57c3d0513c4de1c05b485542dc569fd4c306158f17e2783275e218",
+    "integer": "68319f5552c8e7e94e01c6183539aba4dc162b9153d10139c1ff9d2f6ac7e94a",
+}
+DRAWS = {"random": _random_lp, "integer": _integer_lp}
+
+
+def trajectory_digest(draw, count=400):
+    rng = np.random.default_rng(42)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        result = solve_dense_lp(*draw(rng))
+        digest.update(f"{result.status} {result.iterations};".encode())
+        if result.x is not None:
+            digest.update(result.x.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_pivot_trajectories(label):
+    assert trajectory_digest(DRAWS[label]) == GOLDEN_TRAJECTORIES[label]
+
+
 def test_agreement_with_scipy_on_random_lps():
     rng = np.random.default_rng(42)
     checked = 0
@@ -120,19 +146,3 @@ def test_agreement_with_scipy_on_random_lps():
         elif ref.status == 3:
             assert result.status == "unbounded"
     assert checked >= 30  # enough solvable draws to mean something
-
-
-@pytest.mark.skipif(len(available_kernels()) < 2,
-                    reason="compiled kernel not built")
-def test_kernels_agree_exactly():
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        c, A, senses, b = _random_lp(rng)
-        first = solve_dense_lp(c, A, senses, b, kernel="python")
-        second = solve_dense_lp(c, A, senses, b, kernel="cython")
-        assert first.status == second.status
-        assert first.iterations == second.iterations
-        if first.status == "optimal":
-            assert first.objective == pytest.approx(second.objective,
-                                                    rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(first.x, second.x, rtol=1e-12, atol=1e-12)

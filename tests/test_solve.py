@@ -254,6 +254,15 @@ class TestSolveExternal:
         with pytest.raises(UnparsableSolution):
             solve_external(model, config)
 
+    def test_non_utf8_solution_file_raises(self, fixture_inst):
+        model = build(fixture_inst)
+        script = "import sys; open(sys.argv[2], 'wb').write(bytes([118, 32, 233, 10]))"
+        config = SolverConfig(
+            backend="external",
+            command_template=f'{sys.executable} -c "{script}" {{model}} {{solution}}')
+        with pytest.raises(UnparsableSolution):
+            solve_external(model, config)
+
     def test_wrong_solution_fails_residual_check(self, fixture_inst):
         model = build(fixture_inst)
         script = "import sys; open(sys.argv[2], 'w').write('v_1_1 1\\n')"
