@@ -17,7 +17,7 @@ from .instance import (
     period_index,
     validate,
 )
-from .model import LinearConstraint, MilpModel, VarRef, build_model, model_stats
+from .model import ColumnIndex, LinearConstraint, MilpModel, build_model, model_stats
 from .report import (
     CostBreakdown,
     DispatchReport,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneralConfig", "Instance", "PeriodSeries", "StartupCostCurve", "UnitSpec",
     "ValidationReport", "Violation", "load_instance", "period_index", "validate",
-    "LinearConstraint", "MilpModel", "VarRef", "build_model", "model_stats",
+    "ColumnIndex", "LinearConstraint", "MilpModel", "build_model", "model_stats",
     "CostBreakdown", "DispatchReport", "build_report", "exact_max_possible",
     "price_series", "write_reports",
     "ResidualReport", "Solution", "SolverConfig", "check_solution",

@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--solver-cmd", default=None,
                          help="external command with {model} and {solution} "
                               "placeholders (fallback: UC_SOLVER_CMD)")
-        sub.add_argument("--binary-budget", type=int, default=24,
+        sub.add_argument("--binary-budget", type=int,
+                         default=SolverConfig.binary_budget,
                          help="enumeration cap of the builtin backend")
         sub.add_argument("--out-dir", default="results")
         sub.set_defaults(handler=_cmd_solve)

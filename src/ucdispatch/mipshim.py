@@ -136,6 +136,7 @@ def parse_mps(text: str) -> MipProblem:
 # ---------------------------------------------------------------------------
 # CPLEX LP
 
+_LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "="}
 _LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _LP_TOKEN = re.compile(
     r"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*"
@@ -185,8 +186,13 @@ def parse_lp(text: str) -> MipProblem:
         if current:
             sections[current].append(line)
 
-    problem.objective = _parse_lp_expression(
-        " ".join(sections["objective"]), problem)
+    tokens = _LP_TOKEN.findall(" ".join(sections["objective"]))
+    i = 2 if len(tokens) > 1 and tokens[1] == ":" else 0
+    # "obj: 0" is how an empty objective is written
+    if tokens[i:] != ["0"]:
+        problem.objective, i = _parse_lp_terms(tokens, i, problem)
+        if i < len(tokens):
+            raise ValueError(f"unexpected {tokens[i]!r} in the objective")
 
     tokens = _LP_TOKEN.findall(" ".join(sections["constraints"]))
     i = 0
@@ -194,40 +200,13 @@ def parse_lp(text: str) -> MipProblem:
         # optional "name :" prefix
         if i + 1 < len(tokens) and tokens[i + 1] == ":":
             i += 2
-        coefs: dict[str, float] = {}
-        sign, coef = 1.0, None
-        sense = None
-        while i < len(tokens):
-            token = tokens[i]
-            if token in ("<=", "=<"):
-                sense = "<="
-            elif token in (">=", "=>"):
-                sense = ">="
-            elif token == "=":
-                sense = "="
-            if sense:
-                i += 1
-                break
-            if token == "+":
-                sign = 1.0
-            elif token == "-":
-                sign = -sign
-            elif _LP_NUMBER.match(token):
-                coef = float(token)
-            else:
-                problem.touch(token)
-                value = sign * (1.0 if coef is None else coef)
-                coefs[token] = coefs.get(token, 0.0) + value
-                sign, coef = 1.0, None
-            i += 1
-        if sense is None:
-            if coefs:
-                raise ValueError("constraint without a relational operator")
-            break
-        rhs_sign = 1.0
-        while i < len(tokens) and tokens[i] in ("+", "-"):
-            if tokens[i] == "-":
-                rhs_sign = -rhs_sign
+        coefs, i = _parse_lp_terms(tokens, i, problem)
+        if i == len(tokens):
+            raise ValueError("constraint without a relational operator")
+        sense, rhs_sign = _LP_SENSE[tokens[i]], 1.0
+        i += 1
+        if i < len(tokens) and tokens[i] in ("+", "-"):
+            rhs_sign = -1.0 if tokens[i] == "-" else 1.0
             i += 1
         if i >= len(tokens) or not _LP_NUMBER.match(tokens[i]):
             raise ValueError("constraint without a right-hand side")
@@ -249,24 +228,28 @@ def parse_lp(text: str) -> MipProblem:
     return problem
 
 
-def _parse_lp_expression(text: str, problem: MipProblem) -> dict[str, float]:
-    tokens = _LP_TOKEN.findall(text)
-    if ":" in tokens:
-        tokens = tokens[tokens.index(":") + 1:]
+def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
+    """The "[+|-] [number] name" terms from ``tokens[i]`` up to a relational
+    operator or the end, as (coefficients, index of the stopping token)."""
     coefs: dict[str, float] = {}
-    sign, coef = 1.0, None
-    for token in tokens:
-        if token == "+":
-            sign = 1.0
-        elif token == "-":
-            sign = -sign
-        elif _LP_NUMBER.match(token):
-            coef = float(token)
-        else:
-            problem.touch(token)
-            coefs[token] = coefs.get(token, 0.0) + sign * (1.0 if coef is None else coef)
-            sign, coef = 1.0, None
-    return coefs
+    while i < len(tokens) and tokens[i] not in _LP_SENSE:
+        sign = 1.0
+        if tokens[i] in ("+", "-"):
+            sign = -1.0 if tokens[i] == "-" else 1.0
+            i += 1
+        elif coefs:
+            raise ValueError(f"no + or - before {tokens[i]!r}")
+        coef = 1.0
+        if i < len(tokens) and _LP_NUMBER.match(tokens[i]):
+            coef = float(tokens[i])
+            i += 1
+        if (i == len(tokens) or tokens[i] in _LP_SENSE or tokens[i] in ("+", "-", ":")
+                or _LP_NUMBER.match(tokens[i])):
+            raise ValueError("a constant or a sign without a variable")
+        problem.touch(tokens[i])
+        coefs[tokens[i]] = coefs.get(tokens[i], 0.0) + sign * coef
+        i += 1
+    return coefs, i
 
 
 def _lp_bound_value(token: str) -> float:

@@ -23,20 +23,20 @@ Constraint families (names used in constraint tags and stats):
 
 A model stores its constraints once, as ``MilpModel.rows``: compressed
 sparse rows in NumPy arrays with each row's name, sense, right-hand side and
-family code.  The builder collects its rows and hands them to
-:meth:`RowMatrix.from_constraints` in one call.  Every consumer (exact engine,
-LP relaxation, residual check, MPS/LP writers, solution parser, reports)
-reads ``rows`` and ``MilpModel.columns``, the column names with their
-name -> column and (kind, unit, period) -> column maps, so a built model is
-read-only.  ``MilpModel.constraints`` is a view that rebuilds
-:class:`LinearConstraint` objects from ``rows`` on each access.
+family code.  It stores its columns once, as ``MilpModel.columns``: each
+column's (kind, unit, period) key and name, the name -> column and
+key -> column maps and the binary columns.  The builder makes both in one
+call each.  Every consumer (exact engine, LP relaxation, residual check,
+MPS/LP writers, solution parser, reports) reads only ``rows`` and
+``columns``, so a built model is read-only.  ``MilpModel.constraints`` is a
+view that rebuilds :class:`LinearConstraint` objects from ``rows`` on each
+access.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -65,25 +65,6 @@ CONSTRAINT_FAMILIES = (
     "storage-initial", "storage-final",
     "demand", "reserve", "prod-cost", "shutdown-cost", "startup-cost",
 )
-
-
-@dataclass(frozen=True)
-class VarRef:
-    kind: str
-    unit_id: int | None
-    period: int
-    column_index: int
-
-    @property
-    def is_binary(self) -> bool:
-        return self.kind == "v"
-
-    @property
-    def name(self) -> str:
-        token = KIND_TOKEN[self.kind]
-        if self.unit_id is None:
-            return f"{token}_{self.period}"
-        return f"{token}_{self.unit_id}_{self.period}"
 
 
 @dataclass
@@ -162,14 +143,28 @@ class RowMatrix:
 
 
 class ColumnIndex(NamedTuple):
+    """Column i has the key ``keys[i]``, (kind, unit_id, period), and the
+    name ``names[i]``; the ``v`` columns are the binaries."""
+
+    keys: list[tuple]
     names: list[str]
     by_name: dict[str, int]
-    by_key: dict[tuple, int]           # (kind, unit_id, period) -> column
+    by_key: dict[tuple, int]
+    binaries: list[int]
+
+    @classmethod
+    def from_keys(cls, keys: list[tuple]) -> ColumnIndex:
+        names = [f"{KIND_TOKEN[kind]}_{period}" if unit_id is None
+                 else f"{KIND_TOKEN[kind]}_{unit_id}_{period}"
+                 for kind, unit_id, period in keys]
+        return cls(keys, names, {name: i for i, name in enumerate(names)},
+                   {key: i for i, key in enumerate(keys)},
+                   [i for i, (kind, _, _) in enumerate(keys) if kind == "v"])
 
 
 @dataclass
 class MilpModel:
-    variables: list[VarRef]
+    columns: ColumnIndex
     rows: RowMatrix
     objective: dict[int, float]   # minimization
 
@@ -182,26 +177,15 @@ class MilpModel:
                 for i, (name, code, rhs) in enumerate(
                     zip(rows.names, rows.sense.tolist(), rows.rhs.tolist()))]
 
-    @cached_property
-    def columns(self) -> ColumnIndex:
-        names = [v.name for v in self.variables]
-        cols = [v.column_index for v in self.variables]
-        return ColumnIndex(names, dict(zip(names, cols)),
-                           {(v.kind, v.unit_id, v.period): v.column_index
-                            for v in self.variables})
-
     @property
     def num_columns(self) -> int:
-        return len(self.variables)
+        return len(self.columns.keys)
 
     def binary_columns(self) -> list[int]:
-        return [v.column_index for v in self.variables if v.is_binary]
+        return self.columns.binaries
 
     def column_of(self, name: str) -> int:
         return self.columns.by_name[name]
-
-    def column_names(self) -> list[str]:
-        return self.columns.names
 
     def objective_value(self, values) -> float:
         return sum(coef * values[col] for col, coef in self.objective.items())
@@ -238,12 +222,12 @@ def build_model(instance: Instance,
         else:
             owners = storage if kind in ("s", "c") else units
             keys += [(kind, u.unit_id, k) for u in owners for k in range(1, T + 1)]
-    index = {key: i for i, key in enumerate(keys)}
+    columns = ColumnIndex.from_keys(keys)
     objective: dict[int, float] = {}
     constraints: list[LinearConstraint] = []
 
     def col(kind, j, k):
-        return index[(kind, j, k)]
+        return columns.by_key[(kind, j, k)]
 
     def add_con(name, coefficients, sense, rhs):
         coefficients = {c: v for c, v in coefficients.items() if v != 0.0}
@@ -410,7 +394,8 @@ def build_model(instance: Instance,
     # --- startup cost epigraph over thinned group starts -----------------------------
     # cu(j,k) >= step(t) * (v(j,k) - sum_{n=1..t} v(j,k-n)) for group starts
     # t < k.  The right-hand term is 1 exactly when the unit starts in k after
-    # at least t offline periods.
+    # at least t offline periods.  A unit's v columns are consecutive, so the
+    # window v(k-t..k-1) is one column range.
     for u in units:
         j = u.unit_id
         curve = thinned.get(j)
@@ -421,22 +406,21 @@ def build_model(instance: Instance,
                     break
                 step = curve.steps[t]
                 coeffs = {col("cu", j, k): 1.0, col("v", j, k): -step}
-                for n in range(1, t + 1):
-                    coeffs[col("v", j, k - n)] = coeffs.get(col("v", j, k - n), 0.0) + step
+                coeffs.update(dict.fromkeys(range(col("v", j, k - t), col("v", j, k)), step))
                 add_con(f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
 
-    return MilpModel([VarRef(*key, i) for i, key in enumerate(keys)],
-                     RowMatrix.from_constraints(constraints, len(keys)), objective)
+    return MilpModel(columns, RowMatrix.from_constraints(constraints, len(keys)),
+                     objective)
 
 
 def model_stats(model: MilpModel) -> dict:
     """Constraint counts per family and variable counts per kind."""
-    rows = model.rows
+    rows, columns = model.rows, model.columns
     counts = np.bincount(rows.family, minlength=len(rows.families)).tolist()
     return {
         "families": dict(zip(rows.families, counts)),
-        "variables": dict(Counter(var.kind for var in model.variables)),
+        "variables": dict(Counter(kind for kind, _, _ in columns.keys)),
         "total_constraints": len(rows.rhs),
-        "total_variables": len(model.variables),
-        "binaries": sum(1 for v in model.variables if v.is_binary),
+        "total_variables": len(columns.keys),
+        "binaries": len(columns.binaries),
     }

@@ -19,7 +19,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,15 @@ logger = logging.getLogger(__name__)
 
 _SENSE_LE, _SENSE_EQ, _SENSE_GE = SENSE_CODE["<="], SENSE_CODE["="], SENSE_CODE[">="]
 
+#: patterns whose optimum lies within this relative distance of the best tie
+TIE_REL_TOL = 1e-9
+
 
 @dataclass
 class SolverConfig:
     backend: str = "builtin-exact"       # "builtin-exact" | "external"
     command_template: str = ""           # e.g. "ucdispatch-mip {model} {solution}"
     binary_budget: int = 24
-    tolerance: float = 1e-6
 
 
 @dataclass
@@ -197,10 +199,22 @@ class _ExactEngine:
         objective = float(self.c_cont @ x + self.c_bin @ pattern)
         return "optimal", objective, x
 
-    def solved(self):
-        """(pattern, status, objective, values) of every pattern, in order."""
+    def optimal(self):
+        """The (pattern, objective, values) within TIE_REL_TOL of the best
+        optimum, in lexicographic order, or None if a pattern's LP is
+        unbounded."""
+        best, ties = np.inf, []
         for pattern in self.patterns():
-            yield (pattern, *self.solve_pattern(pattern))
+            status, objective, x = self.solve_pattern(pattern)
+            if status == "unbounded":
+                return None
+            if status != "optimal" or objective > _tie_cut(best):
+                continue
+            if objective < best:
+                best = objective
+                ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
+            ties.append((pattern.copy(), objective, x))
+        return ties
 
     def values_for(self, pattern, x) -> dict[int, float]:
         values = {col: float(bit) for col, bit in zip(self.bin_cols, pattern)}
@@ -208,51 +222,41 @@ class _ExactEngine:
         return values
 
 
+def _tie_cut(best: float) -> float:
+    return best + TIE_REL_TOL * (1.0 + abs(best))
+
+
 def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solution:
     """Enumerate commitment patterns and solve each LP with the bundled simplex.
 
-    Ties between patterns keep the lexicographically smallest bit pattern.
+    Of the patterns within TIE_REL_TOL of the best optimum, the
+    lexicographically smallest wins, with its own objective and values.
     Raises :class:`TooManyBinaries` when the model exceeds the enumeration
     budget and :class:`NumericalFailure` if the simplex cycling guard trips.
     """
     config = config or SolverConfig()
     started = time.perf_counter()
     engine = _ExactEngine(model, config)
-
-    best_obj = np.inf
-    best = None
-    for pattern, status, objective, x in engine.solved():
-        if status == "unbounded":
-            return Solution({}, -np.inf, "unbounded", "builtin-exact",
-                            time.perf_counter() - started)
-        if status == "optimal" and objective < best_obj:
-            best_obj = objective
-            best = (pattern.copy(), x)
-
+    ties = engine.optimal()
     elapsed = time.perf_counter() - started
-    if best is None:
+    if ties is None:
+        return Solution({}, -np.inf, "unbounded", "builtin-exact", elapsed)
+    if not ties:
         return Solution({}, np.inf, "infeasible", "builtin-exact", elapsed)
-    pattern, x = best
-    return Solution(engine.values_for(pattern, x), best_obj, "optimal",
+    pattern, objective, x = ties[0]
+    return Solution(engine.values_for(pattern, x), objective, "optimal",
                     "builtin-exact", elapsed)
 
 
-def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = None,
-                               rel_tol: float = 1e-9) -> list[tuple[int, ...]]:
-    """All commitment patterns whose optimum lies within rel_tol of the best."""
-    config = config or SolverConfig()
-    engine = _ExactEngine(model, config)
-    scored = [(tuple(int(b) for b in pattern), objective)
-              for pattern, status, objective, _ in engine.solved()
-              if status == "optimal"]
-    if not scored:
-        return []
-    best = min(objective for _, objective in scored)
-    cut = best + rel_tol * (1.0 + abs(best))
-    return [pattern for pattern, objective in scored if objective <= cut]
+def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = None
+                               ) -> list[tuple[int, ...]]:
+    """All commitment patterns whose optimum lies within TIE_REL_TOL of the
+    best, in lexicographic order; none if the model is unbounded."""
+    ties = _ExactEngine(model, config or SolverConfig()).optimal() or []
+    return [tuple(int(b) for b in pattern) for pattern, _, _ in ties]
 
 
-def solve_lp_relaxation(model: MilpModel, tol: float = 1e-9) -> Solution:
+def solve_lp_relaxation(model: MilpModel) -> Solution:
     """Solve the LP relaxation (binaries relaxed to [0, 1])."""
     started = time.perf_counter()
     n, rows, bin_cols = model.num_columns, model.rows, model.binary_columns()
@@ -261,7 +265,7 @@ def solve_lp_relaxation(model: MilpModel, tol: float = 1e-9) -> Solution:
     A = np.vstack([rows.dense(n), np.eye(n)[bin_cols]])
     senses = [SENSES[code] for code in rows.sense] + ["<="] * len(bin_cols)
     b = np.concatenate([rows.rhs, np.ones(len(bin_cols))])
-    result = solve_dense_lp(c, A, senses, b, tol=tol)
+    result = solve_dense_lp(c, A, senses, b)
     elapsed = time.perf_counter() - started
     if result.status != "optimal":
         return Solution({}, np.inf, result.status, "lp-relaxation", elapsed)
@@ -342,7 +346,7 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
         else:
             logger.warning("solution file: skipping unrecognized line %r", line)
 
-    names = model.column_names()
+    names = model.columns.names
     missing = [name for col, name in enumerate(names) if col not in parsed]
     if missing:
         logger.warning("solution file: %d columns missing, defaulting to 0: %s%s",
@@ -400,7 +404,7 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
             raise UnparsableSolution(f"solution file is not UTF-8 text: {exc}") from exc
 
         values = parse_solution_file(text, model)
-        report = check_solution(model, values, config.tolerance)
+        report = check_solution(model, values)
         if not report.passed:
             raise ResidualCheckFailed(
                 f"solution violates the model: max residual {report.max_residual:g}, "

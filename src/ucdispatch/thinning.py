@@ -26,13 +26,6 @@ class ThinnedCurve:
     def group_starts(self) -> list[int]:
         return sorted(self.steps)
 
-    def value_at(self, t: int) -> float:
-        """Step value applying to duration t (0 outside all groups)."""
-        for start, end in self.group_extents.items():
-            if start <= t <= end:
-                return self.steps[start]
-        return 0.0
-
 
 def best_error(cost_a: float, cost_b: float) -> float:
     """Minimal achievable relative error when one step covers both costs.

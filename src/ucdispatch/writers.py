@@ -27,10 +27,10 @@ def _row_name(name: str) -> str:
     return _NAME_SANITIZE.sub("_", name).strip("_")
 
 
-def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
+def write_mps(model: MilpModel) -> str:
     """Free-format MPS with INTORG/INTEND markers around binary columns."""
-    rows, names = model.rows, model.column_names()
-    lines = [f"NAME {name}", "ROWS", " N  OBJ"]
+    rows, names, binaries = model.rows, model.columns.names, model.columns.binaries
+    lines = ["NAME ucdispatch", "ROWS", " N  OBJ"]
     row_names = [_row_name(row) for row in rows.names]
     lines += [f" {_MPS_SENSE[SENSES[code]]}  {row}"
               for row, code in zip(row_names, rows.sense.tolist())]
@@ -43,15 +43,15 @@ def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
     col_ptr = [0, *np.cumsum(counts).tolist()]
 
     lines.append("COLUMNS")
+    is_binary = set(binaries)
     in_integer_block = False
     marker = 0
-    for var, var_name in zip(model.variables, names):
-        if var.is_binary != in_integer_block:
+    for col, var_name in enumerate(names):
+        if (col in is_binary) != in_integer_block:
+            in_integer_block = not in_integer_block
             marker += 1
-            kind = "'INTORG'" if var.is_binary else "'INTEND'"
+            kind = "'INTORG'" if in_integer_block else "'INTEND'"
             lines.append(f"    MARKER{marker}  'MARKER'  {kind}")
-            in_integer_block = var.is_binary
-        col = var.column_index
         start, stop = col_ptr[col], col_ptr[col + 1]
         if col in model.objective:
             lines.append(f"    {var_name}  OBJ  {_num(model.objective[col])}")
@@ -70,7 +70,7 @@ def write_mps(model: MilpModel, name: str = "ucdispatch") -> str:
                  for row, rhs in zip(row_names, rows.rhs.tolist()) if rhs != 0.0)
 
     lines.append("BOUNDS")
-    lines.extend(f" BV BND  {names[col]}" for col in model.binary_columns())
+    lines.extend(f" BV BND  {names[col]}" for col in binaries)
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
@@ -96,7 +96,7 @@ def _wrap(label: str, parts: list[str], width: int = 78) -> list[str]:
 
 def write_lp(model: MilpModel) -> str:
     """CPLEX-LP dialect, semantically identical to the MPS emission."""
-    rows, names = model.rows, model.column_names()
+    rows, names = model.rows, model.columns.names
     lines = ["Minimize"]
     objective = sorted(model.objective.items())
     if objective:
@@ -110,7 +110,7 @@ def write_lp(model: MilpModel) -> str:
         terms = _lp_terms(rows.row(i), names) + [SENSES[code], _num(rhs)]
         lines.extend(_wrap(f" {_row_name(row)}:", terms))
 
-    binaries = [names[col] for col in model.binary_columns()]
+    binaries = [names[col] for col in model.columns.binaries]
     if binaries:
         lines.append("Bounds")
         lines.extend(f" 0 <= {name} <= 1" for name in binaries)

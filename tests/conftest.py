@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+# run from a checkout: the package comes from src/, in this process and in
+# the solver child processes, which see PYTHONPATH but not sys.path
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path[:0] = [str(Path(__file__).parent), SRC]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 from helpers import fixture_instance, storage_instance, write_instance_files  # noqa: E402
 

@@ -1,4 +1,4 @@
-"""The ucdispatch-mip command on well-formed and malformed model files."""
+"""The ucdispatch-mip command on well-formed and malformed MPS and LP files."""
 
 import pytest
 
@@ -58,4 +58,43 @@ def test_non_utf8_model_file_exits_two(tmp_path, capsys):
     code, solution = run_shim(tmp_path, GOOD_MPS.encode("utf-8").replace(b"demo", b"d\xe9mo"))
     assert code == 2
     assert "utf-8" in capsys.readouterr().err
+    assert not solution.exists()
+
+
+# min x + y  s.t.  x + y >= 2: the optimum is 2
+GOOD_LP = """\
+Minimize
+ obj: x + y
+Subject To
+ c1: x + y >= 2
+End
+"""
+
+
+def test_good_lp_solves(tmp_path, capsys):
+    code, solution = run_shim(tmp_path, GOOD_LP, "model.lp")
+    assert code == 0
+    assert "optimal objective 2" in capsys.readouterr().out
+
+
+def test_empty_lp_objective_solves(tmp_path, capsys):
+    # "obj: 0" is what write_lp writes for an empty objective
+    code, _ = run_shim(tmp_path, GOOD_LP.replace("obj: x + y", "obj: 0"), "model.lp")
+    assert code == 0
+    assert "optimal objective 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [
+    # a constant on the left: dropping it solved to 3
+    ("c1: x + y >= 2", "c1: x + 2 >= 3"),
+    # two variables with no operator between them: read as x + y
+    ("c1: x + y >= 2", "c1: x y >= 2"),
+    # a constant in the objective: dropping it reported 2
+    ("obj: x + y", "obj: x + y + 3"),
+], ids=["constraint-constant", "no-operator", "objective-constant"])
+def test_malformed_lp_is_a_parse_error(tmp_path, capsys, old, new):
+    assert old in GOOD_LP
+    code, solution = run_shim(tmp_path, GOOD_LP.replace(old, new), "model.lp")
+    assert code == 2
+    assert "cannot parse" in capsys.readouterr().err
     assert not solution.exists()

@@ -15,6 +15,7 @@ from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import (
     CONSTRAINT_FAMILIES,
     KIND_ORDER,
+    KIND_TOKEN,
     SENSES,
     MilpModel,
     RowMatrix,
@@ -178,9 +179,9 @@ def test_objective_coefficients(fixture_inst):
         for k in (1, 2):
             assert model.objective[model.column_of(f"{token}_{k}")] == penalty
     covered = set(model.objective)
-    for var in model.variables:
-        if var.kind in ("v", "p", "p_max", "s", "c"):
-            assert var.column_index not in covered
+    for col, (kind, _, _) in enumerate(model.columns.keys):
+        if kind in ("v", "p", "p_max", "s", "c"):
+            assert col not in covered
 
 
 def test_no_explicit_zero_coefficients(storage_inst):
@@ -213,11 +214,11 @@ def test_deterministic_serialization(storage_inst):
 
 def test_variable_ordering_is_kind_unit_period(storage_inst):
     model = build_model(storage_inst, thin_all(storage_inst))
-    seen = [(v.kind, v.unit_id, v.period) for v in model.variables]
+    seen = model.columns.keys
     kind_rank = {kind: i for i, kind in enumerate(KIND_ORDER)}
     ranked = [(kind_rank[k], u if u is not None else -1, p) for k, u, p in seen]
     assert ranked == sorted(ranked)
-    assert [v.column_index for v in model.variables] == list(range(len(seen)))
+    assert len(set(seen)) == len(seen) == model.num_columns
 
 
 def test_row_matrix_and_column_index_match_the_model(storage_inst):
@@ -247,17 +248,22 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
     np.testing.assert_allclose(rows.activities(x), expected, rtol=1e-12, atol=1e-9)
 
     columns = model.columns
-    assert columns.names == [v.name for v in model.variables]
-    for var in model.variables:
-        assert columns.by_name[var.name] == var.column_index
-        assert columns.by_key[(var.kind, var.unit_id, var.period)] == var.column_index
+    assert len(columns.names) == len(columns.keys) == model.num_columns
+    for col, (key, name) in enumerate(zip(columns.keys, columns.names)):
+        kind, unit_id, period = key
+        token = KIND_TOKEN[kind]
+        assert name == (f"{token}_{period}" if unit_id is None
+                        else f"{token}_{unit_id}_{period}")
+        assert columns.by_name[name] == columns.by_key[key] == col
+    assert model.binary_columns() == [col for col, (kind, _, _)
+                                      in enumerate(columns.keys) if kind == "v"]
 
 
 @pytest.mark.parametrize("make", [fixture_instance, storage_instance])
 def test_pipeline_reads_only_the_row_matrix(make, tmp_path, monkeypatch):
     instance = make()
     model = build_model(instance)
-    assert set(vars(model)) == {"variables", "rows", "objective"}
+    assert set(vars(model)) == {"columns", "rows", "objective"}
     first = model.constraints
     assert first == model.constraints and first is not model.constraints
 

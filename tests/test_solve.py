@@ -39,6 +39,18 @@ def value(model, solution, name):
     return solution.values[model.column_of(name)]
 
 
+def twin_unit_instance(seed):
+    """A random one-unit instance plus an identical copy of its unit."""
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng, 1, int(rng.integers(2, 5)))
+    (unit,) = instance.units
+    curves = {**instance.startup_curves,
+              2: StartupCostCurve(2, dict(instance.curve(1).costs))}
+    return dataclasses.replace(
+        instance, units=(unit, dataclasses.replace(unit, unit_id=2)),
+        startup_curves=curves)
+
+
 class TestSolveExact:
     def test_fixture_optimum(self, fixture_inst):
         model = build(fixture_inst)
@@ -114,11 +126,17 @@ class TestSolveExact:
             [make_unit(1, p_min=0.0, fixed_cost=0.0, var_cost=10.0),
              make_unit(2, p_min=0.0, fixed_cost=0.0, var_cost=10.0)],
             demand=(100.0,))
-        model = build(instance)
-        patterns = enumerate_optimal_patterns(model)
-        solution = solve_exact(model)
-        chosen = (value(model, solution, "v_1_1"), value(model, solution, "v_2_1"))
-        assert tuple(int(b) for b in chosen) == min(patterns)
+        # twin units whose two tied patterns differ in the last bits of
+        # their LP optima: a raw < once kept the later pattern
+        for instance in (instance, twin_unit_instance(164), twin_unit_instance(187)):
+            model = build(instance)
+            patterns = enumerate_optimal_patterns(model)
+            solution = solve_exact(model)
+            chosen = tuple(int(solution.values[col]) for col in model.binary_columns())
+            assert len(patterns) >= 2
+            assert chosen == patterns[0] == min(patterns)
+            assert solution.objective == pytest.approx(
+                model.objective_value(solution.values), rel=1e-12)
 
     def test_lp_relaxation_bounds_milp(self, fixture_inst, storage_inst):
         for instance in (fixture_inst, storage_inst):

@@ -6,10 +6,10 @@ import pytest
 
 from helpers import fixture_instance, multi_unit_instance, storage_instance
 from ucdispatch.model import (
+    ColumnIndex,
     LinearConstraint,
     MilpModel,
     RowMatrix,
-    VarRef,
     build_model,
     model_stats,
 )
@@ -18,14 +18,14 @@ from ucdispatch.writers import write_lp, write_mps
 
 
 def empty_model():
-    return MilpModel([], RowMatrix.from_constraints([], 0), {})
+    return MilpModel(ColumnIndex.from_keys([]), RowMatrix.from_constraints([], 0), {})
 
 
 def single_constraint_model():
     # min x subject to x <= 5
-    variables = [VarRef("p", 1, 1, 0)]
+    columns = ColumnIndex.from_keys([("p", 1, 1)])
     constraints = [LinearConstraint("cap[1]", {0: 1.0}, "<=", 5.0)]
-    return MilpModel(variables, RowMatrix.from_constraints(constraints, 1), {0: 1.0})
+    return MilpModel(columns, RowMatrix.from_constraints(constraints, 1), {0: 1.0})
 
 
 def fixture_model():
@@ -77,10 +77,10 @@ class TestMps:
         assert write_mps(fixture_model()) == write_mps(fixture_model())
 
     def test_no_negative_zero(self):
-        variables = [VarRef("p", 1, 1, 0)]
+        columns = ColumnIndex.from_keys([("p", 1, 1)])
         constraints = [LinearConstraint("zero[1]", {0: -0.0 or 1.0}, "<=", -0.0)]
         rows = RowMatrix.from_constraints(constraints, 1)
-        text = write_mps(MilpModel(variables, rows, {}))
+        text = write_mps(MilpModel(columns, rows, {}))
         assert "-0 " not in text
 
 
@@ -112,9 +112,9 @@ class TestLp:
 def test_formats_cover_same_model():
     model = fixture_model()
     mps, lp = write_mps(model), write_lp(model)
-    for var in model.variables:
-        assert var.name in mps
-        assert var.name in lp
+    for name in model.columns.names:
+        assert name in mps
+        assert name in lp
 
 
 #: SHA-256 of the MPS and LP emission of hand-built instances; any change to
