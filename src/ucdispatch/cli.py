@@ -169,7 +169,7 @@ def _solver_config(args, parser) -> SolverConfig:
 
 
 def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
-    breakdown = report.cost_breakdown
+    breakdown = report.cost_breakdown.items()
     if as_json:
         print(json.dumps({
             "status": solution.status,
@@ -177,25 +177,14 @@ def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
             "objective": solution.objective,
             "wall_time": solution.wall_time,
             "out_dir": str(out_dir),
-            "cost_breakdown": {
-                "production_cost": breakdown.production,
-                "startup_cost": breakdown.startup,
-                "shutdown_cost": breakdown.shutdown,
-                "under_production_penalty": breakdown.under_production_penalty,
-                "under_reserve_penalty": breakdown.under_reserve_penalty,
-                "over_production_penalty": breakdown.over_production_penalty,
-            },
+            "cost_breakdown": dict(breakdown),
         }, indent=2))
         return
     print(f"status {solution.status} ({solution.backend}, "
           f"{solution.wall_time:.3f}s)")
     print(f"objective {solution.objective:.12g}")
-    print(f"  production_cost {breakdown.production:.12g}")
-    print(f"  startup_cost {breakdown.startup:.12g}")
-    print(f"  shutdown_cost {breakdown.shutdown:.12g}")
-    print(f"  under_production_penalty {breakdown.under_production_penalty:.12g}")
-    print(f"  under_reserve_penalty {breakdown.under_reserve_penalty:.12g}")
-    print(f"  over_production_penalty {breakdown.over_production_penalty:.12g}")
+    for label, value in breakdown:
+        print(f"  {label} {value:.12g}")
     print(f"reports written to {out_dir}")
 
 

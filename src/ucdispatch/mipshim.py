@@ -8,6 +8,11 @@ This module deliberately shares no code with the model builder or the file
 writers: it parses the standard formats from scratch and solves with
 scipy's HiGHS interface, so an agreement between this path and the built-in
 exact solver checks both sides.
+
+Each column name is resolved once, as it is read, to its position in
+``MipProblem.var_order``, and everything else is keyed by that position.
+The MPS reader honours ``OBJSENSE``; a section it does not read or a row
+declared twice is a parse error (exit 2), never a silently different model.
 """
 
 from __future__ import annotations
@@ -23,26 +28,26 @@ import numpy as np
 @dataclass
 class MipProblem:
     maximize: bool = False
-    var_order: list[str] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    rows: list[tuple[dict[str, float], str, float]] = field(default_factory=list)
-    integers: set[str] = field(default_factory=set)
-    lower: dict[str, float] = field(default_factory=dict)
-    upper: dict[str, float] = field(default_factory=dict)
+    #: column name -> position, in the order the names were first read
+    var_order: dict[str, int] = field(default_factory=dict)
+    objective: dict[int, float] = field(default_factory=dict)
+    #: one [coefficients by position, sense, rhs] cell per constraint row
+    rows: list[list] = field(default_factory=list)
+    integers: set[int] = field(default_factory=set)
+    lower: dict[int, float] = field(default_factory=dict)
+    upper: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._seen: set[str] = set(self.var_order)
-
-    def touch(self, name: str) -> None:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.var_order.append(name)
+    def touch(self, name: str) -> int:
+        """The position of column ``name``, adding it if it is new."""
+        return self.var_order.setdefault(name, len(self.var_order))
 
 
 # ---------------------------------------------------------------------------
 # MPS
 
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
+_MPS_SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS"}
+_MPS_OBJSENSE = {"MAX": True, "MAXIMIZE": True, "MIN": False, "MINIMIZE": False}
 
 
 def _mps_pairs(tokens):
@@ -54,82 +59,78 @@ def _mps_pairs(tokens):
 
 def parse_mps(text: str) -> MipProblem:
     problem = MipProblem()
-    section = None
-    objective_row = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    declared: set[str] = set()
-    entries: dict[str, dict[str, float]] = {}
-    rhs: dict[str, float] = {}
+    # row name -> its [coefficients, sense, rhs] cell; the objective row's
+    # coefficients are the objective, and further N rows go nowhere
+    cells: dict[str, list] = {}
+    objective_row = section = None
     integer_mode = False
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        if not raw[0].isspace():
-            section = raw.split()[0].upper()
-            continue
-        tokens = raw.split()
-        if section == "ROWS":
-            sense, name = tokens[0].upper(), tokens[1]
-            declared.add(name)
-            if sense == "N":
-                if objective_row is None:
-                    objective_row = name
-            elif sense in _MPS_SENSE:
-                row_sense[name] = _MPS_SENSE[sense]
-                row_order.append(name)
-            else:
-                raise ValueError(f"unknown row type {tokens[0]!r} for row {name}")
-        elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
-                integer_mode = "'INTORG'" in tokens
+    try:
+        for raw in text.splitlines():
+            tokens = raw.split()
+            if not tokens or raw[0] == "*":
                 continue
-            name = tokens[0]
-            problem.touch(name)
-            if integer_mode:
-                problem.integers.add(name)
-            for row, value in _mps_pairs(tokens):
-                coef = float(value)
-                if row == objective_row:
-                    problem.objective[name] = problem.objective.get(name, 0.0) + coef
+            if not raw[0].isspace():
+                section = tokens[0].upper()
+                if section == "ENDATA":
+                    break
+                if section not in _MPS_SECTIONS:
+                    raise ValueError(f"MPS {section} sections are not supported")
+                if section != "OBJSENSE" or len(tokens) == 1:
+                    continue
+                del tokens[0]  # "OBJSENSE MAX": the sense is on the header line
+            if section == "COLUMNS":
+                if "'MARKER'" in tokens:
+                    integer_mode = "'INTORG'" in tokens
+                    continue
+                col = problem.touch(tokens[0])
+                if integer_mode:
+                    problem.integers.add(col)
+                for row, value in _mps_pairs(tokens):
+                    coefs = cells[row][0]
+                    coefs[col] = coefs.get(col, 0.0) + float(value)
+            elif section == "RHS":
+                for row, value in _mps_pairs(tokens):
+                    cells[row][2] = float(value)
+            elif section == "ROWS":
+                sense, name = tokens[0].upper(), tokens[1]
+                if name in cells:
+                    raise ValueError(f"row {name} is declared twice")
+                if sense == "N":
+                    objective_row = objective_row or name
+                    coefs = problem.objective if objective_row == name else {}
+                    cells[name] = [coefs, "N", 0.0]
+                elif sense in _MPS_SENSE:
+                    cells[name] = [{}, _MPS_SENSE[sense], 0.0]
+                    problem.rows.append(cells[name])
                 else:
-                    entries.setdefault(row, {})
-                    entries[row][name] = entries[row].get(name, 0.0) + coef
-        elif section == "RHS":
-            for row, value in _mps_pairs(tokens):
-                rhs[row] = float(value)
-        elif section == "RANGES":
-            raise ValueError("MPS RANGES sections are not supported")
-        elif section == "BOUNDS":
-            btype = tokens[0].upper()
-            name = tokens[2]
-            problem.touch(name)
-            if btype == "UP":
-                problem.upper[name] = float(tokens[3])
-            elif btype == "LO":
-                problem.lower[name] = float(tokens[3])
-            elif btype == "FX":
-                problem.lower[name] = problem.upper[name] = float(tokens[3])
-            elif btype == "BV":
-                problem.integers.add(name)
-                problem.lower[name] = 0.0
-                problem.upper[name] = 1.0
-            elif btype == "MI":
-                problem.lower[name] = -np.inf
-            elif btype == "PL":
-                problem.upper[name] = np.inf
-            elif btype == "FR":
-                problem.lower[name] = -np.inf
-                problem.upper[name] = np.inf
+                    raise ValueError(f"unknown row type {tokens[0]!r} for row {name}")
+            elif section == "BOUNDS":
+                btype, col = tokens[0].upper(), problem.touch(tokens[2])
+                if btype == "UP":
+                    problem.upper[col] = float(tokens[3])
+                elif btype == "LO":
+                    problem.lower[col] = float(tokens[3])
+                elif btype == "FX":
+                    problem.lower[col] = problem.upper[col] = float(tokens[3])
+                elif btype == "BV":
+                    problem.integers.add(col)
+                    problem.lower[col] = 0.0
+                    problem.upper[col] = 1.0
+                elif btype == "MI":
+                    problem.lower[col] = -np.inf
+                elif btype == "PL":
+                    problem.upper[col] = np.inf
+                elif btype == "FR":
+                    problem.lower[col] = -np.inf
+                    problem.upper[col] = np.inf
+                else:
+                    raise ValueError(f"unsupported bound type {btype}")
+            elif section == "OBJSENSE" and tokens[0].upper() in _MPS_OBJSENSE:
+                problem.maximize = _MPS_OBJSENSE[tokens[0].upper()]
             else:
-                raise ValueError(f"unsupported bound type {btype}")
-
-    undeclared = (entries.keys() | rhs.keys()) - declared
-    if undeclared:
-        raise ValueError(f"entries on rows that ROWS does not declare: {sorted(undeclared)}")
-    for row in row_order:
-        problem.rows.append((entries.get(row, {}), row_sense[row], rhs.get(row, 0.0)))
+                raise ValueError(f"unexpected line {raw.strip()!r} in section {section}")
+    except KeyError as exc:  # only ``cells[row]`` can miss
+        raise ValueError(f"entry on row {exc} that ROWS does not declare") from None
     return problem
 
 
@@ -210,28 +211,28 @@ def parse_lp(text: str) -> MipProblem:
             i += 1
         if i >= len(tokens) or not _LP_NUMBER.match(tokens[i]):
             raise ValueError("constraint without a right-hand side")
-        problem.rows.append((coefs, sense, rhs_sign * float(tokens[i])))
+        problem.rows.append([coefs, sense, rhs_sign * float(tokens[i])])
         i += 1
 
     for line in sections["bounds"]:
         _parse_lp_bound(line, problem)
     for line in sections["binaries"]:
         for name in line.split():
-            problem.touch(name)
-            problem.integers.add(name)
-            problem.lower.setdefault(name, 0.0)
-            problem.upper.setdefault(name, 1.0)
+            col = problem.touch(name)
+            problem.integers.add(col)
+            problem.lower.setdefault(col, 0.0)
+            problem.upper.setdefault(col, 1.0)
     for line in sections["generals"]:
         for name in line.split():
-            problem.touch(name)
-            problem.integers.add(name)
+            problem.integers.add(problem.touch(name))
     return problem
 
 
 def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
     """The "[+|-] [number] name" terms from ``tokens[i]`` up to a relational
-    operator or the end, as (coefficients, index of the stopping token)."""
-    coefs: dict[str, float] = {}
+    operator or the end, as (coefficients by position, index of the
+    stopping token)."""
+    coefs: dict[int, float] = {}
     while i < len(tokens) and tokens[i] not in _LP_SENSE:
         sign = 1.0
         if tokens[i] in ("+", "-"):
@@ -246,8 +247,8 @@ def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
         if (i == len(tokens) or tokens[i] in _LP_SENSE or tokens[i] in ("+", "-", ":")
                 or _LP_NUMBER.match(tokens[i])):
             raise ValueError("a constant or a sign without a variable")
-        problem.touch(tokens[i])
-        coefs[tokens[i]] = coefs.get(tokens[i], 0.0) + sign * coef
+        col = problem.touch(tokens[i])
+        coefs[col] = coefs.get(col, 0.0) + sign * coef
         i += 1
     return coefs, i
 
@@ -265,31 +266,29 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
     text = line.strip()
     free = re.match(r"^(\S+)\s+free$", text, re.IGNORECASE)
     if free:
-        name = free.group(1)
-        problem.touch(name)
-        problem.lower[name] = -np.inf
-        problem.upper[name] = np.inf
+        col = problem.touch(free.group(1))
+        problem.lower[col] = -np.inf
+        problem.upper[col] = np.inf
         return
     parts = re.split(r"(<=|>=|=)", text.replace(" ", ""))
     parts = [p for p in parts if p]
     if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-        name = parts[2]
-        problem.touch(name)
-        problem.lower[name] = _lp_bound_value(parts[0])
-        problem.upper[name] = _lp_bound_value(parts[4])
+        col = problem.touch(parts[2])
+        problem.lower[col] = _lp_bound_value(parts[0])
+        problem.upper[col] = _lp_bound_value(parts[4])
     elif len(parts) == 3:
         left, op, right = parts
         if _LP_NUMBER.match(left) or left.lower().endswith("inf"):
             name, value, flip = right, _lp_bound_value(left), True
         else:
             name, value, flip = left, _lp_bound_value(right), False
-        problem.touch(name)
+        col = problem.touch(name)
         if op == "=":
-            problem.lower[name] = problem.upper[name] = value
+            problem.lower[col] = problem.upper[col] = value
         elif (op == "<=") != flip:
-            problem.upper[name] = value
+            problem.upper[col] = value
         else:
-            problem.lower[name] = value
+            problem.lower[col] = value
     else:
         raise ValueError(f"cannot parse bound line {line!r}")
 
@@ -300,34 +299,35 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
 
 def solve_problem(problem: MipProblem):
     """Returns (status_string, objective, {name: value})."""
+    n = len(problem.var_order)
+    con_lb = np.array([-np.inf if sense == "<=" else rhs for _, sense, rhs in problem.rows])
+    con_ub = np.array([np.inf if sense == ">=" else rhs for _, sense, rhs in problem.rows])
+    if n == 0:
+        # milp needs a column; without one every row's activity is 0
+        if np.all(con_lb <= 0.0) and np.all(con_ub >= 0.0):
+            return "optimal", 0.0, {}
+        return "infeasible: a row without columns does not hold at 0", None, {}
+
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    names = problem.var_order
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
     c = np.zeros(n)
-    for name, coef in problem.objective.items():
-        c[index[name]] = coef
+    c[list(problem.objective)] = list(problem.objective.values())
     if problem.maximize:
         c = -c
-
-    lb = np.array([problem.lower.get(name, 0.0) for name in names])
-    ub = np.array([problem.upper.get(name, np.inf) for name in names])
-    integrality = np.array([1 if name in problem.integers else 0 for name in names])
+    lb, ub = np.zeros(n), np.full(n, np.inf)
+    lb[list(problem.lower)] = list(problem.lower.values())
+    ub[list(problem.upper)] = list(problem.upper.values())
+    integrality = np.zeros(n, dtype=int)
+    integrality[list(problem.integers)] = 1
 
     constraints = []
     if problem.rows:
         data, rows_ix, cols_ix = [], [], []
-        con_lb = np.empty(len(problem.rows))
-        con_ub = np.empty(len(problem.rows))
-        for i, (coefs, sense, rhs) in enumerate(problem.rows):
-            for name, coef in coefs.items():
-                rows_ix.append(i)
-                cols_ix.append(index[name])
-                data.append(coef)
-            con_lb[i] = -np.inf if sense == "<=" else rhs
-            con_ub[i] = np.inf if sense == ">=" else rhs
+        for i, (coefs, _, _) in enumerate(problem.rows):
+            rows_ix += [i] * len(coefs)
+            cols_ix += coefs.keys()
+            data += coefs.values()
         matrix = sparse.csr_matrix(
             (data, (rows_ix, cols_ix)), shape=(len(problem.rows), n))
         constraints.append(LinearConstraint(matrix, con_lb, con_ub))
@@ -341,7 +341,7 @@ def solve_problem(problem: MipProblem):
     objective = float(result.fun)
     if problem.maximize:
         objective = -objective
-    return "optimal", objective, {name: float(result.x[index[name]]) for name in names}
+    return "optimal", objective, dict(zip(problem.var_order, result.x.tolist()))
 
 
 def detect_format(path: str, text: str) -> str:
@@ -366,7 +366,6 @@ def main(argv=None) -> int:
         description="Solve an MPS or LP file with HiGHS and write 'name value' lines.")
     parser.add_argument("model", help="input model file (.mps or .lp)")
     parser.add_argument("solution", help="output solution file")
-    parser.add_argument("--format", choices=("auto", "mps", "lp"), default="auto")
     args = parser.parse_args(argv)
 
     try:
@@ -375,9 +374,8 @@ def main(argv=None) -> int:
         print(f"ucdispatch-mip: {exc}", file=sys.stderr)
         return 2
 
-    fmt = args.format if args.format != "auto" else detect_format(args.model, text)
     try:
-        problem = parse_mps(text) if fmt == "mps" else parse_lp(text)
+        problem = (parse_mps if detect_format(args.model, text) == "mps" else parse_lp)(text)
     except (ValueError, IndexError) as exc:
         print(f"ucdispatch-mip: cannot parse {args.model}: {exc}", file=sys.stderr)
         return 2
@@ -389,8 +387,8 @@ def main(argv=None) -> int:
 
     with open(args.solution, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# objective {objective:.17g}\n")
-        for name in problem.var_order:
-            handle.write(f"{name} {values[name]:.17g}\n")
+        for name, value in values.items():
+            handle.write(f"{name} {value:.17g}\n")
     print(f"optimal objective {objective:.12g}")
     return 0
 

@@ -40,6 +40,18 @@ class CostBreakdown:
     under_reserve_penalty: float
     over_production_penalty: float
 
+    def items(self) -> list[tuple[str, float]]:
+        """(label, value) per component, under the labels that summary.csv,
+        ``solve --json`` and the text output of ``solve`` all use."""
+        return [
+            ("production_cost", self.production),
+            ("startup_cost", self.startup),
+            ("shutdown_cost", self.shutdown),
+            ("under_production_penalty", self.under_production_penalty),
+            ("under_reserve_penalty", self.under_reserve_penalty),
+            ("over_production_penalty", self.over_production_penalty),
+        ]
+
     @property
     def total(self) -> float:
         return (self.production + self.startup + self.shutdown
@@ -250,17 +262,8 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
         ]))
     emit("slacks.csv", lines)
 
-    breakdown = report.cost_breakdown
     lines = ["component,value"]
-    for label, value in [
-        ("production_cost", breakdown.production),
-        ("startup_cost", breakdown.startup),
-        ("shutdown_cost", breakdown.shutdown),
-        ("under_production_penalty", breakdown.under_production_penalty),
-        ("under_reserve_penalty", breakdown.under_reserve_penalty),
-        ("over_production_penalty", breakdown.over_production_penalty),
-        ("objective", report.objective),
-    ]:
+    for label, value in [*report.cost_breakdown.items(), ("objective", report.objective)]:
         lines.append(f"{label},{_fmt(value)}")
     emit("summary.csv", lines)
 

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import NumericalFailure
 
 MAX_ITERATIONS = 100_000
+#: pivot tolerance: reduced costs, ratio-test entries and drive-out entries
+#: within it of zero count as zero
+TOL = 1e-9
 
 
 def kernel_name() -> str:
@@ -41,12 +44,12 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _pivot_loop(tableau, basis, allowed, tol, max_iter):
+def _pivot_loop(tableau, basis, allowed, max_iter):
     """Run simplex pivots in place until optimal, unbounded or the cap.
 
     ``tableau`` is (m+1) x (ncols+1): m constraint rows plus the reduced-cost
     row, last column holds the right-hand sides and minus the objective.
-    Entering column: the first allowed one with reduced cost below -tol.
+    Entering column: the first allowed one with reduced cost below -TOL.
     Leaving row: the minimal ratio, ties broken by the smallest basic column.
     Returns (status, iterations), status "optimal", "unbounded" or "limit".
     """
@@ -54,13 +57,13 @@ def _pivot_loop(tableau, basis, allowed, tol, max_iter):
     cost = tableau[m]
     iters = 0
     while iters < max_iter:
-        entering = np.flatnonzero(allowed & (cost[:-1] < -tol))
+        entering = np.flatnonzero(allowed & (cost[:-1] < -TOL))
         if entering.size == 0:
             return "optimal", iters
         col = int(entering[0])
 
         column = tableau[:m, col]
-        candidates = np.flatnonzero(column > tol)
+        candidates = np.flatnonzero(column > TOL)
         if candidates.size == 0:
             return "unbounded", iters
         ratios = tableau[candidates, -1] / column[candidates]
@@ -73,8 +76,7 @@ def _pivot_loop(tableau, basis, allowed, tol, max_iter):
     return "limit", iters
 
 
-def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
-                   max_iter: int = MAX_ITERATIONS) -> LpResult:
+def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResult:
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  Raises
@@ -86,7 +88,7 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
     n = c.shape[0]
     m = b.shape[0]
     if m == 0:
-        if np.any(c < -tol):
+        if np.any(c < -TOL):
             return LpResult("unbounded", None, -np.inf, 0)
         return LpResult("optimal", np.zeros(n), 0.0, 0)
 
@@ -135,7 +137,7 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
             tableau[m, :] -= tableau[i, :]
         tableau[m, art_start:total] = 0.0
 
-        status, iters = _pivot_loop(tableau, basis, allowed, tol, max_iter)
+        status, iters = _pivot_loop(tableau, basis, allowed, max_iter)
         iterations += iters
         if status == "limit":
             raise NumericalFailure(f"simplex phase 1 exceeded {max_iter} pivots")
@@ -148,7 +150,7 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
         for i in range(m):
             if basis[i] < art_start:
                 continue
-            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > tol)
+            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > TOL)
             if nonzero.size == 0:
                 redundant.add(i)
             else:
@@ -166,7 +168,7 @@ def solve_dense_lp(c, A, senses, b, *, tol: float = 1e-9,
         if basis[i] < n and c[basis[i]] != 0.0:
             tableau[m, :] -= c[basis[i]] * tableau[i, :]
 
-    status, iters = _pivot_loop(tableau, basis, allowed, tol, max_iter)
+    status, iters = _pivot_loop(tableau, basis, allowed, max_iter)
     iterations += iters
     if status == "limit":
         raise NumericalFailure(f"simplex phase 2 exceeded {max_iter} pivots")

@@ -1,8 +1,16 @@
 """The ucdispatch-mip command on well-formed and malformed MPS and LP files."""
 
+import ast
+import inspect
+
 import pytest
 
+from helpers import fixture_instance, multi_unit_instance, storage_instance
+from test_writers import empty_model
 from ucdispatch import mipshim
+from ucdispatch.model import SENSES, build_model
+from ucdispatch.thinning import thin_all
+from ucdispatch.writers import write_lp, write_mps
 
 # min 3x + y  s.t.  x + y >= 2: the optimum is 2 (y = 2)
 GOOD_MPS = """\
@@ -44,14 +52,72 @@ def test_good_model_solves(tmp_path, capsys):
     ("    rhs       c1        2", "    rhs       r9        2"),
     # an unknown row type
     (" G  c1", " X  c1"),
+    # sections the shim does not read: each was skipped, solving another model
+    ("RHS\n", "RANGES\n    rng       c1        1\nRHS\n"),
+    ("RHS\n", "OBJNAME\n    obj\nRHS\n"),
+    ("RHS\n", "SOS\n S1 SOS       s1        1\n    s1        x         1\nRHS\n"),
+    ("RHS\n", "QUADOBJ\n    x         x         1\nRHS\n"),
+    # an objective sense that is neither MAX nor MIN
+    ("ROWS\n", "OBJSENSE\n    SIDEWAYS\nROWS\n"),
+    # a row declared twice: the parent emitted it as two rows
+    (" G  c1", " G  c1\n L  c1"),
+    # a data line under NAME
+    ("ROWS\n", "    stray\nROWS\n"),
 ], ids=["undeclared-column-row", "unpaired-token", "undeclared-rhs-row",
-        "unknown-row-type"])
+        "unknown-row-type", "ranges", "objname", "sos", "quadobj",
+        "unknown-objsense", "duplicate-row", "stray-line"])
 def test_malformed_mps_is_a_parse_error(tmp_path, capsys, old, new):
     assert old in GOOD_MPS
     code, solution = run_shim(tmp_path, GOOD_MPS.replace(old, new))
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
     assert not solution.exists()
+
+
+# max x + y  s.t.  x + y <= 4,  x, y <= 3: the optimum is 4 (0 if minimised)
+MAX_MPS = """\
+NAME          demo
+{objsense}ROWS
+ N  obj
+ L  c1
+COLUMNS
+    x         obj       1              c1        1
+    y         obj       1              c1        1
+RHS
+    rhs       c1        4
+BOUNDS
+ UP BND       x         3
+ UP BND       y         3
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("objsense, optimum", [
+    ("OBJSENSE\n    MAX\n", 4), ("OBJSENSE MAX\n", 4),
+    ("OBJSENSE\n    maximize\n", 4), ("OBJSENSE MINIMIZE\n", 0), ("", 0),
+], ids=["max-block", "max-one-line", "maximize-block", "minimize-one-line", "none"])
+def test_objsense_is_honoured(tmp_path, capsys, objsense, optimum):
+    code, solution = run_shim(tmp_path, MAX_MPS.format(objsense=objsense))
+    assert code == 0
+    assert f"optimal objective {optimum}\n" == capsys.readouterr().out
+    assert solution.read_text().splitlines()[0] == f"# objective {optimum}"
+
+
+@pytest.mark.parametrize("write, name", [(write_mps, "model.mps"), (write_lp, "model.lp")],
+                         ids=["mps", "lp"])
+def test_empty_model_solves(tmp_path, capsys, write, name):
+    # milp refuses a problem without columns: this was a traceback, exit 1
+    code, solution = run_shim(tmp_path, write(empty_model()), name)
+    assert code == 0
+    assert capsys.readouterr().out == "optimal objective 0\n"
+    assert solution.read_text() == "# objective 0\n"
+
+
+@pytest.mark.parametrize("rhs, code", [("2", 1), ("-2", 0)])
+def test_row_without_columns_must_hold_at_zero(tmp_path, capsys, rhs, code):
+    text = f"NAME demo\nROWS\n N  obj\n G  c1\nRHS\n    rhs  c1  {rhs}\nENDATA\n"
+    assert run_shim(tmp_path, text)[0] == code
+    assert ("solve failed" in capsys.readouterr().err) == (code == 1)
 
 
 def test_non_utf8_model_file_exits_two(tmp_path, capsys):
@@ -98,3 +164,36 @@ def test_malformed_lp_is_a_parse_error(tmp_path, capsys, old, new):
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
     assert not solution.exists()
+
+
+def named(coefs, names):
+    return {names[col]: coef for col, coef in coefs.items() if coef != 0.0}
+
+
+@pytest.mark.parametrize("make", [fixture_instance, storage_instance, multi_unit_instance],
+                         ids=["fixture", "storage", "multi-unit"])
+def test_reads_back_the_emitted_model(make):
+    instance = make()
+    model = build_model(instance, thin_all(instance))
+    rows, names = model.rows, model.columns.names
+    expected_rows = [(dict((names[col], coef) for col, coef in rows.row(i)),
+                      SENSES[code], rhs)
+                     for i, (code, rhs) in enumerate(zip(rows.sense.tolist(), rows.rhs.tolist()))]
+    v_columns = {name for (kind, _, _), name in zip(model.columns.keys, names) if kind == "v"}
+    for problem in (mipshim.parse_mps(write_mps(model)), mipshim.parse_lp(write_lp(model))):
+        read_names = list(problem.var_order)
+        assert [(named(coefs, read_names), sense, rhs)
+                for coefs, sense, rhs in problem.rows] == expected_rows
+        assert named(problem.objective, read_names) == named(model.objective, names)
+        assert not problem.maximize
+        assert {read_names[col] for col in problem.integers} == v_columns
+
+
+def test_shim_imports_nothing_from_the_package():
+    # the shim is an independent cross-check of the builder and the writers
+    tree = ast.parse(inspect.getsource(mipshim))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("ucdispatch"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ucdispatch") for alias in node.names)
