@@ -12,8 +12,10 @@ import csv
 import io
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from itertools import islice
 
 from .errors import (
     DuplicatePeriod,
@@ -180,7 +182,11 @@ def period_index(timestamp: datetime, start: datetime, period_length: float) -> 
     [1, T].
     """
     days = (timestamp - start).total_seconds() / 86400.0
-    return math.floor((days * 24.0 + 0.1) / period_length) + 1
+    position = (days * 24.0 + 0.1) / period_length
+    # a subnormal L overflows the quotient to +-inf; clamped to the largest
+    # float, the index still lies outside any horizon a config can give
+    big = sys.float_info.max
+    return math.floor(min(max(position, -big), big)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +329,9 @@ def _read_startup_curves(path, unit_ids) -> dict[int, StartupCostCurve]:
 def _read_periods(path, config: GeneralConfig, fuels) -> PeriodSeries:
     T = config.num_periods
     fuel_columns = {f: f"FC_{f}" for f in fuels}
-    demand: list[float | None] = [None] * T
-    reserve: list[float | None] = [None] * T
-    fuel_cost = {f: [None] * T for f in fuels}
+    # period -> (demand, reserve, *fuel costs); nothing sized by T is made
+    # before the rows are known to cover the horizon
+    rows: dict[int, tuple] = {}
 
     with _open_csv(path) as handle:
         reader = csv.DictReader(handle)
@@ -347,22 +353,19 @@ def _read_periods(path, config: GeneralConfig, fuels) -> PeriodSeries:
             k = period_index(stamp, config.start_time, config.period_length)
             if not 1 <= k <= T:
                 continue  # outside the horizon; dropped by design
-            if demand[k - 1] is not None:
+            if k in rows:
                 raise DuplicatePeriod(f"{where}: period {k} already has a row")
-            demand[k - 1] = _parse_float(row["D"], f"{where} D")
-            reserve[k - 1] = _parse_float(row["R"], f"{where} R")
-            for f, column in fuel_columns.items():
-                fuel_cost[f][k - 1] = _parse_float(row[column], f"{where} {column}")
+            rows[k] = tuple(_parse_float(row[column], f"{where} {column}")
+                            for column in ("D", "R", *fuel_columns.values()))
 
-    missing = [k + 1 for k, value in enumerate(demand) if value is None]
-    if missing:
-        raise MissingPeriod(f"{path}: no rows for period(s) {missing}")
+    if len(rows) < T:
+        missing = T - len(rows)
+        first = list(islice((k for k in range(1, T + 1) if k not in rows), 10))
+        more = f" and {missing - len(first)} more" if missing > len(first) else ""
+        raise MissingPeriod(f"{path}: no rows for period(s) {first}{more}")
 
-    return PeriodSeries(
-        demand=tuple(demand),
-        reserve=tuple(reserve),
-        fuel_cost={f: tuple(series) for f, series in fuel_cost.items()},
-    )
+    demand, reserve, *fuel_cost = zip(*(rows[k] for k in range(1, T + 1)))
+    return PeriodSeries(demand, reserve, dict(zip(fuel_columns, fuel_cost)))
 
 
 def load_instance(config_path, units_path, startup_path, periods_path,

@@ -90,6 +90,9 @@ def parse_mps(text: str) -> MipProblem:
                     coefs[col] = coefs.get(col, 0.0) + float(value)
             elif section == "RHS":
                 for row, value in _mps_pairs(tokens):
+                    if row == objective_row:
+                        # other readers take it as minus a constant objective term
+                        raise ValueError(f"right-hand side on the objective row {row}")
                     cells[row][2] = float(value)
             elif section == "ROWS":
                 sense, name = tokens[0].upper(), tokens[1]
@@ -139,6 +142,7 @@ def parse_mps(text: str) -> MipProblem:
 
 _LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "="}
 _LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_LP_INFINITY = re.compile(r"^[+-]?inf(inity)?$", re.IGNORECASE)
 _LP_TOKEN = re.compile(
     r"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*"
 )
@@ -254,11 +258,8 @@ def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
 
 
 def _lp_bound_value(token: str) -> float:
-    low = token.lower()
-    if low in ("inf", "+inf", "infinity", "+infinity"):
-        return np.inf
-    if low in ("-inf", "-infinity"):
-        return -np.inf
+    if _LP_INFINITY.match(token):
+        return -np.inf if token[0] == "-" else np.inf
     return float(token)
 
 
@@ -278,7 +279,7 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
         problem.upper[col] = _lp_bound_value(parts[4])
     elif len(parts) == 3:
         left, op, right = parts
-        if _LP_NUMBER.match(left) or left.lower().endswith("inf"):
+        if _LP_NUMBER.match(left) or _LP_INFINITY.match(left):
             name, value, flip = right, _lp_bound_value(left), True
         else:
             name, value, flip = left, _lp_bound_value(right), False

@@ -23,21 +23,21 @@ Constraint families (names used in constraint tags and stats):
 
 A model stores its constraints once, as ``MilpModel.rows``: compressed
 sparse rows in NumPy arrays with each row's name, sense, right-hand side and
-family code.  It stores its columns once, as ``MilpModel.columns``: each
-column's (kind, unit, period) key and name, the name -> column and
-key -> column maps and the binary columns.  The builder makes both in one
-call each.  Every consumer (exact engine, LP relaxation, residual check,
-MPS/LP writers, solution parser, reports) reads only ``rows`` and
-``columns``, so a built model is read-only.  ``MilpModel.constraints`` is a
-view that rebuilds :class:`LinearConstraint` objects from ``rows`` on each
-access.
+family code, filled one row at a time by :meth:`RowMatrix.from_rows` from
+the builder's row generator.  It stores its columns once, as
+``MilpModel.columns``: each column's (kind, unit, period) key and name, the
+name -> column and key -> column maps and the binary columns.  Every
+consumer (exact engine, LP relaxation, residual check, MPS/LP writers,
+solution parser, reports) reads only ``rows`` and ``columns``, so a built
+model is read-only.  ``MilpModel.constraints`` is a view that makes
+:class:`LinearConstraint` objects from ``rows`` on each access.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -101,25 +101,26 @@ class RowMatrix:
     names: tuple[str, ...]
 
     @classmethod
-    def from_constraints(cls, constraints: list[LinearConstraint],
-                         num_columns: int) -> RowMatrix:
-        lengths = [len(c.coefficients) for c in constraints]
-        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        nnz = int(indptr[-1])
-        indices = np.fromiter(chain.from_iterable(
-            c.coefficients for c in constraints), np.int32, nnz)
-        data = np.fromiter(chain.from_iterable(
-            c.coefficients.values() for c in constraints), np.float64, nnz)
-        # ascending columns within each row
-        order = np.argsort(np.repeat(np.arange(len(constraints)), lengths)
-                           * num_columns + indices)
+    def from_rows(cls, rows) -> RowMatrix:
+        """The matrix of ``(name, {column: value}, sense, rhs)`` rows, read one
+        at a time, zero values dropped; a row's family is its name up to "["."""
+        indptr, indices, data = array("q", [0]), array("i"), array("d")
+        sense, rhs, family = array("b"), array("d"), array("q")
         families: dict[str, int] = {}
-        family = [families.setdefault(c.family, len(families)) for c in constraints]
-        return cls(indptr, indices[order], data[order],
-                   np.array([SENSE_CODE[c.sense] for c in constraints], np.int8),
-                   np.array([c.rhs for c in constraints], np.float64),
-                   np.array(family, np.int64), tuple(families),
-                   tuple(c.name for c in constraints))
+        names = []
+        for name, coefficients, row_sense, row_rhs in rows:
+            columns = sorted(c for c, v in coefficients.items() if v != 0.0)
+            indices.extend(columns)
+            data.extend(map(coefficients.__getitem__, columns))
+            indptr.append(len(indices))
+            sense.append(SENSE_CODE[row_sense])
+            rhs.append(row_rhs)
+            family.append(families.setdefault(name.partition("[")[0], len(families)))
+            names.append(name)
+        return cls(np.frombuffer(indptr, np.int64), np.frombuffer(indices, np.int32),
+                   np.frombuffer(data, np.float64), np.frombuffer(sense, np.int8),
+                   np.frombuffer(rhs, np.float64), np.frombuffer(family, np.int64),
+                   tuple(families), tuple(names))
 
     def row_ids(self) -> np.ndarray:
         """The row of every nonzero."""
@@ -224,14 +225,9 @@ def build_model(instance: Instance,
             keys += [(kind, u.unit_id, k) for u in owners for k in range(1, T + 1)]
     columns = ColumnIndex.from_keys(keys)
     objective: dict[int, float] = {}
-    constraints: list[LinearConstraint] = []
 
     def col(kind, j, k):
         return columns.by_key[(kind, j, k)]
-
-    def add_con(name, coefficients, sense, rhs):
-        coefficients = {c: v for c, v in coefficients.items() if v != 0.0}
-        constraints.append(LinearConstraint(name, coefficients, sense, rhs))
 
     # --- objective -----------------------------------------------------------
     for u in units:
@@ -247,170 +243,171 @@ def build_model(instance: Instance,
         if g.over_prod_penalty != 0.0:
             objective[col("p_over", None, k)] = g.over_prod_penalty
 
-    # --- initial state fixing ------------------------------------------------
-    for u in units:
-        j = u.unit_id
-        for k in range(1, min(u.initial_uptime, T) + 1):
-            add_con(f"initial-on[{j},{k}]", {col("v", j, k): 1.0}, "=", 1.0)
-    for u in units:
-        j = u.unit_id
-        for k in range(1, min(u.initial_downtime, T) + 1):
-            add_con(f"initial-off[{j},{k}]", {col("v", j, k): 1.0}, "=", 0.0)
-
-    # --- minimal up/downtime -------------------------------------------------
-    # A startup in period k (v(k) - v(k-1) = 1) forces v(k+i) = 1 for the
-    # next UT-1 periods; shutdowns are handled symmetrically.
-    for u in units:
-        j = u.unit_id
-        for k in range(u.initial_uptime + 2, T + 1):
-            for i in range(1, min(u.min_uptime - 1, T - k) + 1):
-                add_con(
-                    f"min-up[{j},{k},{i}]",
-                    {col("v", j, k + i): 1.0, col("v", j, k): -1.0,
-                     col("v", j, k - 1): 1.0},
-                    ">=", 0.0)
-    for u in units:
-        j = u.unit_id
-        for k in range(u.initial_downtime + 2, T + 1):
-            for i in range(1, min(u.min_downtime - 1, T - k) + 1):
-                add_con(
-                    f"min-down[{j},{k},{i}]",
-                    {col("v", j, k + i): 1.0, col("v", j, k - 1): 1.0,
-                     col("v", j, k): -1.0},
-                    "<=", 1.0)
-
-    # --- production bounds, split into three rows ----------------------------
-    for u in units:
-        j = u.unit_id
-        for k in range(1, T + 1):
-            add_con(f"bounds[{j},{k},1]",
-                    {col("v", j, k): u.p_min, col("p", j, k): -1.0}, "<=", 0.0)
-            add_con(f"bounds[{j},{k},2]",
-                    {col("p", j, k): 1.0, col("p_max", j, k): -1.0}, "<=", 0.0)
-            add_con(f"bounds[{j},{k},3]",
-                    {col("p_max", j, k): 1.0, col("v", j, k): -u.p_max}, "<=", 0.0)
-
-    # --- ramping --------------------------------------------------------------
-    # The tightening constants use max(P_min, 0): the best variable-free lower
-    # bound on the previous production, valid also for storage units.
-    for u in units:
-        j = u.unit_id
-        base = max(u.p_min, 0.0)
-        rtu = min(u.startup_ramp, base + L * u.ramp_up) if ramp_tightening else 0.0
-        for k in range(2, T + 1):
-            add_con(
-                f"ramp-up[{j},{k}]",
-                {col("p_max", j, k): 1.0,
-                 col("p", j, k - 1): -1.0,
-                 col("v", j, k - 1): u.startup_ramp - L * u.ramp_up,
-                 col("v", j, k): -rtu},
-                "<=", u.startup_ramp - rtu)
-        rtd = min(u.shutdown_ramp, base + L * u.ramp_down) if ramp_tightening else 0.0
-        for k in range(2, T + 1):
-            add_con(
-                f"ramp-down[{j},{k}]",
-                {col("p", j, k): 1.0,
-                 col("p", j, k - 1): -1.0,
-                 col("v", j, k): L * u.ramp_down - u.shutdown_ramp,
-                 col("v", j, k - 1): rtd},
-                ">=", rtd - u.shutdown_ramp)
-        for k in range(1, T):
-            add_con(
-                f"shutdown-limit[{j},{k}]",
-                {col("p_max", j, k): 1.0,
-                 col("v", j, k): -u.shutdown_ramp,
-                 col("v", j, k + 1): u.shutdown_ramp - u.p_max},
-                "<=", 0.0)
-
-    # --- storage ----------------------------------------------------------------
-    for u in storage:
-        j = u.unit_id
-        for k in range(1, T + 1):
-            add_con(f"storage-cap[{j},{k}]",
-                    {col("s", j, k): 1.0}, "<=", u.storage_capacity)
-        for k in range(1, T + 1):
-            add_con(f"consumption-cap[{j},{k}]",
-                    {col("c", j, k): 1.0}, "<=", max(0.0, -u.p_min))
-        for k in range(2, T + 1):
-            add_con(
-                f"storage-balance[{j},{k}]",
-                {col("s", j, k): 1.0,
-                 col("s", j, k - 1): -1.0,
-                 col("c", j, k - 1): -L * u.storage_efficiency,
-                 col("p", j, k - 1): L},
-                "=", L * u.storage_inflow)
-        add_con(f"storage-initial[{j}]", {col("s", j, 1): 1.0},
-                "=", u.initial_storage)
-        add_con(
-            f"storage-final[{j}]",
-            {col("s", j, T): 1.0,
-             col("c", j, T): L * u.storage_efficiency,
-             col("p", j, T): -L},
-            "=", u.final_storage - L * u.storage_inflow)
-
-    # --- demand and reserve with slacks ------------------------------------------
-    for k in range(1, T + 1):
-        coeffs = {col("p", u.unit_id, k): 1.0 for u in units}
-        for u in storage:
-            coeffs[col("c", u.unit_id, k)] = -1.0
-        coeffs[col("p_under", None, k)] = 1.0
-        coeffs[col("p_over", None, k)] = -1.0
-        add_con(f"demand[{k}]", coeffs, "=", instance.periods.demand[k - 1])
-    for k in range(1, T + 1):
-        coeffs = {}
+    def rows():
+        # --- initial state fixing --------------------------------------------
         for u in units:
-            coeffs[col("p_max", u.unit_id, k)] = 1.0
-            coeffs[col("p", u.unit_id, k)] = -1.0
+            j = u.unit_id
+            for k in range(1, min(u.initial_uptime, T) + 1):
+                yield (f"initial-on[{j},{k}]", {col("v", j, k): 1.0}, "=", 1.0)
+        for u in units:
+            j = u.unit_id
+            for k in range(1, min(u.initial_downtime, T) + 1):
+                yield (f"initial-off[{j},{k}]", {col("v", j, k): 1.0}, "=", 0.0)
+
+        # --- minimal up/downtime ---------------------------------------------
+        # A startup in period k (v(k) - v(k-1) = 1) forces v(k+i) = 1 for the
+        # next UT-1 periods; shutdowns are handled symmetrically.
+        for u in units:
+            j = u.unit_id
+            for k in range(u.initial_uptime + 2, T + 1):
+                for i in range(1, min(u.min_uptime - 1, T - k) + 1):
+                    yield (
+                        f"min-up[{j},{k},{i}]",
+                        {col("v", j, k + i): 1.0, col("v", j, k): -1.0,
+                         col("v", j, k - 1): 1.0},
+                        ">=", 0.0)
+        for u in units:
+            j = u.unit_id
+            for k in range(u.initial_downtime + 2, T + 1):
+                for i in range(1, min(u.min_downtime - 1, T - k) + 1):
+                    yield (
+                        f"min-down[{j},{k},{i}]",
+                        {col("v", j, k + i): 1.0, col("v", j, k - 1): 1.0,
+                         col("v", j, k): -1.0},
+                        "<=", 1.0)
+
+        # --- production bounds, split into three rows ------------------------
+        for u in units:
+            j = u.unit_id
+            for k in range(1, T + 1):
+                yield (f"bounds[{j},{k},1]",
+                       {col("v", j, k): u.p_min, col("p", j, k): -1.0}, "<=", 0.0)
+                yield (f"bounds[{j},{k},2]",
+                       {col("p", j, k): 1.0, col("p_max", j, k): -1.0}, "<=", 0.0)
+                yield (f"bounds[{j},{k},3]",
+                       {col("p_max", j, k): 1.0, col("v", j, k): -u.p_max}, "<=", 0.0)
+
+        # --- ramping ---------------------------------------------------------
+        # The tightening constants use max(P_min, 0): the best variable-free lower
+        # bound on the previous production, valid also for storage units.
+        for u in units:
+            j = u.unit_id
+            base = max(u.p_min, 0.0)
+            rtu = min(u.startup_ramp, base + L * u.ramp_up) if ramp_tightening else 0.0
+            for k in range(2, T + 1):
+                yield (
+                    f"ramp-up[{j},{k}]",
+                    {col("p_max", j, k): 1.0,
+                     col("p", j, k - 1): -1.0,
+                     col("v", j, k - 1): u.startup_ramp - L * u.ramp_up,
+                     col("v", j, k): -rtu},
+                    "<=", u.startup_ramp - rtu)
+            rtd = min(u.shutdown_ramp, base + L * u.ramp_down) if ramp_tightening else 0.0
+            for k in range(2, T + 1):
+                yield (
+                    f"ramp-down[{j},{k}]",
+                    {col("p", j, k): 1.0,
+                     col("p", j, k - 1): -1.0,
+                     col("v", j, k): L * u.ramp_down - u.shutdown_ramp,
+                     col("v", j, k - 1): rtd},
+                    ">=", rtd - u.shutdown_ramp)
+            for k in range(1, T):
+                yield (
+                    f"shutdown-limit[{j},{k}]",
+                    {col("p_max", j, k): 1.0,
+                     col("v", j, k): -u.shutdown_ramp,
+                     col("v", j, k + 1): u.shutdown_ramp - u.p_max},
+                    "<=", 0.0)
+
+        # --- storage ---------------------------------------------------------
         for u in storage:
-            coeffs[col("c", u.unit_id, k)] = 1.0
-        coeffs[col("r_under", None, k)] = 1.0
-        add_con(f"reserve[{k}]", coeffs, ">=", instance.periods.reserve[k - 1])
+            j = u.unit_id
+            for k in range(1, T + 1):
+                yield (f"storage-cap[{j},{k}]",
+                       {col("s", j, k): 1.0}, "<=", u.storage_capacity)
+            for k in range(1, T + 1):
+                yield (f"consumption-cap[{j},{k}]",
+                       {col("c", j, k): 1.0}, "<=", max(0.0, -u.p_min))
+            for k in range(2, T + 1):
+                yield (
+                    f"storage-balance[{j},{k}]",
+                    {col("s", j, k): 1.0,
+                     col("s", j, k - 1): -1.0,
+                     col("c", j, k - 1): -L * u.storage_efficiency,
+                     col("p", j, k - 1): L},
+                    "=", L * u.storage_inflow)
+            yield (f"storage-initial[{j}]", {col("s", j, 1): 1.0},
+                   "=", u.initial_storage)
+            yield (
+                f"storage-final[{j}]",
+                {col("s", j, T): 1.0,
+                 col("c", j, T): L * u.storage_efficiency,
+                 col("p", j, T): -L},
+                "=", u.final_storage - L * u.storage_inflow)
 
-    # --- production cost equalities -----------------------------------------------
-    for u in units:
-        j = u.unit_id
-        fc = instance.periods.fuel_cost[u.fuel_type]
+        # --- demand and reserve with slacks ----------------------------------
         for k in range(1, T + 1):
-            var_rate = (u.var_fuel * fc[k - 1] + u.var_cost) * L
-            fixed_rate = (u.fixed_fuel * fc[k - 1] + u.fixed_cost) * L
-            add_con(
-                f"prod-cost[{j},{k}]",
-                {col("cp", j, k): 1.0,
-                 col("p", j, k): -var_rate,
-                 col("v", j, k): -fixed_rate},
-                "=", 0.0)
-
-    # --- shutdown cost epigraph ----------------------------------------------------
-    for u in units:
-        j = u.unit_id
-        for k in range(2, T + 1):
-            add_con(
-                f"shutdown-cost[{j},{k}]",
-                {col("cd", j, k): 1.0,
-                 col("v", j, k - 1): -u.shutdown_cost,
-                 col("v", j, k): u.shutdown_cost},
-                ">=", 0.0)
-
-    # --- startup cost epigraph over thinned group starts -----------------------------
-    # cu(j,k) >= step(t) * (v(j,k) - sum_{n=1..t} v(j,k-n)) for group starts
-    # t < k.  The right-hand term is 1 exactly when the unit starts in k after
-    # at least t offline periods.  A unit's v columns are consecutive, so the
-    # window v(k-t..k-1) is one column range.
-    for u in units:
-        j = u.unit_id
-        curve = thinned.get(j)
-        starts = curve.group_starts() if curve is not None else []
+            coeffs = {col("p", u.unit_id, k): 1.0 for u in units}
+            for u in storage:
+                coeffs[col("c", u.unit_id, k)] = -1.0
+            coeffs[col("p_under", None, k)] = 1.0
+            coeffs[col("p_over", None, k)] = -1.0
+            yield (f"demand[{k}]", coeffs, "=", instance.periods.demand[k - 1])
         for k in range(1, T + 1):
-            for t in starts:
-                if t > k - 1:
-                    break
-                step = curve.steps[t]
-                coeffs = {col("cu", j, k): 1.0, col("v", j, k): -step}
-                coeffs.update(dict.fromkeys(range(col("v", j, k - t), col("v", j, k)), step))
-                add_con(f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
+            coeffs = {}
+            for u in units:
+                coeffs[col("p_max", u.unit_id, k)] = 1.0
+                coeffs[col("p", u.unit_id, k)] = -1.0
+            for u in storage:
+                coeffs[col("c", u.unit_id, k)] = 1.0
+            coeffs[col("r_under", None, k)] = 1.0
+            yield (f"reserve[{k}]", coeffs, ">=", instance.periods.reserve[k - 1])
 
-    return MilpModel(columns, RowMatrix.from_constraints(constraints, len(keys)),
-                     objective)
+        # --- production cost equalities --------------------------------------
+        for u in units:
+            j = u.unit_id
+            fc = instance.periods.fuel_cost[u.fuel_type]
+            for k in range(1, T + 1):
+                var_rate = (u.var_fuel * fc[k - 1] + u.var_cost) * L
+                fixed_rate = (u.fixed_fuel * fc[k - 1] + u.fixed_cost) * L
+                yield (
+                    f"prod-cost[{j},{k}]",
+                    {col("cp", j, k): 1.0,
+                     col("p", j, k): -var_rate,
+                     col("v", j, k): -fixed_rate},
+                    "=", 0.0)
+
+        # --- shutdown cost epigraph ------------------------------------------
+        for u in units:
+            j = u.unit_id
+            for k in range(2, T + 1):
+                yield (
+                    f"shutdown-cost[{j},{k}]",
+                    {col("cd", j, k): 1.0,
+                     col("v", j, k - 1): -u.shutdown_cost,
+                     col("v", j, k): u.shutdown_cost},
+                    ">=", 0.0)
+
+        # --- startup cost epigraph over thinned group starts -----------------
+        # cu(j,k) >= step(t) * (v(j,k) - sum_{n=1..t} v(j,k-n)) for group starts
+        # t < k.  The right-hand term is 1 exactly when the unit starts in k after
+        # at least t offline periods.  A unit's v columns are consecutive, so the
+        # window v(k-t..k-1) is one column range.
+        for u in units:
+            j = u.unit_id
+            curve = thinned.get(j)
+            starts = curve.group_starts() if curve is not None else []
+            for k in range(1, T + 1):
+                for t in starts:
+                    if t > k - 1:
+                        break
+                    step = curve.steps[t]
+                    coeffs = {col("cu", j, k): 1.0, col("v", j, k): -step}
+                    window = range(col("v", j, k - t), col("v", j, k))
+                    coeffs.update(dict.fromkeys(window, step))
+                    yield (f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
+
+    return MilpModel(columns, RowMatrix.from_rows(rows()), objective)
 
 
 def model_stats(model: MilpModel) -> dict:

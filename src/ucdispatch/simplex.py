@@ -69,6 +69,8 @@ def _pivot_loop(tableau, basis, allowed, max_iter):
         ratios = tableau[candidates, -1] / column[candidates]
         best = ratios.min()
         ties = candidates[ratios == best]
+        if ties.size == 0:  # a NaN ratio, from an overflow in the tableau
+            raise NumericalFailure("simplex ratio test met a NaN")
         row = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
 
         _pivot(tableau, basis, row, col)
@@ -80,7 +82,8 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  Raises
-    :class:`NumericalFailure` if the pivot cap is hit.
+    :class:`NumericalFailure` if the pivot cap is hit or the arithmetic
+    overflows into a NaN ratio or a non-finite optimum.
     """
     c = np.asarray(c, dtype=float)
     A = np.array(A, dtype=float, ndmin=2)
@@ -179,4 +182,7 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tableau[i, -1]
-    return LpResult("optimal", x, float(c @ x), iterations)
+    objective = float(c @ x)
+    if not (np.isfinite(objective) and np.isfinite(x).all()):
+        raise NumericalFailure("simplex ended at a non-finite point")
+    return LpResult("optimal", x, objective, iterations)

@@ -41,7 +41,7 @@ from helpers import (
     storage_instance,
     surrogate_startup_curve,
 )
-from ucdispatch.instance import StartupCostCurve, validate
+from ucdispatch.instance import CATALOG_CODES, StartupCostCurve, validate
 from ucdispatch.model import build_model
 from ucdispatch.report import demand_residuals, storage_residuals
 from ucdispatch.solve import (
@@ -270,6 +270,7 @@ def _catalog_fixtures():
         "min-downtime-range": unit_instance(min_downtime=0),
         "impossible-production-limits": unit_instance(
             p_min=250.0, p_max=200.0, startup_ramp=300.0, shutdown_ramp=300.0),
+        "negative-ramp-rate": unit_instance(ramp_up=-1.0),
         "startup-ramp-below-minimum": unit_instance(p_min=100.0,
                                                     startup_ramp=50.0),
         "shutdown-ramp-below-minimum": unit_instance(p_min=100.0,
@@ -293,6 +294,7 @@ def _catalog_fixtures():
 
 def test_criterion_9_validation_catalog_coverage():
     fixtures = _catalog_fixtures()
+    assert set(fixtures) == set(CATALOG_CODES)
     clean = validate(fixture_instance())
     assert clean.ok and len(clean) == 0
     for code, instance in fixtures.items():

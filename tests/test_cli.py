@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import SHIM_TEMPLATE
@@ -86,6 +88,17 @@ class TestValidateCommand:
         out = tmp_path / "model.mps"
         assert main(["build", "--out", str(out), *input_args(paths)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["T = 1e19", "L = 1e-320"],
+                             ids=["huge-T", "subnormal-L"])
+    def test_extreme_config_values_exit_two(self, fixture_files, capsys, line):
+        # both were tracebacks: [None] * T overflowed, and so did the period
+        # index of a timestamp divided by a subnormal L
+        config = fixture_files[0]
+        key = line.split()[0]
+        config.write_text(re.sub(rf"^{key} = .*$", line, config.read_text(), flags=re.M))
+        assert main(["validate", *input_args(fixture_files)]) == 2
+        assert "no rows for period(s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", [0, 1], ids=["config", "units"])
     def test_non_utf8_input_exits_two(self, fixture_files, capsys, which):
@@ -207,6 +220,16 @@ class TestSolveCommand:
                      "--out-dir", str(tmp_path / "x"),
                      *input_args(fixture_files)]) == 3
         assert "--backend external" in capsys.readouterr().err
+
+    def test_overflowing_costs_exit_three(self, tmp_path, capsys):
+        # the ratio test met a NaN and raised IndexError, a traceback
+        instance = make_instance([make_unit(var_cost=1e308)], demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path / "huge")
+        out_dir = tmp_path / "results"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", "--out-dir", str(out_dir), *input_args(paths)]) == 3
+        assert "simplex" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_json_summary(self, fixture_files, tmp_path, capsys):
         assert main(["solve", "--json", "--out-dir", str(tmp_path / "j"),

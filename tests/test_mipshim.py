@@ -63,9 +63,12 @@ def test_good_model_solves(tmp_path, capsys):
     (" G  c1", " G  c1\n L  c1"),
     # a data line under NAME
     ("ROWS\n", "    stray\nROWS\n"),
+    # a right-hand side on the objective row: dropped, it reported 2 where
+    # other readers add the constant 5 and report 7
+    ("    rhs       c1        2", "    rhs       c1        2              obj       -5"),
 ], ids=["undeclared-column-row", "unpaired-token", "undeclared-rhs-row",
         "unknown-row-type", "ranges", "objname", "sos", "quadobj",
-        "unknown-objsense", "duplicate-row", "stray-line"])
+        "unknown-objsense", "duplicate-row", "stray-line", "objective-rhs"])
 def test_malformed_mps_is_a_parse_error(tmp_path, capsys, old, new):
     assert old in GOOD_MPS
     code, solution = run_shim(tmp_path, GOOD_MPS.replace(old, new))
@@ -164,6 +167,22 @@ def test_malformed_lp_is_a_parse_error(tmp_path, capsys, old, new):
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
     assert not solution.exists()
+
+
+@pytest.mark.parametrize("objective, bound, optimum", [
+    # a name ending in "inf" was taken for a number: exit 2
+    ("- xinf", "xinf <= 5", -5),
+    ("- xinf", "5 >= xinf", -5),
+    ("- xinf", "-inf <= xinf <= 5", -5),
+    ("xinf", "-inf <= xinf", -3),
+    ("xinf", "-Infinity <= xinf <= +INF", -3),
+], ids=["name-ending-in-inf", "flipped", "minus-inf-range", "minus-inf-lower",
+        "infinity-words"])
+def test_lp_bounds(tmp_path, capsys, objective, bound, optimum):
+    text = f"Minimize\n obj: {objective}\nSubject To\n c1: xinf >= -3\nBounds\n {bound}\nEnd\n"
+    code, _ = run_shim(tmp_path, text, "model.lp")
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
 
 
 def named(coefs, names):

@@ -10,6 +10,7 @@ from helpers import (
     multi_unit_instance,
     storage_instance,
 )
+import ucdispatch.model
 from ucdispatch.errors import ValidationFailed
 from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import (
@@ -227,7 +228,8 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
         instance = make()
         model = build_model(instance, thin_all(instance))
         rows = model.rows
-        again = RowMatrix.from_constraints(model.constraints, model.num_columns)
+        again = RowMatrix.from_rows((con.name, con.coefficients, con.sense, con.rhs)
+                                    for con in model.constraints)
         for field in ("indptr", "indices", "data", "sense", "rhs", "family"):
             ours, theirs = getattr(again, field), getattr(rows, field)
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
@@ -257,6 +259,34 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
         assert columns.by_name[name] == columns.by_key[key] == col
     assert model.binary_columns() == [col for col, (kind, _, _)
                                       in enumerate(columns.keys) if kind == "v"]
+
+
+def test_from_rows_drops_zeros_and_sorts_columns():
+    rows = RowMatrix.from_rows([
+        ("a[1]", {4: 2.0, 1: 0.0, 0: -1.0, 2: -0.0}, ">=", 3.0),
+        ("b[1]", {}, "=", 0.0),
+        ("a[2]", {3: 1.5, 2: 0.5}, "<=", -1.0),
+    ])
+    assert rows.indptr.tolist() == [0, 2, 2, 4]
+    assert rows.indices.tolist() == [0, 4, 2, 3]
+    assert rows.data.tolist() == [-1.0, 2.0, 0.5, 1.5]
+    assert [SENSES[code] for code in rows.sense] == [">=", "=", "<="]
+    assert rows.rhs.tolist() == [3.0, 0.0, -1.0]
+    assert rows.families == ("a", "b") and rows.family.tolist() == [0, 1, 0]
+    assert rows.names == ("a[1]", "b[1]", "a[2]")
+    assert [a.dtype for a in (rows.indptr, rows.indices, rows.data, rows.sense,
+                              rows.rhs, rows.family)] == [
+        np.int64, np.int32, np.float64, np.int8, np.float64, np.int64]
+
+
+def test_build_makes_no_linear_constraint(monkeypatch):
+    def no_linear_constraint(*args, **kwargs):
+        raise AssertionError("build_model made a LinearConstraint")
+
+    monkeypatch.setattr(ucdispatch.model, "LinearConstraint", no_linear_constraint)
+    for make in (fixture_instance, storage_instance, multi_unit_instance):
+        instance = make()
+        assert len(build_model(instance, thin_all(instance)).rows.rhs)
 
 
 @pytest.mark.parametrize("make", [fixture_instance, storage_instance])

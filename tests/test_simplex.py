@@ -23,6 +23,12 @@ def test_simple_optimum():
     assert result.x == pytest.approx([0.0, 4.0])
 
 
+def test_overflow_is_a_numerical_failure():
+    # the optimum -1e308 * 1e308 overflows: this was "optimal" at -inf
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+        solve_dense_lp([-1e308], [[1.0]], ["<="], [1e308])
+
+
 def test_infeasible():
     result = solve_dense_lp([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
     assert result.status == "infeasible"

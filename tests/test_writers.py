@@ -7,7 +7,6 @@ import pytest
 from helpers import fixture_instance, multi_unit_instance, storage_instance
 from ucdispatch.model import (
     ColumnIndex,
-    LinearConstraint,
     MilpModel,
     RowMatrix,
     build_model,
@@ -18,14 +17,14 @@ from ucdispatch.writers import write_lp, write_mps
 
 
 def empty_model():
-    return MilpModel(ColumnIndex.from_keys([]), RowMatrix.from_constraints([], 0), {})
+    return MilpModel(ColumnIndex.from_keys([]), RowMatrix.from_rows([]), {})
 
 
 def single_constraint_model():
     # min x subject to x <= 5
     columns = ColumnIndex.from_keys([("p", 1, 1)])
-    constraints = [LinearConstraint("cap[1]", {0: 1.0}, "<=", 5.0)]
-    return MilpModel(columns, RowMatrix.from_constraints(constraints, 1), {0: 1.0})
+    rows = RowMatrix.from_rows([("cap[1]", {0: 1.0}, "<=", 5.0)])
+    return MilpModel(columns, rows, {0: 1.0})
 
 
 def fixture_model():
@@ -78,8 +77,7 @@ class TestMps:
 
     def test_no_negative_zero(self):
         columns = ColumnIndex.from_keys([("p", 1, 1)])
-        constraints = [LinearConstraint("zero[1]", {0: -0.0 or 1.0}, "<=", -0.0)]
-        rows = RowMatrix.from_constraints(constraints, 1)
+        rows = RowMatrix.from_rows([("zero[1]", {0: -0.0 or 1.0}, "<=", -0.0)])
         text = write_mps(MilpModel(columns, rows, {}))
         assert "-0 " not in text
 
