@@ -24,7 +24,7 @@ from .errors import (
 from .instance import load_instance, validate
 from .model import build_model, model_stats
 from .report import build_report, write_reports
-from .solve import SolverConfig, Solution, check_solution, parse_solution_file, solve
+from .solve import SolverConfig, Solution, accept_solution, solve
 from .thinning import thin_all
 from .writers import write_lp, write_mps
 
@@ -208,14 +208,7 @@ def _cmd_report(args, parser) -> int:
         text = open(args.solution, encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {args.solution}: {exc}") from exc
-    values = parse_solution_file(text, model)
-    residuals = check_solution(model, values)
-    if not residuals.passed:
-        print(f"solution violates the model: max residual "
-              f"{residuals.max_residual:g}", file=sys.stderr)
-        return 3
-    solution = Solution(values, model.objective_value(values), "optimal",
-                        "file", 0.0)
+    solution = Solution(*accept_solution(text, model), "optimal", "file", 0.0)
     report = build_report(instance, model, solution)
     write_reports(instance, model, solution, report, args.out_dir)
     _print_solution(solution, report, args.json, args.out_dir)

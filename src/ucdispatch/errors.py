@@ -38,7 +38,8 @@ class IoFailure(UcDispatchError):
 # --- thinning ---------------------------------------------------------------
 
 class DomainError(UcDispatchError):
-    """Arguments outside the documented domain of a cost-curve function."""
+    """Arguments outside the documented domain of a cost-curve function, or
+    inputs whose model coefficients overflow to a non-finite value."""
 
 
 class NonMonotoneCurve(UcDispatchError):
@@ -64,7 +65,8 @@ class TooManyBinaries(SolverError):
 
 
 class NumericalFailure(SolverError):
-    """The simplex hit its iteration cap (cycling guard)."""
+    """The simplex hit its iteration cap (cycling guard), or the solver's
+    arithmetic overflowed or met a NaN."""
 
 
 class SolverLaunchFailed(SolverError):

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationFailed
+from .errors import DomainError, ValidationFailed
 from .instance import Instance, validate
 from .thinning import ThinnedCurve, thin_all
 
@@ -189,7 +189,7 @@ class MilpModel:
         return self.columns.by_name[name]
 
     def objective_value(self, values) -> float:
-        return sum(coef * values[col] for col, coef in self.objective.items())
+        return sum(coef * float(values[col]) for col, coef in self.objective.items())
 
 
 def build_model(instance: Instance,
@@ -202,7 +202,8 @@ def build_model(instance: Instance,
     relaxation-tightening terms of the ramp constraints; this must not change
     the optimum, only the LP relaxation.
 
-    Raises :class:`ValidationFailed` if the instance has validation errors.
+    Raises :class:`ValidationFailed` if the instance has validation errors
+    and :class:`DomainError` if a coefficient or right-hand side overflows.
     """
     report = validate(instance)
     if not report.ok:
@@ -407,7 +408,14 @@ def build_model(instance: Instance,
                     coeffs.update(dict.fromkeys(window, step))
                     yield (f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
 
-    return MilpModel(columns, RowMatrix.from_rows(rows()), objective)
+    matrix = RowMatrix.from_rows(rows())
+    finite = np.isfinite(matrix.data)
+    if not (finite.all() and np.isfinite(matrix.rhs).all()):
+        bad = min([*np.flatnonzero(~np.isfinite(matrix.rhs)).tolist(),
+                   *matrix.row_ids()[~finite].tolist()])
+        raise DomainError(f"row {matrix.names[bad]} has a coefficient or right-hand "
+                          "side that is not finite: the inputs overflow in it")
+    return MilpModel(columns, matrix, objective)
 
 
 def model_stats(model: MilpModel) -> dict:

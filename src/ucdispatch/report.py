@@ -19,16 +19,14 @@ from .solve import Solution
 _NUM_FMT = "{:.12g}"
 
 
-class SolvedValues:
-    """Solution values by (kind, unit, period); missing variables read as 0."""
-
-    def __init__(self, model: MilpModel, values: dict[int, float]):
-        self._columns = model.columns.by_key
-        self._values = values
-
-    def get(self, kind: str, unit_id: int | None, period: int) -> float:
-        col = self._columns.get((kind, unit_id, period))
-        return 0.0 if col is None else self._values.get(col, 0.0)
+def _solved(instance: Instance, model: MilpModel, solution: Solution,
+            kind: str, unit_id: int | None = None) -> list[float]:
+    """The solved values of one (kind, unit) for periods 1..T, zeros if the
+    model has no such columns (s and c of a thermal unit).  The builder puts
+    a (kind, unit)'s columns next to each other, so they are one slice."""
+    T = instance.num_periods
+    start = model.columns.by_key.get((kind, unit_id, 1))
+    return [0.0] * T if start is None else solution.values[start:start + T].tolist()
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,11 @@ def price_series(instance: Instance, model: MilpModel,
     Periods without a committed unit have no defined price and yield None
     (written as an empty CSV cell, not 0).
     """
-    sol = SolvedValues(model, solution.values)
+    v = {u.unit_id: _solved(instance, model, solution, "v", u.unit_id)
+         for u in instance.units}
     prices: list[float | None] = []
     for k in range(1, instance.num_periods + 1):
-        committed = [u.unit_id for u in instance.units
-                     if sol.get("v", u.unit_id, k) >= 0.5]
+        committed = [u.unit_id for u in instance.units if v[u.unit_id][k - 1] >= 0.5]
         if committed:
             prices.append(max(marginal_cost(instance, j, k) for j in committed))
         else:
@@ -99,45 +97,41 @@ def exact_max_possible(instance: Instance, model: MilpModel,
     Takes P_max gated by the commitment, capped by what the previous
     production allows (ramping or startup limit) and by an imminent shutdown.
     """
-    sol = SolvedValues(model, solution.values)
     T = instance.num_periods
     L = instance.general.period_length
     result: dict[int, list[float]] = {}
     for u in instance.units:
-        j = u.unit_id
+        v = _solved(instance, model, solution, "v", u.unit_id)
+        p = _solved(instance, model, solution, "p", u.unit_id)
         series = []
-        for k in range(1, T + 1):
-            v_k = sol.get("v", j, k)
-            cap = u.p_max * v_k
-            if k > 1:
-                v_prev = sol.get("v", j, k - 1)
-                cap = min(cap, sol.get("p", j, k - 1)
-                          + L * u.ramp_up * v_prev
-                          + u.startup_ramp * (1.0 - v_prev)
-                          + u.p_max * (1.0 - v_k))
-            if k < T:
-                v_next = sol.get("v", j, k + 1)
-                cap = min(cap, u.p_max * v_next + u.shutdown_ramp * (v_k - v_next))
+        for i in range(T):
+            cap = u.p_max * v[i]
+            if i > 0:
+                cap = min(cap, p[i - 1]
+                          + L * u.ramp_up * v[i - 1]
+                          + u.startup_ramp * (1.0 - v[i - 1])
+                          + u.p_max * (1.0 - v[i]))
+            if i < T - 1:
+                cap = min(cap, u.p_max * v[i + 1] + u.shutdown_ramp * (v[i] - v[i + 1]))
             series.append(cap)
-        result[j] = series
+        result[u.unit_id] = series
     return result
 
 
 def cost_breakdown(instance: Instance, model: MilpModel,
                    solution: Solution) -> CostBreakdown:
     """Totals from the solved cost variables and slacks; sums to the objective."""
-    sol = SolvedValues(model, solution.values)
-    T = instance.num_periods
-    g = instance.general
     production = startup = shutdown = 0.0
     for u in instance.units:
-        for k in range(1, T + 1):
-            production += sol.get("cp", u.unit_id, k)
-            startup += sol.get("cu", u.unit_id, k)
-            shutdown += sol.get("cd", u.unit_id, k)
-    under_prod = sum(sol.get("p_under", None, k) for k in range(1, T + 1))
-    under_res = sum(sol.get("r_under", None, k) for k in range(1, T + 1))
-    over_prod = sum(sol.get("p_over", None, k) for k in range(1, T + 1))
+        for cp, cu, cd in zip(*(_solved(instance, model, solution, kind, u.unit_id)
+                                for kind in ("cp", "cu", "cd"))):
+            production += cp
+            startup += cu
+            shutdown += cd
+    under_prod, under_res, over_prod = (
+        sum(_solved(instance, model, solution, kind))
+        for kind in ("p_under", "r_under", "p_over"))
+    g = instance.general
     return CostBreakdown(
         production, startup, shutdown,
         g.under_prod_penalty * under_prod,
@@ -163,29 +157,30 @@ def build_report(instance: Instance, model: MilpModel,
 def demand_residuals(instance: Instance, model: MilpModel,
                      solution: Solution) -> list[float]:
     """Per period: sum(p - c) + p_under - p_over - D (should be ~0)."""
-    sol = SolvedValues(model, solution.values)
+    p, c = ({u.unit_id: _solved(instance, model, solution, kind, u.unit_id)
+             for u in instance.units} for kind in ("p", "c"))
+    p_under = _solved(instance, model, solution, "p_under")
+    p_over = _solved(instance, model, solution, "p_over")
     residuals = []
-    for k in range(1, instance.num_periods + 1):
-        total = sum(sol.get("p", u.unit_id, k) - sol.get("c", u.unit_id, k)
-                    for u in instance.units)
-        total += sol.get("p_under", None, k) - sol.get("p_over", None, k)
-        residuals.append(total - instance.periods.demand[k - 1])
+    for i in range(instance.num_periods):
+        total = sum(p[u.unit_id][i] - c[u.unit_id][i] for u in instance.units)
+        total += p_under[i] - p_over[i]
+        residuals.append(total - instance.periods.demand[i])
     return residuals
 
 
 def storage_residuals(instance: Instance, model: MilpModel,
                       solution: Solution) -> dict[int, float]:
     """Per storage unit: SI + sum_k L*(SE*c - p + SIF) - SF (should be ~0)."""
-    sol = SolvedValues(model, solution.values)
     L = instance.general.period_length
     residuals = {}
     for u in instance.units:
         if not u.is_storage:
             continue
         fill = u.initial_storage
-        for k in range(1, instance.num_periods + 1):
-            fill += L * (u.storage_efficiency * sol.get("c", u.unit_id, k)
-                         - sol.get("p", u.unit_id, k) + u.storage_inflow)
+        for c, p in zip(_solved(instance, model, solution, "c", u.unit_id),
+                        _solved(instance, model, solution, "p", u.unit_id)):
+            fill += L * (u.storage_efficiency * c - p + u.storage_inflow)
         residuals[u.unit_id] = fill - u.final_storage
     return residuals
 
@@ -218,7 +213,6 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
 
-    sol = SolvedValues(model, solution.values)
     T = instance.num_periods
     unit_ids = [u.unit_id for u in sorted(instance.units, key=lambda u: u.unit_id)]
     written: list[Path] = []
@@ -232,18 +226,19 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    def unit_table(name: str, value_at) -> None:
+    def unit_table(name: str, series: dict[int, list[float]]) -> None:
         header = "k,timestamp," + ",".join(str(j) for j in unit_ids)
         lines = [header]
         for k in range(1, T + 1):
             cells = [str(k), _timestamp(instance, k)]
-            cells += [_fmt(value_at(j, k)) for j in unit_ids]
+            cells += [_fmt(series[j][k - 1]) for j in unit_ids]
             lines.append(",".join(cells))
         emit(name, lines)
 
     for kind in ("v", "p", "s", "c", "cp", "cu", "cd"):
-        unit_table(f"{kind}.csv", lambda j, k, kind=kind: sol.get(kind, j, k))
-    unit_table("p_max.csv", lambda j, k: report.exact_p_max[j][k - 1])
+        unit_table(f"{kind}.csv",
+                   {j: _solved(instance, model, solution, kind, j) for j in unit_ids})
+    unit_table("p_max.csv", report.exact_p_max)
 
     lines = ["k,timestamp,price"]
     for k in range(1, T + 1):
@@ -252,14 +247,11 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
         lines.append(f"{k},{_timestamp(instance, k)},{cell}")
     emit("price.csv", lines)
 
+    slacks = [_solved(instance, model, solution, kind)
+              for kind in ("p_under", "p_over", "r_under")]
     lines = ["k,p_under,p_over,r_under"]
-    for k in range(1, T + 1):
-        lines.append(",".join([
-            str(k),
-            _fmt(sol.get("p_under", None, k)),
-            _fmt(sol.get("p_over", None, k)),
-            _fmt(sol.get("r_under", None, k)),
-        ]))
+    for k, row in enumerate(zip(*slacks), start=1):
+        lines.append(",".join([str(k), *map(_fmt, row)]))
     emit("slacks.csv", lines)
 
     lines = ["component,value"]

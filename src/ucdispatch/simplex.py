@@ -9,6 +9,7 @@ the ratio test and the floating-point order of the elimination as they are.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,17 @@ class LpResult:
     x: np.ndarray | None
     objective: float
     iterations: int
+
+
+@contextmanager
+def numerical_guard(where: str):
+    """Raise :class:`NumericalFailure` where the arithmetic inside overflows
+    or makes a NaN, instead of letting NumPy warn and carry on with it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{where} arithmetic failed: {exc}") from None
 
 
 def _pivot(tableau, basis, row, col):
@@ -78,12 +90,13 @@ def _pivot_loop(tableau, basis, allowed, max_iter):
     return "limit", iters
 
 
+@numerical_guard("simplex")
 def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResult:
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  Raises
-    :class:`NumericalFailure` if the pivot cap is hit or the arithmetic
-    overflows into a NaN ratio or a non-finite optimum.
+    :class:`NumericalFailure` if the pivot cap is hit, the arithmetic
+    overflows, or a NaN ratio or a non-finite optimum turns up.
     """
     c = np.asarray(c, dtype=float)
     A = np.array(A, dtype=float, ndmin=2)

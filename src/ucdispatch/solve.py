@@ -32,7 +32,7 @@ from .errors import (
     UnparsableSolution,
 )
 from .model import SENSE_CODE, SENSES, MilpModel
-from .simplex import solve_dense_lp
+from .simplex import numerical_guard, solve_dense_lp
 from .writers import write_mps
 
 logger = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ class SolverConfig:
 
 @dataclass
 class Solution:
-    values: dict[int, float]
+    values: np.ndarray                   # one value per column; empty unless optimal
     objective: float
     status: str                          # optimal | infeasible | unbounded | limit | error
     backend: str
@@ -199,6 +199,7 @@ class _ExactEngine:
         objective = float(self.c_cont @ x + self.c_bin @ pattern)
         return "optimal", objective, x
 
+    @numerical_guard("exact solver")
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
@@ -216,11 +217,6 @@ class _ExactEngine:
             ties.append((pattern.copy(), objective, x))
         return ties
 
-    def values_for(self, pattern, x) -> dict[int, float]:
-        values = {col: float(bit) for col, bit in zip(self.bin_cols, pattern)}
-        values.update({col: float(v) for col, v in zip(self.cont_cols, x)})
-        return values
-
 
 def _tie_cut(best: float) -> float:
     return best + TIE_REL_TOL * (1.0 + abs(best))
@@ -232,7 +228,8 @@ def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solutio
     Of the patterns within TIE_REL_TOL of the best optimum, the
     lexicographically smallest wins, with its own objective and values.
     Raises :class:`TooManyBinaries` when the model exceeds the enumeration
-    budget and :class:`NumericalFailure` if the simplex cycling guard trips.
+    budget and :class:`NumericalFailure` if the simplex cycling guard trips
+    or the arithmetic overflows.
     """
     config = config or SolverConfig()
     started = time.perf_counter()
@@ -240,12 +237,13 @@ def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solutio
     ties = engine.optimal()
     elapsed = time.perf_counter() - started
     if ties is None:
-        return Solution({}, -np.inf, "unbounded", "builtin-exact", elapsed)
+        return Solution(np.empty(0), -np.inf, "unbounded", "builtin-exact", elapsed)
     if not ties:
-        return Solution({}, np.inf, "infeasible", "builtin-exact", elapsed)
+        return Solution(np.empty(0), np.inf, "infeasible", "builtin-exact", elapsed)
     pattern, objective, x = ties[0]
-    return Solution(engine.values_for(pattern, x), objective, "optimal",
-                    "builtin-exact", elapsed)
+    values = np.empty(model.num_columns)
+    values[engine.bin_cols], values[engine.cont_cols] = pattern, x
+    return Solution(values, objective, "optimal", "builtin-exact", elapsed)
 
 
 def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = None
@@ -268,23 +266,22 @@ def solve_lp_relaxation(model: MilpModel) -> Solution:
     result = solve_dense_lp(c, A, senses, b)
     elapsed = time.perf_counter() - started
     if result.status != "optimal":
-        return Solution({}, np.inf, result.status, "lp-relaxation", elapsed)
-    values = {col: float(result.x[col]) for col in range(n)}
-    return Solution(values, result.objective, "optimal", "lp-relaxation", elapsed)
+        return Solution(np.empty(0), np.inf, result.status, "lp-relaxation", elapsed)
+    return Solution(result.x, result.objective, "optimal", "lp-relaxation", elapsed)
 
 
 # ---------------------------------------------------------------------------
 # solution checking and parsing
 
 
-def check_solution(model: MilpModel, values, tolerance: float = 1e-6) -> ResidualReport:
-    """Exact residuals of a candidate solution, grouped by constraint family."""
-    x = np.zeros(model.num_columns)
-    if isinstance(values, dict):
-        x[list(values)] = list(values.values())
-    else:
-        x[: len(values)] = values
-
+def check_solution(model: MilpModel, values: np.ndarray,
+                   tolerance: float = 1e-6) -> ResidualReport:
+    """Exact residuals of a candidate solution, one value per column,
+    grouped by constraint family; raises ValueError on any other shape."""
+    if np.shape(values) != (model.num_columns,):
+        raise ValueError(f"expected {model.num_columns} column values, "
+                         f"got an array of shape {np.shape(values)}")
+    x = np.asarray(values, dtype=float)
     rows = model.rows
     gap = rows.activities(x) - rows.rhs
     # choices in the order of SENSES: <=, =, >=
@@ -302,18 +299,21 @@ def check_solution(model: MilpModel, values, tolerance: float = 1e-6) -> Residua
                           integrality, bound_violation, tolerance)
 
 
-def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
-    """Interpret a solver's solution file as a column -> value map.
+def parse_solution_file(text: str, model: MilpModel) -> np.ndarray:
+    """Interpret a solver's solution file as one value per column.
 
     Accepts one entry per line in three shapes: "name value", "name=value",
     and indexed rows "<row#> name value [extra]".  Header/status lines are
-    skipped with a warning; unknown variable names are ignored with a
-    warning; model columns absent from the file default to 0 (one warning
-    for all of them).  Raises :class:`UnparsableSolution` when a line
-    mentions a known column but its value cannot be read.
+    skipped and unknown variable names ignored; model columns absent from
+    the file default to 0.  Each of the three logs at most one warning,
+    with a count and the first five entries.  Raises
+    :class:`UnparsableSolution` when a line mentions a known column but its
+    value cannot be read.
     """
     known = model.columns.by_name
-    parsed: dict[int, float] = {}
+    values = np.zeros(model.num_columns)
+    found = np.zeros(model.num_columns, dtype=bool)
+    unknown, unrecognized = [], []
 
     def read_value(name: str, raw: str, line: str):
         try:
@@ -322,7 +322,8 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
             raise UnparsableSolution(
                 f"cannot parse value {raw!r} for column {name!r} in line {line!r}"
             ) from None
-        parsed[known[name]] = value
+        values[known[name]] = value
+        found[known[name]] = True
 
     for raw_line in text.splitlines():
         line = raw_line.strip()
@@ -334,7 +335,7 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
             if name in known:
                 read_value(name, raw, line)
             else:
-                logger.warning("solution file: ignoring unknown entry %r", line)
+                unknown.append(repr(line))
             continue
         tokens = line.split()
         if len(tokens) == 2 and tokens[0] in known:
@@ -344,15 +345,34 @@ def parse_solution_file(text: str, model: MilpModel) -> dict[int, float]:
         elif tokens[0] in known:
             raise UnparsableSolution(f"malformed entry for column {tokens[0]!r}: {line!r}")
         else:
-            logger.warning("solution file: skipping unrecognized line %r", line)
+            unrecognized.append(repr(line))
 
-    names = model.columns.names
-    missing = [name for col, name in enumerate(names) if col not in parsed]
-    if missing:
-        logger.warning("solution file: %d columns missing, defaulting to 0: %s%s",
-                       len(missing), ", ".join(missing[:5]),
-                       ", ..." if len(missing) > 5 else "")
-    return {col: parsed.get(col, 0.0) for col in range(len(names))}
+    _warn_some("unknown entries ignored", unknown)
+    _warn_some("unrecognized lines skipped", unrecognized)
+    _warn_some("columns missing, defaulting to 0",
+               [model.columns.names[col] for col in np.flatnonzero(~found)])
+    return values
+
+
+def _warn_some(what: str, entries: list[str]) -> None:
+    if entries:
+        logger.warning("solution file: %d %s: %s%s", len(entries), what,
+                       ", ".join(entries[:5]), ", ..." if len(entries) > 5 else "")
+
+
+def accept_solution(text: str, model: MilpModel) -> tuple[np.ndarray, float]:
+    """The column values of a solver's solution file and their objective.
+
+    Raises :class:`ResidualCheckFailed` if the values violate the model
+    beyond :func:`check_solution`'s default tolerance.
+    """
+    values = parse_solution_file(text, model)
+    report = check_solution(model, values)
+    if not report.passed:
+        raise ResidualCheckFailed(
+            f"solution violates the model: max residual {report.max_residual:g}, "
+            f"integrality gap {report.integrality_gap:g}")
+    return values, model.objective_value(values)
 
 
 def _is_int(token: str) -> bool:
@@ -371,7 +391,7 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
     """Run an external MILP solver subprocess on the MPS emission.
 
     The command template must contain {model} and {solution} placeholders.
-    The returned values are verified with :func:`check_solution` before the
+    The returned values are verified with :func:`accept_solution` before the
     solution is accepted.
     """
     if not config.command_template:
@@ -403,15 +423,8 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
         except UnicodeDecodeError as exc:
             raise UnparsableSolution(f"solution file is not UTF-8 text: {exc}") from exc
 
-        values = parse_solution_file(text, model)
-        report = check_solution(model, values)
-        if not report.passed:
-            raise ResidualCheckFailed(
-                f"solution violates the model: max residual {report.max_residual:g}, "
-                f"integrality gap {report.integrality_gap:g}")
-        objective = model.objective_value(values)
-        elapsed = time.perf_counter() - started
-        return Solution(values, objective, "optimal", "external", elapsed)
+        return Solution(*accept_solution(text, model), "optimal", "external",
+                        time.perf_counter() - started)
 
 
 def solve(model: MilpModel, config: SolverConfig | None = None) -> Solution:

@@ -14,9 +14,11 @@ from helpers import (
     fixture_instance,
     make_instance,
     make_unit,
+    multi_unit_instance,
     storage_instance,
     write_instance_files,
 )
+from ucdispatch import cli
 from ucdispatch.cli import main
 from ucdispatch.instance import StartupCostCurve
 
@@ -170,6 +172,20 @@ class TestBuildCommand:
                      *input_args(broken_files)]) == 1
         assert not out.exists()
 
+    def test_overflowing_coefficient_exits_one(self, tmp_path, capsys):
+        # 2 * 1e308 overflows prod-cost's v coefficient; this wrote -inf
+        instance = make_instance([make_unit(fixed_cost=1e308)],
+                                 demand=(100.0, 150.0), length=2.0)
+        paths = write_instance_files(instance, tmp_path / "huge")
+        out = tmp_path / "model.mps"
+        assert main(["build", "--out", str(out), *input_args(paths)]) == 1
+        assert not out.exists()
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--out-dir", str(out_dir), *input_args(paths)]) == 1
+        assert not out_dir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("prod-cost[1,1]" in line for line in err)
+
 
 class TestSolveCommand:
     def test_builtin_backend_prints_objective(self, fixture_files, tmp_path,
@@ -231,6 +247,18 @@ class TestSolveCommand:
         assert "simplex" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_overflow_prints_one_stderr_line(self, tmp_path):
+        # NumPy's overflow warnings used to come before the error line
+        instance = make_instance([make_unit(var_cost=1e308)], demand=(100.0, 150.0))
+        paths = write_instance_files(instance, tmp_path / "huge")
+        result = subprocess.run(
+            [sys.executable, "-m", "ucdispatch.cli", "solve",
+             "--out-dir", str(tmp_path / "results"), *input_args(paths)],
+            capture_output=True, text=True)
+        assert result.returncode == 3
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("solver error: simplex arithmetic failed: overflow")
+
     def test_json_summary(self, fixture_files, tmp_path, capsys):
         assert main(["solve", "--json", "--out-dir", str(tmp_path / "j"),
                      *input_args(fixture_files)]) == 0
@@ -277,6 +305,8 @@ class TestReportCommand:
         assert main(["report", "--solution", str(solution_file),
                      "--out-dir", str(tmp_path / "rep"),
                      *input_args(fixture_files)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: solution violates the model: max residual ")
 
     def test_non_utf8_solution_file_exits_two(self, fixture_files, tmp_path,
                                               capsys):
@@ -292,6 +322,34 @@ class TestReportCommand:
         assert main(["report", "--solution", str(tmp_path / "none.sol"),
                      "--out-dir", str(tmp_path / "rep"),
                      *input_args(fixture_files)]) == 2
+
+
+@pytest.mark.parametrize("make", [fixture_instance, storage_instance,
+                                  multi_unit_instance],
+                         ids=["fixture", "storage", "multi-unit"])
+def test_file_and_solver_give_the_same_reports(tmp_path, monkeypatch, capsys, make):
+    paths = write_instance_files(make(), tmp_path / "data")
+    solved = []
+
+    def keep(model, config):
+        solved.append((model, cli_solve(model, config)))
+        return solved[-1][1]
+
+    cli_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", keep)
+    assert main(["solve", "--out-dir", str(tmp_path / "solve"), *input_args(paths)]) == 0
+    ((model, solution),) = solved
+    solution_file = tmp_path / "model.sol"
+    solution_file.write_text("".join(
+        f"{name} {float(solution.values[col])!r}\n"
+        for col, name in enumerate(model.columns.names)))
+    assert main(["report", "--solution", str(solution_file),
+                 "--out-dir", str(tmp_path / "report"), *input_args(paths)]) == 0
+    names = sorted(path.name for path in (tmp_path / "solve").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "report").iterdir())
+    for name in names:
+        assert (tmp_path / "solve" / name).read_bytes() == \
+            (tmp_path / "report" / name).read_bytes(), name
 
 
 def test_imports_load_no_scipy():

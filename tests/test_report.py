@@ -66,7 +66,7 @@ class TestPriceSeries:
 class TestExactMaxPossible:
     def test_all_off_is_zero(self, fixture_inst):
         model = build_model(fixture_inst, thin_all(fixture_inst))
-        zero = Solution({}, 0.0, "optimal", "builtin-exact", 0.0)
+        zero = Solution(np.zeros(model.num_columns), 0.0, "optimal", "builtin-exact", 0.0)
         result = exact_max_possible(fixture_inst, model, zero)
         assert result[1] == [0.0, 0.0]
 

@@ -10,6 +10,7 @@ from conftest import SHIM_TEMPLATE
 from helpers import fixture_instance, make_instance, make_unit, random_instance
 from ucdispatch import mipshim
 from ucdispatch.errors import (
+    NumericalFailure,
     ResidualCheckFailed,
     SolverLaunchFailed,
     SolverNonZeroExit,
@@ -17,7 +18,7 @@ from ucdispatch.errors import (
     UnparsableSolution,
 )
 from ucdispatch.instance import StartupCostCurve
-from ucdispatch.model import build_model
+from ucdispatch.model import ColumnIndex, MilpModel, RowMatrix, build_model
 from ucdispatch.solve import (
     SolverConfig,
     check_solution,
@@ -138,6 +139,25 @@ class TestSolveExact:
             assert solution.objective == pytest.approx(
                 model.objective_value(solution.values), rel=1e-12)
 
+    def test_overflowing_pattern_bound_is_a_numerical_failure(self):
+        # pattern (1, 1) overflows the bound of cu to -inf; this used to warn
+        # and drop the pattern as infeasible
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("cu", 1, 2)]),
+            RowMatrix.from_rows([("r[1]", {0: 1e308, 1: 1e308, 2: 1.0}, "<=", 1.0)]),
+            {2: 1.0})
+        with pytest.raises(NumericalFailure, match="overflow"):
+            solve_exact(model)
+
+    def test_every_source_gives_one_value_per_column(self, fixture_inst):
+        model = build(fixture_inst)
+        config = SolverConfig(backend="external", command_template=SHIM_TEMPLATE)
+        for solution in (solve_exact(model), solve_lp_relaxation(model),
+                         solve_external(model, config)):
+            assert isinstance(solution.values, np.ndarray)
+            assert solution.values.shape == (model.num_columns,)
+            assert type(solution.objective) is float
+
     def test_lp_relaxation_bounds_milp(self, fixture_inst, storage_inst):
         for instance in (fixture_inst, storage_inst):
             model = build(instance)
@@ -165,19 +185,22 @@ class TestEnumerateOptimalPatterns:
 class TestCheckSolution:
     def test_all_zero_values_show_demand_residual(self, fixture_inst):
         model = build(fixture_inst)
-        report = check_solution(model, {})
+        report = check_solution(model, np.zeros(model.num_columns))
         assert report.family_residuals["demand"] == pytest.approx(150.0)
         assert not report.passed
 
     def test_fractional_binary_reported(self, fixture_inst):
         model = build(fixture_inst)
-        values = {model.column_of("v_1_1"): 0.4}
+        values = np.zeros(model.num_columns)
+        values[model.column_of("v_1_1")] = 0.4
         report = check_solution(model, values)
         assert report.integrality_gap == pytest.approx(0.4)
 
     def test_negative_value_is_bound_violation(self, fixture_inst):
         model = build(fixture_inst)
-        report = check_solution(model, {model.column_of("p_1_1"): -2.0})
+        values = np.zeros(model.num_columns)
+        values[model.column_of("p_1_1")] = -2.0
+        report = check_solution(model, values)
         assert report.bound_violation == pytest.approx(2.0)
 
     def test_nan_value_fails(self, fixture_inst):
@@ -185,6 +208,14 @@ class TestCheckSolution:
         values = solve_exact(model).values
         values[model.column_of("p_1_1")] = float("nan")
         assert not check_solution(model, values).passed
+
+    @pytest.mark.parametrize("values", [{}, {0: 1.0}, np.zeros(3), np.zeros((1, 18))],
+                             ids=["empty-dict", "dict", "short", "two-dimensional"])
+    def test_other_shapes_raise(self, fixture_inst, values):
+        model = build(fixture_inst)
+        assert model.num_columns == 18
+        with pytest.raises(ValueError, match="18 column values"):
+            check_solution(model, values)
 
 
 class TestParseSolutionFile:
@@ -199,7 +230,7 @@ class TestParseSolutionFile:
         model = build(fixture_inst)
         with caplog.at_level("WARNING", logger="ucdispatch.solve"):
             values = parse_solution_file("", model)
-        assert all(v == 0.0 for v in values.values())
+        assert all(v == 0.0 for v in values)
         assert len(caplog.records) == 1
         assert f"{model.num_columns} columns missing" in caplog.records[0].getMessage()
 
@@ -209,6 +240,20 @@ class TestParseSolutionFile:
             values = parse_solution_file("bogus_1 5.0\nv_1_1 1\n", model)
         assert values[model.column_of("v_1_1")] == 1.0
         assert any("bogus_1" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("line, kind", [("bogus_{} 5.0", "unrecognized lines"),
+                                            ("bogus_{}=5.0", "unknown entries")],
+                             ids=["unrecognized", "unknown"])
+    def test_repeated_warnings_roll_up(self, fixture_inst, caplog, line, kind):
+        model = build(fixture_inst)
+        text = "".join(f"{name} 0\n" for name in model.columns.names)
+        text += "".join(line.format(i) + "\n" for i in range(50))
+        with caplog.at_level("WARNING", logger="ucdispatch.solve"):
+            parse_solution_file(text, model)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert f"50 {kind}" in message
+        assert "bogus_4" in message and "bogus_5" not in message
 
     def test_indexed_rows_and_equals_forms(self, fixture_inst):
         model = build(fixture_inst)
