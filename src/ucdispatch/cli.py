@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .errors import (
     DataError,
@@ -205,7 +206,7 @@ def _cmd_report(args, parser) -> int:
     instance = _load(args, parser)
     model = build_model(instance)
     try:
-        text = open(args.solution, encoding="utf-8").read()
+        text = Path(args.solution).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {args.solution}: {exc}") from exc
     solution = Solution(*accept_solution(text, model), "optimal", "file", 0.0)

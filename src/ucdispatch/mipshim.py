@@ -13,6 +13,10 @@ Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
 The MPS reader honours ``OBJSENSE``; a section it does not read or a row
 declared twice is a parse error (exit 2), never a silently different model.
+It walks the text a block of about 1 MiB at a time rather than splitting it
+into one list of lines, converts each distinct number text once, and takes
+a COLUMNS line for the same column as the line before it straight to its
+row.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +62,25 @@ def _mps_pairs(tokens):
     return zip(tokens[1::2], tokens[2::2])
 
 
+class _Numbers(dict):
+    """number text -> its float, converted on first use."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def _lines(text: str, block: int = 1 << 20):
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split a block of about ``block`` characters at a time; each block ends
+    just after a line feed, which no line break spans."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + block - 1) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def parse_mps(text: str) -> MipProblem:
     problem = MipProblem()
     # row name -> its [coefficients, sense, rhs] cell; the objective row's
@@ -64,9 +88,19 @@ def parse_mps(text: str) -> MipProblem:
     cells: dict[str, list] = {}
     objective_row = section = None
     integer_mode = False
+    # the name and position of the column the last COLUMNS line was for
+    column_name, col = None, -1
+    # number text -> float; a model repeats a few thousand values millions of times
+    number = _Numbers()
     try:
-        for raw in text.splitlines():
+        for raw in _lines(text):
             tokens = raw.split()
+            if (len(tokens) == 3 and tokens[0] == column_name and section == "COLUMNS"
+                    and raw[0].isspace() and "'MARKER'" not in tokens):
+                # another entry of the column the last line was for
+                coefs = cells[tokens[1]][0]
+                coefs[col] = coefs.get(col, 0.0) + number[tokens[2]]
+                continue
             if not tokens or raw[0] == "*":
                 continue
             if not raw[0].isspace():
@@ -81,19 +115,20 @@ def parse_mps(text: str) -> MipProblem:
             if section == "COLUMNS":
                 if "'MARKER'" in tokens:
                     integer_mode = "'INTORG'" in tokens
+                    column_name = None
                     continue
-                col = problem.touch(tokens[0])
+                column_name, col = tokens[0], problem.touch(tokens[0])
                 if integer_mode:
                     problem.integers.add(col)
                 for row, value in _mps_pairs(tokens):
                     coefs = cells[row][0]
-                    coefs[col] = coefs.get(col, 0.0) + float(value)
+                    coefs[col] = coefs.get(col, 0.0) + number[value]
             elif section == "RHS":
                 for row, value in _mps_pairs(tokens):
                     if row == objective_row:
                         # other readers take it as minus a constant objective term
                         raise ValueError(f"right-hand side on the objective row {row}")
-                    cells[row][2] = float(value)
+                    cells[row][2] = number[value]
             elif section == "ROWS":
                 sense, name = tokens[0].upper(), tokens[1]
                 if name in cells:
@@ -370,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = open(args.model, encoding="utf-8").read()
+        text = Path(args.model).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ucdispatch-mip: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    NumericalFailure,
     ResidualCheckFailed,
     SolverLaunchFailed,
     SolverNonZeroExit,
@@ -255,7 +256,9 @@ def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = N
 
 
 def solve_lp_relaxation(model: MilpModel) -> Solution:
-    """Solve the LP relaxation (binaries relaxed to [0, 1])."""
+    """Solve the LP relaxation (binaries relaxed to [0, 1]).  Raises
+    :class:`NumericalFailure` when the simplex reports an optimum whose point
+    breaks a row or a column bound by more than 1e-6, naming the worst."""
     started = time.perf_counter()
     n, rows, bin_cols = model.num_columns, model.rows, model.binary_columns()
     c = np.zeros(n)
@@ -267,6 +270,13 @@ def solve_lp_relaxation(model: MilpModel) -> Solution:
     elapsed = time.perf_counter() - started
     if result.status != "optimal":
         return Solution(np.empty(0), np.inf, result.status, "lp-relaxation", elapsed)
+    # the dense simplex has been seen to stop "optimal" far outside its rows
+    check = check_solution(model, result.x)
+    violations = {**check.family_residuals, "column bounds": check.bound_violation}
+    worst = max(violations, key=violations.get)
+    if violations[worst] > check.tolerance:
+        raise NumericalFailure(f"the LP relaxation's optimal point violates {worst} "
+                               f"by {violations[worst]:.6g}")
     return Solution(result.x, result.objective, "optimal", "lp-relaxation", elapsed)
 
 

@@ -3,6 +3,10 @@
 Both writers produce byte-identical output for the same model: columns and
 rows appear in model order, numbers are printed with 17 significant digits
 (round-trip safe for doubles) and lines end with LF.
+
+Each distinct number is formatted once per emission (a model repeats a few
+thousand values millions of times), and the text is built as one chunk per
+MPS column or LP row straight from the model's arrays, then joined once.
 """
 
 from __future__ import annotations
@@ -23,6 +27,22 @@ def _num(value: float) -> str:
     return f"{value:.17g}"
 
 
+class _Numbers(dict):
+    """value -> its text, formatted on first use."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _num(value)
+        return text
+
+
+class _Terms(dict):
+    """coefficient -> its signed LP text, "- 2" or "+ 2", on first use."""
+
+    def __missing__(self, coef: float) -> str:
+        text = self[coef] = f"{'- ' if coef < 0 else '+ '}{_num(abs(coef))}"
+        return text
+
+
 def _row_name(name: str) -> str:
     return _NAME_SANITIZE.sub("_", name).strip("_")
 
@@ -30,10 +50,11 @@ def _row_name(name: str) -> str:
 def write_mps(model: MilpModel) -> str:
     """Free-format MPS with INTORG/INTEND markers around binary columns."""
     rows, names, binaries = model.rows, model.columns.names, model.columns.binaries
-    lines = ["NAME ucdispatch", "ROWS", " N  OBJ"]
+    num = _Numbers()
     row_names = [_row_name(row) for row in rows.names]
-    lines += [f" {_MPS_SENSE[SENSES[code]]}  {row}"
-              for row, code in zip(row_names, rows.sense.tolist())]
+    chunks = ["NAME ucdispatch\nROWS\n N  OBJ\n"]
+    chunks += [f" {_MPS_SENSE[SENSES[code]]}  {row}\n"
+               for row, code in zip(row_names, rows.sense.tolist())]
 
     # the nonzeros in column-major order; the stable sort keeps the rows of
     # each column ascending
@@ -42,7 +63,7 @@ def write_mps(model: MilpModel) -> str:
     counts = np.bincount(rows.indices, minlength=model.num_columns)
     col_ptr = [0, *np.cumsum(counts).tolist()]
 
-    lines.append("COLUMNS")
+    chunks.append("COLUMNS\n")
     is_binary = set(binaries)
     in_integer_block = False
     marker = 0
@@ -51,70 +72,75 @@ def write_mps(model: MilpModel) -> str:
             in_integer_block = not in_integer_block
             marker += 1
             kind = "'INTORG'" if in_integer_block else "'INTEND'"
-            lines.append(f"    MARKER{marker}  'MARKER'  {kind}")
+            chunks.append(f"    MARKER{marker}  'MARKER'  {kind}\n")
         start, stop = col_ptr[col], col_ptr[col + 1]
+        lead = f"    {var_name}  "
         if col in model.objective:
-            lines.append(f"    {var_name}  OBJ  {_num(model.objective[col])}")
+            chunks.append(f"{lead}OBJ  {num[model.objective[col]]}\n")
         elif start == stop:
             # declare otherwise-unreferenced columns
-            lines.append(f"    {var_name}  OBJ  0")
-        lines.extend(f"    {var_name}  {row_names[row]}  {_num(coef)}"
-                     for row, coef in zip(col_rows[start:stop].tolist(),
-                                          col_data[start:stop].tolist()))
+            chunks.append(f"{lead}OBJ  0\n")
+        chunks.append("".join([
+            f"{lead}{row_names[row]}  {num[coef]}\n"
+            for row, coef in zip(col_rows[start:stop].tolist(),
+                                 col_data[start:stop].tolist())]))
     if in_integer_block:
         marker += 1
-        lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
+        chunks.append(f"    MARKER{marker}  'MARKER'  'INTEND'\n")
 
-    lines.append("RHS")
-    lines.extend(f"    RHS  {row}  {_num(rhs)}"
-                 for row, rhs in zip(row_names, rows.rhs.tolist()) if rhs != 0.0)
+    chunks.append("RHS\n")
+    chunks += [f"    RHS  {row}  {num[rhs]}\n"
+               for row, rhs in zip(row_names, rows.rhs.tolist()) if rhs != 0.0]
 
-    lines.append("BOUNDS")
-    lines.extend(f" BV BND  {names[col]}" for col in binaries)
+    chunks.append("BOUNDS\n")
+    chunks += [f" BV BND  {names[col]}\n" for col in binaries]
 
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    chunks.append("ENDATA\n")
+    return "".join(chunks)
 
 
-def _lp_terms(pairs, names) -> list[str]:
-    parts = []
-    for col, coef in pairs:
-        prefix = "- " if coef < 0 else "+ " if parts else ""
-        parts.append(f"{prefix}{_num(abs(coef))} {names[col]}")
+def _wrapped(label: str, parts: list[str], width: int = 78) -> str:
+    """``label`` followed by ``parts``, each of which starts with its space,
+    broken into lines of at most ``width`` characters where possible;
+    continuation lines are indented by three and hold at least one part."""
+    chunks, used = [label], len(label)
+    for i, part in enumerate(parts):
+        used += len(part)
+        if i and used > width:
+            chunks.append("\n  ")
+            used = 2 + len(part)
+        chunks.append(part)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _lp_terms(pairs, names, term) -> list[str]:
+    """The " [+|-] number name" terms of (column, coefficient) pairs; the
+    first drops its "+ "."""
+    parts = [f" {term[coef]} {names[col]}" for col, coef in pairs]
+    if parts and parts[0][1] == "+":
+        parts[0] = " " + parts[0][3:]
     return parts
-
-
-def _wrap(label: str, parts: list[str], width: int = 78) -> list[str]:
-    lines = [label]
-    for part in parts:
-        if len(lines[-1]) + 1 + len(part) > width and lines[-1] != label:
-            lines.append("   " + part)
-        else:
-            lines[-1] += " " + part
-    return lines
 
 
 def write_lp(model: MilpModel) -> str:
     """CPLEX-LP dialect, semantically identical to the MPS emission."""
     rows, names = model.rows, model.columns.names
-    lines = ["Minimize"]
-    objective = sorted(model.objective.items())
-    if objective:
-        lines.extend(_wrap(" obj:", _lp_terms(objective, names)))
-    else:
-        lines.append(" obj: 0")
-
-    lines.append("Subject To")
+    num, term = _Numbers(), _Terms()
+    objective = _lp_terms(sorted(model.objective.items()), names, term)
+    chunks = ["Minimize\n", _wrapped(" obj:", objective) if objective else " obj: 0\n",
+              "Subject To\n"]
     for i, (row, code, rhs) in enumerate(
             zip(rows.names, rows.sense.tolist(), rows.rhs.tolist())):
-        terms = _lp_terms(rows.row(i), names) + [SENSES[code], _num(rhs)]
-        lines.extend(_wrap(f" {_row_name(row)}:", terms))
+        parts = _lp_terms(rows.row(i), names, term)
+        parts += (f" {SENSES[code]}", f" {num[rhs]}")
+        chunks.append(_wrapped(f" {_row_name(row)}:", parts))
 
     binaries = [names[col] for col in model.columns.binaries]
     if binaries:
-        lines.append("Bounds")
-        lines.extend(f" 0 <= {name} <= 1" for name in binaries)
-        lines.append("Binaries")
-        lines.extend(_wrap("", binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        chunks.append("Bounds\n")
+        chunks += [f" 0 <= {name} <= 1\n" for name in binaries]
+        chunks.append("Binaries\n")
+        chunks.append(_wrapped("", [f" {name}" for name in binaries]))
+    chunks.append("End\n")
+    return "".join(chunks)

@@ -27,6 +27,7 @@ lines alongside pytest's own verdicts.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def _run_shim(path):
         [sys.executable, "-m", "ucdispatch.mipshim", str(path), solution_path],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return open(solution_path, encoding="utf-8").read()
+    return Path(solution_path).read_text(encoding="utf-8")
 
 
 def test_criterion_8_emission_determinism_and_cross_format(tmp_path):

@@ -130,6 +130,60 @@ def test_non_utf8_model_file_exits_two(tmp_path, capsys):
     assert not solution.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "a\nb", "a\n\n\nb\n", "a\r\nb\r\n", "a\rb\r", "\r\n\r\n",
+    "a\x0cb\n\x0c\n", "ab\r\ncd\r\n\r\nef\rg\n\nh", " x  y  1\r\n x  z  2\n",
+], ids=["empty", "lf", "one-line", "lf-ended", "two-lines", "blank-lines", "crlf",
+        "lone-cr", "crlf-only", "form-feed", "mixed", "mps-like"])
+def test_lines_split_as_splitlines(text):
+    # every block size up to the whole text, so that a block boundary falls
+    # between each "\r" and its "\n" at least once
+    for block in range(1, len(text) + 2):
+        assert list(mipshim._lines(text, block)) == text.splitlines(), block
+
+
+def columns_mps(columns, rows=" N  obj\n G  c1\n L  c2\n"):
+    return f"NAME demo\nROWS\n{rows}COLUMNS\n{columns}RHS\n    rhs  c1  1\nENDATA\n"
+
+
+def by_name(problem):
+    """The objective, each row's coefficients and the integer columns, by name."""
+    names = list(problem.var_order)
+    return (named(problem.objective, names),
+            [named(coefs, names) for coefs, _, _ in problem.rows],
+            {names[col] for col in problem.integers})
+
+
+@pytest.mark.parametrize("columns, objective, rows, integers", [
+    # the column shares the last row's name; its first line is for that row
+    ("    c2  c2  4\n    c2  obj  3\n", {"c2": 3.0}, [{}, {"c2": 4.0}], set()),
+    # x's lines are not adjacent
+    ("    x  c1  1\n    y  c1  2\n    x  obj  3\n    x  c2  4\n",
+     {"x": 3.0}, [{"x": 1.0, "y": 2.0}, {"x": 4.0}], set()),
+    # a (column, row) entry given twice, adjacent and not, is summed
+    ("    x  c1  1\n    x  c1  2\n    y  c1  1\n    x  c1  4\n",
+     {}, [{"x": 7.0, "y": 1.0}, {}], set()),
+    # 5-token lines, then 3-token lines for the same column
+    ("    x  obj  3  c1  1\n    x  c2  4\n    y  c1  1  c2  2\n    y  obj  5\n",
+     {"x": 3.0, "y": 5.0}, [{"x": 1.0, "y": 1.0}, {"x": 4.0, "y": 2.0}], set()),
+    # 'MARKER' after the column's own name, and as the first token
+    ("    x  obj  3\n    x  'INTORG'  'MARKER'\n    x  c1  1\n"
+     "    'MARKER'  x  'INTEND'\n    y  c1  2\n    y  c2  1\n",
+     {"x": 3.0}, [{"x": 1.0, "y": 2.0}, {"y": 1.0}], {"x"}),
+], ids=["named-like-last-row", "non-adjacent", "duplicate-entry", "five-tokens",
+        "marker-positions"])
+def test_columns_entries(columns, objective, rows, integers):
+    problem = mipshim.parse_mps(columns_mps(columns))
+    assert by_name(problem) == (objective, rows, integers)
+
+
+def test_undeclared_row_on_a_same_column_line_exits_two(tmp_path, capsys):
+    code, solution = run_shim(tmp_path, columns_mps("    x  obj  3\n    x  r9  1\n"))
+    assert code == 2
+    assert "r9" in capsys.readouterr().err
+    assert not solution.exists()
+
+
 # min x + y  s.t.  x + y >= 2: the optimum is 2
 GOOD_LP = """\
 Minimize

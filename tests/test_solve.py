@@ -166,6 +166,18 @@ class TestSolveExact:
             assert relaxed.status == "optimal"
             assert relaxed.objective <= exact.objective + 1e-9
 
+    def test_lp_relaxation_off_its_rows_is_a_numerical_failure(self):
+        # the simplex stops "optimal" at 4.86e6 with prod-cost[1,10] broken
+        # by 2.5e3; the MIP optimum is 30,400 and the relaxation 30,237.85
+        T = 10
+        instance = make_instance(
+            [make_unit(1, shutdown_cost=40.0)],
+            demand=tuple(90.0 + 12.0 * k for k in range(T)),
+            reserve=(5.0,) * T,
+            curves={1: StartupCostCurve(1, {t: 150.0 + 40.0 * t for t in range(1, 7)})})
+        with pytest.raises(NumericalFailure, match="violates prod-cost by"):
+            solve_lp_relaxation(build(instance))
+
 
 class TestEnumerateOptimalPatterns:
     def test_fixture_has_unique_optimum(self, fixture_inst):

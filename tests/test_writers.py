@@ -2,9 +2,15 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from helpers import fixture_instance, multi_unit_instance, storage_instance
+from helpers import (
+    fixture_instance,
+    multi_unit_instance,
+    random_instance,
+    storage_instance,
+)
 from ucdispatch.model import (
     ColumnIndex,
     MilpModel,
@@ -127,11 +133,18 @@ GOLDEN = {
     "multi-unit": (
         "eb419c81a739c14f04e88f2b17f397dec7b06e51d2106f876a7724d4a6d1688a",
         "758a19f8c9fa4f72f7646656b3036799aeffecdd067ba20581a274d82e7c1169"),
+    # 3,396 rows and 25,042 nonzeros: LP rows of up to 44 terms that wrap
+    # many times, and columns with up to 207 entries
+    "week-4x48": (
+        "eb0508bdb6b1680d7e6e59457bbb4dd745c3ee083d14491a479ea2b8ef7b01c7",
+        "38c74c8e2efcae7013dc8dad7f2ecfe9c21bde99dceadbc687b0474d2ab1e0d8"),
 }
 GOLDEN_INSTANCES = {
     "fixture": fixture_instance,
     "storage": storage_instance,
     "multi-unit": multi_unit_instance,
+    "week-4x48": lambda: random_instance(np.random.default_rng(11), 4, 48,
+                                         with_storage=False),
 }
 
 
