@@ -33,6 +33,9 @@ class LpResult:
     x: np.ndarray | None
     objective: float
     iterations: int
+    #: optimal duals, one per input row in its order and sense: <= 0 on
+    #: "<=" rows, >= 0 on ">=" rows, with c - A'dual >= -TOL; None unless optimal
+    dual: np.ndarray | None = None
 
 
 @contextmanager
@@ -94,7 +97,11 @@ def _pivot_loop(tableau, basis, allowed, max_iter):
 def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResult:
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
-    ``senses`` is a sequence of "<=", "=" or ">=" per row.  Raises
+    ``senses`` is a sequence of "<=", "=" or ">=" per row.  An optimal
+    result carries the row duals in ``dual``: minus the final reduced cost
+    of each row's identity column (its slack or its artificial), negated
+    back on rows flipped for a negative right-hand side, 0 on rows dropped
+    as redundant.  Raises
     :class:`NumericalFailure` if the pivot cap is hit, the arithmetic
     overflows, or a NaN ratio or a non-finite optimum turns up.
     """
@@ -106,14 +113,15 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
     if m == 0:
         if np.any(c < -TOL):
             return LpResult("unbounded", None, -np.inf, 0)
-        return LpResult("optimal", np.zeros(n), 0.0, 0)
+        return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0))
 
     senses = list(senses)
     A = A.copy()
     # normalize to nonnegative right-hand sides
     flip = {"<=": ">=", ">=": "<=", "=": "="}
+    flipped = b < 0.0
     for i in range(m):
-        if b[i] < 0.0:
+        if flipped[i]:
             A[i] = -A[i]
             b[i] = -b[i]
             senses[i] = flip[senses[i]]
@@ -132,20 +140,22 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
     tableau[:m, :n] = A
     tableau[:m, -1] = b
     basis = np.full(m, -1, dtype=np.int64)
+    identity = np.empty(m, dtype=np.int64)  # each row's slack or artificial
 
     for offset, i in enumerate(slack_rows):
         tableau[i, n + offset] = 1.0
-        basis[i] = n + offset
+        basis[i] = identity[i] = n + offset
     for offset, i in enumerate(surplus_rows):
         tableau[i, n + n_slack + offset] = -1.0
     for offset, i in enumerate(art_rows):
         tableau[i, art_start + offset] = 1.0
-        basis[i] = art_start + offset
+        basis[i] = identity[i] = art_start + offset
 
     allowed = np.ones(total, dtype=bool)
     allowed[art_start:] = False  # artificials may leave but never re-enter
 
     iterations = 0
+    redundant = []
     if n_art:
         # phase 1: minimize the sum of artificial variables
         tableau[m, :] = 0.0
@@ -162,13 +172,12 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
             return LpResult("infeasible", None, np.inf, iterations)
 
         # drive leftover artificials out of the basis; drop redundant rows
-        redundant = set()
         for i in range(m):
             if basis[i] < art_start:
                 continue
             nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > TOL)
             if nonzero.size == 0:
-                redundant.add(i)
+                redundant.append(i)
             else:
                 _pivot(tableau, basis, i, int(nonzero[0]))
         if redundant:
@@ -198,4 +207,7 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
     objective = float(c @ x)
     if not (np.isfinite(objective) and np.isfinite(x).all()):
         raise NumericalFailure("simplex ended at a non-finite point")
-    return LpResult("optimal", x, objective, iterations)
+    dual = -tableau[m, identity]
+    dual[flipped] = -dual[flipped]
+    dual[redundant] = 0.0
+    return LpResult("optimal", x, objective, iterations, dual)

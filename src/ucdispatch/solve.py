@@ -7,6 +7,19 @@ bounds and solves the remaining LP of each surviving pattern with the bundled
 dense simplex.  It is meant as a desk-scale oracle, not a production MIP
 solver.
 
+Every pattern's LP has the same matrix, senses and costs; only its
+right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
+change.  So the optimal dual ``y`` of one pattern's LP, once checked
+feasible (``c - A'y >= -1e-9``, signs clipped), bounds every other
+pattern's optimum from below by ``y.b + c.lower + c_bin.pattern`` (weak
+duality, as in Benders' cuts).  The engine keeps the last DUAL_POOL such
+duals and skips a pattern's LP when the best bound exceeds the tie cut by
+more than DUAL_SKIP_REL * (1 + |best|), a thousand times TIE_REL_TOL.  A
+skipped pattern lies above the tie cut, so it could neither lower the best
+optimum nor join the ties: the patterns visited in lexicographic order, the
+cold solve of each pattern that is not skipped and the tie rule are those
+of a full enumeration, and so are the answer and every report.
+
 The external backend writes the model to a standard-format file, runs a
 solver subprocess via a command template with {model} and {solution}
 placeholders, and verifies the returned solution before accepting it.
@@ -19,7 +32,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +46,7 @@ from .errors import (
     UnparsableSolution,
 )
 from .model import SENSE_CODE, SENSES, MilpModel
-from .simplex import numerical_guard, solve_dense_lp
+from .simplex import TOL, numerical_guard, solve_dense_lp
 from .writers import write_mps
 
 logger = logging.getLogger(__name__)
@@ -42,6 +55,11 @@ _SENSE_LE, _SENSE_EQ, _SENSE_GE = SENSE_CODE["<="], SENSE_CODE["="], SENSE_CODE[
 
 #: patterns whose optimum lies within this relative distance of the best tie
 TIE_REL_TOL = 1e-9
+#: how many of the last feasible pattern-LP duals bound the next patterns
+DUAL_POOL = 8
+#: a pattern is skipped when a dual bound exceeds the tie cut by this much,
+#: relative to 1 + |best|; far above the dual's rounding error
+DUAL_SKIP_REL = 1e-6
 
 
 @dataclass
@@ -58,6 +76,7 @@ class Solution:
     status: str                          # optimal | infeasible | unbounded | limit | error
     backend: str
     wall_time: float
+    stats: dict = field(default_factory=dict)   # solver counters, by name
 
 
 @dataclass
@@ -127,7 +146,9 @@ class _ExactEngine:
         eye_rows = np.zeros((n_fin, nc))
         eye_rows[np.arange(n_fin), self.fin_vars] = 1.0
         self.lp_matrix = np.vstack([self.m_cont, eye_rows])
-        self.lp_senses = [SENSES[code] for code in rows.sense[lp]] + ["<="] * n_fin
+        lp_sense = np.concatenate([rows.sense[lp], np.full(n_fin, _SENSE_LE)])
+        self.lp_senses = [SENSES[code] for code in lp_sense]
+        self.lp_le, self.lp_ge = lp_sense == _SENSE_LE, lp_sense == _SENSE_GE
 
         c = np.zeros(model.num_columns)
         c[list(model.objective)] = list(model.objective.values())
@@ -177,8 +198,9 @@ class _ExactEngine:
                 block = block[ok]
             yield from block
 
-    def solve_pattern(self, pattern):
-        """LP of one commitment pattern; returns (status, objective, values)."""
+    def pattern_lp(self, pattern):
+        """The shift ``lower`` and the right-hand side of one pattern's LP
+        over ``x - lower``, or None when the pattern's bounds cross."""
         nc = self.nc
         lower = np.zeros(nc)
         upper = np.full(nc, np.inf)
@@ -187,30 +209,73 @@ class _ExactEngine:
             np.minimum.at(upper, self.s_var[self.s_is_ub], vals[self.s_is_ub])
             np.maximum.at(lower, self.s_var[self.s_is_lb], vals[self.s_is_lb])
         if np.any(lower > upper + 1e-9):
-            return "infeasible", np.inf, None
-
+            return None
         b = np.concatenate([
             self.m_rhs - self.m_bin @ pattern - self.m_cont @ lower,
             upper[self.fin_vars] - lower[self.fin_vars],
         ])
-        result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
+        return lower, b
+
+    def outcome(self, pattern, lower, result):
+        """(status, objective, values) of one pattern from its LP result."""
         if result.status != "optimal":
             return result.status, np.inf, None
         x = result.x + lower
         objective = float(self.c_cont @ x + self.c_bin @ pattern)
         return "optimal", objective, x
 
+    def solve_pattern(self, pattern):
+        """LP of one commitment pattern; returns (status, objective, values)."""
+        shifted = self.pattern_lp(pattern)
+        if shifted is None:
+            return "infeasible", np.inf, None
+        lower, b = shifted
+        result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
+        return self.outcome(pattern, lower, result)
+
+    def feasible_dual(self, dual):
+        """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
+        y = dual.copy()
+        y[self.lp_le] = np.minimum(y[self.lp_le], 0.0)
+        y[self.lp_ge] = np.maximum(y[self.lp_ge], 0.0)
+        if np.all(self.c_cont - self.lp_matrix.T @ y >= -TOL):
+            return y
+        return None
+
     @numerical_guard("exact solver")
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded."""
+        unbounded.  Patterns that a pooled dual bound puts above the tie cut
+        are skipped; ``self.stats`` counts what became of each pattern."""
+        stats = self.stats = dict.fromkeys(
+            ("patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"), 0)
+        duals = np.empty((0, len(self.lp_senses)))
         best, ties = np.inf, []
         for pattern in self.patterns():
-            status, objective, x = self.solve_pattern(pattern)
+            stats["patterns"] += 1
+            shifted = self.pattern_lp(pattern)
+            if shifted is None:
+                stats["bound_infeasible"] += 1
+                continue
+            lower, b = shifted
+            if len(duals):
+                bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
+                if bound > _tie_cut(best) + DUAL_SKIP_REL * (1.0 + abs(best)):
+                    stats["dual_pruned"] += 1
+                    continue
+            result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
+            stats["lps"] += 1
+            stats["pivots"] += result.iterations
+            status, objective, x = self.outcome(pattern, lower, result)
             if status == "unbounded":
                 return None
-            if status != "optimal" or objective > _tie_cut(best):
+            if status != "optimal":
+                continue
+            y = self.feasible_dual(result.dual)
+            if y is not None:
+                duals = np.vstack([duals, y])[-DUAL_POOL:]
+            if objective > _tie_cut(best):
                 continue
             if objective < best:
                 best = objective
@@ -224,27 +289,33 @@ def _tie_cut(best: float) -> float:
 
 
 def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solution:
-    """Enumerate commitment patterns and solve each LP with the bundled simplex.
+    """Enumerate commitment patterns and solve each LP with the bundled
+    simplex, skipping those that a pooled dual bound rules out.
 
     Of the patterns within TIE_REL_TOL of the best optimum, the
     lexicographically smallest wins, with its own objective and values.
-    Raises :class:`TooManyBinaries` when the model exceeds the enumeration
-    budget and :class:`NumericalFailure` if the simplex cycling guard trips
-    or the arithmetic overflows.
+    ``Solution.stats`` counts the patterns, how many were ruled out by their
+    bounds or a dual bound, the LPs solved and their pivots.  Raises
+    :class:`TooManyBinaries` when the model exceeds the enumeration budget
+    and :class:`NumericalFailure` if the simplex cycling guard trips on an
+    LP that is solved or the arithmetic overflows.
     """
     config = config or SolverConfig()
     started = time.perf_counter()
     engine = _ExactEngine(model, config)
     ties = engine.optimal()
     elapsed = time.perf_counter() - started
+    stats = engine.stats
+    logger.debug("exact solve: %s",
+                 ", ".join(f"{key} {value}" for key, value in stats.items()))
     if ties is None:
-        return Solution(np.empty(0), -np.inf, "unbounded", "builtin-exact", elapsed)
+        return Solution(np.empty(0), -np.inf, "unbounded", "builtin-exact", elapsed, stats)
     if not ties:
-        return Solution(np.empty(0), np.inf, "infeasible", "builtin-exact", elapsed)
+        return Solution(np.empty(0), np.inf, "infeasible", "builtin-exact", elapsed, stats)
     pattern, objective, x = ties[0]
     values = np.empty(model.num_columns)
     values[engine.bin_cols], values[engine.cont_cols] = pattern, x
-    return Solution(values, objective, "optimal", "builtin-exact", elapsed)
+    return Solution(values, objective, "optimal", "builtin-exact", elapsed, stats)
 
 
 def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = None

@@ -47,11 +47,34 @@ def _row_name(name: str) -> str:
     return _NAME_SANITIZE.sub("_", name).strip("_")
 
 
+#: every ASCII character that _NAME_SANITIZE replaces, but the line feed
+_NON_WORD = str.maketrans(dict.fromkeys(
+    [chr(i) for i in range(128) if not (chr(i).isalnum() or chr(i) in "_\n")], "\x00"))
+
+
+def _row_names(names) -> list[str]:
+    """``_row_name`` of every name.  The model's row names are ASCII with
+    single separators, as in "min-up[1,2,3]", so one translate of the joined
+    names does the work of the regex; any other names take the regex."""
+    text = "\n".join(names).translate(_NON_WORD)
+    if (not text.isascii() or "\x00\x00" in text
+            or text.count("\n") != len(names) - 1):
+        return [_row_name(name) for name in names]
+    text = text.replace("\x00", "_")
+    while "_\n" in text:
+        text = text.replace("_\n", "\n")
+    while "\n_" in text:
+        text = text.replace("\n_", "\n")
+    sanitized = text.split("\n")
+    sanitized[0], sanitized[-1] = sanitized[0].strip("_"), sanitized[-1].strip("_")
+    return sanitized
+
+
 def write_mps(model: MilpModel) -> str:
     """Free-format MPS with INTORG/INTEND markers around binary columns."""
     rows, names, binaries = model.rows, model.columns.names, model.columns.binaries
     num = _Numbers()
-    row_names = [_row_name(row) for row in rows.names]
+    row_names = _row_names(rows.names)
     chunks = ["NAME ucdispatch\nROWS\n N  OBJ\n"]
     chunks += [f" {_MPS_SENSE[SENSES[code]]}  {row}\n"
                for row, code in zip(row_names, rows.sense.tolist())]
@@ -131,10 +154,10 @@ def write_lp(model: MilpModel) -> str:
     chunks = ["Minimize\n", _wrapped(" obj:", objective) if objective else " obj: 0\n",
               "Subject To\n"]
     for i, (row, code, rhs) in enumerate(
-            zip(rows.names, rows.sense.tolist(), rows.rhs.tolist())):
+            zip(_row_names(rows.names), rows.sense.tolist(), rows.rhs.tolist())):
         parts = _lp_terms(rows.row(i), names, term)
         parts += (f" {SENSES[code]}", f" {num[rhs]}")
-        chunks.append(_wrapped(f" {_row_name(row)}:", parts))
+        chunks.append(_wrapped(f" {row}:", parts))
 
     binaries = [names[col] for col in model.columns.binaries]
     if binaries:

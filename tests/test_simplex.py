@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from ucdispatch.errors import NumericalFailure
-from ucdispatch.simplex import kernel_name, solve_dense_lp
+from ucdispatch.simplex import TOL, kernel_name, solve_dense_lp
 
 
 def test_kernel_name_is_python():
@@ -122,6 +122,40 @@ def trajectory_digest(draw, count=400):
 @pytest.mark.parametrize("label", sorted(GOLDEN_TRAJECTORIES))
 def test_golden_pivot_trajectories(label):
     assert trajectory_digest(DRAWS[label]) == GOLDEN_TRAJECTORIES[label]
+
+
+@pytest.mark.parametrize("label", sorted(DRAWS))
+def test_duals_of_the_golden_draws_are_optimal(label):
+    # weak duality certifies each optimum: y keeps its signs, c - A'y >= 0
+    # and b.y equals c.x (GOLDEN_TRAJECTORIES pins that the pivots are unmoved)
+    rng = np.random.default_rng(42)
+    checked = 0
+    for _ in range(400):
+        c, A, senses, b = DRAWS[label](rng)
+        result = solve_dense_lp(c, A, senses, b)
+        if result.status != "optimal":
+            assert result.dual is None
+            continue
+        y, senses = result.dual, np.array(senses)
+        assert y.shape == (len(b),)
+        assert np.all(y[senses == "<="] <= TOL) and np.all(y[senses == ">="] >= -TOL)
+        assert np.all(c - A.T @ y >= -1e-9)
+        primal = c @ result.x
+        assert abs(primal - b @ y) <= 1e-7 * (1.0 + abs(primal))
+        checked += 1
+    assert checked >= 100
+
+
+def test_dual_of_flipped_and_redundant_rows():
+    # -x0 <= -1 is flipped to x0 >= 1 inside and keeps its own sign outside;
+    # the doubled equality row is dropped as redundant and gets 0
+    result = solve_dense_lp([1.0, 1.0], [[-1.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                            ["<=", "=", "="], [-1.0, 3.0, 6.0])
+    assert result.status == "optimal" and result.objective == pytest.approx(3.0)
+    assert result.dual.tolist() == pytest.approx([0.0, 1.0, 0.0])
+    result = solve_dense_lp([1.0], [[-1.0]], ["<="], [-1.0])
+    assert result.dual.tolist() == pytest.approx([-1.0])
+    assert solve_dense_lp([1.0], np.zeros((0, 1)), [], []).dual.shape == (0,)
 
 
 def test_agreement_with_scipy_on_random_lps():

@@ -1,10 +1,13 @@
 """Built-in exact solver, solution parsing/checking, external bridge."""
 
 import dataclasses
+import importlib
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SHIM_TEMPLATE
 from helpers import fixture_instance, make_instance, make_unit, random_instance
@@ -21,6 +24,8 @@ from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import ColumnIndex, MilpModel, RowMatrix, build_model
 from ucdispatch.solve import (
     SolverConfig,
+    _ExactEngine,
+    _tie_cut,
     check_solution,
     enumerate_optimal_patterns,
     parse_solution_file,
@@ -30,6 +35,9 @@ from ucdispatch.solve import (
 )
 from ucdispatch.thinning import thin_all
 from ucdispatch.writers import write_mps
+
+#: the module, which the package's ``solve`` function shadows as an attribute
+solve_module = importlib.import_module("ucdispatch.solve")
 
 
 def build(instance, tol=None):
@@ -50,6 +58,17 @@ def twin_unit_instance(seed):
     return dataclasses.replace(
         instance, units=(unit, dataclasses.replace(unit, unit_id=2)),
         startup_curves=curves)
+
+
+def enumeration_instance():
+    """One unit over ten periods with no commitment rule: all 1024 patterns
+    reach the LP unless something else rules them out."""
+    T = 10
+    return make_instance(
+        [make_unit(1, shutdown_cost=40.0)],
+        demand=tuple(90.0 + 12.0 * k for k in range(T)),
+        reserve=(5.0,) * T,
+        curves={1: StartupCostCurve(1, {t: 150.0 + 40.0 * t for t in range(1, 7)})})
 
 
 class TestSolveExact:
@@ -169,14 +188,8 @@ class TestSolveExact:
     def test_lp_relaxation_off_its_rows_is_a_numerical_failure(self):
         # the simplex stops "optimal" at 4.86e6 with prod-cost[1,10] broken
         # by 2.5e3; the MIP optimum is 30,400 and the relaxation 30,237.85
-        T = 10
-        instance = make_instance(
-            [make_unit(1, shutdown_cost=40.0)],
-            demand=tuple(90.0 + 12.0 * k for k in range(T)),
-            reserve=(5.0,) * T,
-            curves={1: StartupCostCurve(1, {t: 150.0 + 40.0 * t for t in range(1, 7)})})
         with pytest.raises(NumericalFailure, match="violates prod-cost by"):
-            solve_lp_relaxation(build(instance))
+            solve_lp_relaxation(build(enumeration_instance()))
 
 
 class TestEnumerateOptimalPatterns:
@@ -192,6 +205,84 @@ class TestEnumerateOptimalPatterns:
         model = build(instance)
         patterns = enumerate_optimal_patterns(model)
         assert (0, 1) in patterns and (1, 0) in patterns
+
+
+def unpruned_ties(engine):
+    """The tie list of a full enumeration: every pattern cold-solved."""
+    best, ties = np.inf, []
+    for pattern in engine.patterns():
+        status, objective, x = engine.solve_pattern(pattern)
+        if status == "unbounded":
+            return None
+        if status != "optimal" or objective > _tie_cut(best):
+            continue
+        if objective < best:
+            best = objective
+            ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
+        ties.append((pattern.copy(), objective, x))
+    return ties
+
+
+@st.composite
+def desk_instances(draw):
+    """Random instances of at most 8 binaries, some with a storage unit and
+    some with an identical copy of unit 1, whose patterns tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_units, twin = draw(st.integers(1, 2)), draw(st.booleans())
+    T = draw(st.integers(2, 8 // (n_units + twin)))
+    instance = random_instance(rng, n_units, T, with_storage=draw(st.booleans()))
+    if not twin:
+        return instance
+    copy = dataclasses.replace(instance.units[0], unit_id=n_units + 1)
+    curves = {**instance.startup_curves,
+              copy.unit_id: StartupCostCurve(copy.unit_id, dict(instance.curve(1).costs))}
+    return dataclasses.replace(instance, units=(*instance.units, copy),
+                               startup_curves=curves)
+
+
+class TestDualSkip:
+    @settings(max_examples=40, deadline=None)
+    @given(desk_instances())
+    def test_same_answer_as_full_enumeration(self, instance):
+        model = build(instance)
+        engine = _ExactEngine(model, SolverConfig())
+        ties, expected = engine.optimal(), unpruned_ties(engine)
+        assert [tuple(p) for p, _, _ in ties] == [tuple(p) for p, _, _ in expected]
+        assert [o for _, o, _ in ties] == [o for _, o, _ in expected]
+        assert [x.tobytes() for _, _, x in ties] == [x.tobytes() for _, _, x in expected]
+        pattern, objective, x = expected[0]
+        values = np.empty(model.num_columns)
+        values[engine.bin_cols], values[engine.cont_cols] = pattern, x
+        solution = solve_exact(model)
+        assert solution.objective == objective
+        assert solution.values.tobytes() == values.tobytes()
+
+    def test_unpruned_enumeration_solves_few_lps(self, monkeypatch):
+        # 1024 patterns and no commitment rule: the full enumeration solves
+        # 1024 LPs, the pooled dual bounds skip all but about a hundred
+        calls = []
+        lp = solve_module.solve_dense_lp
+        monkeypatch.setattr(solve_module, "solve_dense_lp",
+                            lambda *args, **kwargs: calls.append(1) or lp(*args, **kwargs))
+        solution = solve_exact(build(enumeration_instance()))
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(30400.0)
+        assert solution.stats["patterns"] == 1024
+        assert solution.stats["lps"] == len(calls) <= 150
+
+    @pytest.mark.parametrize("make", [fixture_instance, enumeration_instance,
+                                      lambda: twin_unit_instance(164),
+                                      lambda: random_instance(np.random.default_rng(3), 2, 4,
+                                                              with_storage=True)])
+    def test_stats_account_for_every_pattern(self, make, caplog):
+        with caplog.at_level("DEBUG", logger="ucdispatch.solve"):
+            stats = solve_exact(build(make())).stats
+        assert set(stats) == {"patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"}
+        assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
+                                     + stats["lps"])
+        assert stats["lps"] > 0 and stats["pivots"] > 0
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("exact solve:")]
+        assert f"lps {stats['lps']}," in record.getMessage()
 
 
 class TestCheckSolution:

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fixture_instance,
@@ -19,7 +21,7 @@ from ucdispatch.model import (
     model_stats,
 )
 from ucdispatch.thinning import thin_all
-from ucdispatch.writers import write_lp, write_mps
+from ucdispatch.writers import _row_name, _row_names, write_lp, write_mps
 
 
 def empty_model():
@@ -111,6 +113,14 @@ class TestLp:
         instance = storage_instance()
         text = write_lp(build_model(instance, thin_all(instance)))
         assert all(len(line) <= 100 for line in text.splitlines())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="ab1_-[],. \n\x00é", max_size=8), max_size=6))
+def test_row_names_sanitize_as_the_regex(names):
+    # separators alone or in runs, underscores at the ends, empty names,
+    # line feeds and non-ASCII: the joined-text path or its fallback
+    assert _row_names(names) == [_row_name(name) for name in names]
 
 
 def test_formats_cover_same_model():
