@@ -179,6 +179,7 @@ def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
             "wall_time": solution.wall_time,
             "out_dir": str(out_dir),
             "cost_breakdown": dict(breakdown),
+            "stats": solution.stats,
         }, indent=2))
         return
     print(f"status {solution.status} ({solution.backend}, "

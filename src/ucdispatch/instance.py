@@ -48,7 +48,9 @@ class GeneralConfig:
     period_length: float        # hours per period
     num_periods: int
     start_time: datetime        # naive local time, no zone conversion
-    under_prod_penalty: float   # cost/MWh
+    # UPP, URP, OPP in cost/MWh: a slack of x MW in one period costs
+    # penalty * L * x, in the same units as the production cost
+    under_prod_penalty: float
     under_reserve_penalty: float
     over_prod_penalty: float
     startup_tol: float          # in [0, 1]

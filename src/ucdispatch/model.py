@@ -236,13 +236,18 @@ def build_model(instance: Instance,
             objective[col("cp", u.unit_id, k)] = 1.0
             objective[col("cu", u.unit_id, k)] = 1.0
             objective[col("cd", u.unit_id, k)] = 1.0
+    # the slacks are MW for one period of L hours; their penalties are per MWh
+    slack_costs = [("p_under", g.under_prod_penalty * L),
+                   ("r_under", g.under_reserve_penalty * L),
+                   ("p_over", g.over_prod_penalty * L)]
+    for kind, cost in slack_costs:
+        if not np.isfinite(cost):
+            raise DomainError(f"the {kind} objective coefficient (penalty * L) is "
+                              "not finite: the inputs overflow in it")
     for k in range(1, T + 1):
-        if g.under_prod_penalty != 0.0:
-            objective[col("p_under", None, k)] = g.under_prod_penalty
-        if g.under_reserve_penalty != 0.0:
-            objective[col("r_under", None, k)] = g.under_reserve_penalty
-        if g.over_prod_penalty != 0.0:
-            objective[col("p_over", None, k)] = g.over_prod_penalty
+        for kind, cost in slack_costs:
+            if cost != 0.0:
+                objective[col(kind, None, k)] = cost
 
     def rows():
         # --- initial state fixing --------------------------------------------

@@ -4,6 +4,8 @@ The electricity price of a period is estimated as the marginal cost of the
 most expensive committed unit (perfect-competition assumption).  The model's
 p_max variable only carries an upper bound, so the reported maximal possible
 production is recomputed from the solved production and commitment values.
+The penalty lines of the cost breakdown charge UPP, URP and OPP per MWh: the
+summed slack in MW times the period length L times the penalty.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ class CostBreakdown:
     production: float
     startup: float
     shutdown: float
-    under_production_penalty: float
-    under_reserve_penalty: float
-    over_production_penalty: float
+    under_production_penalty: float   # UPP * L * sum of p_under
+    under_reserve_penalty: float      # URP * L * sum of r_under
+    over_production_penalty: float    # OPP * L * sum of p_over
 
     def items(self) -> list[tuple[str, float]]:
         """(label, value) per component, under the labels that summary.csv,
@@ -132,11 +134,12 @@ def cost_breakdown(instance: Instance, model: MilpModel,
         sum(_solved(instance, model, solution, kind))
         for kind in ("p_under", "r_under", "p_over"))
     g = instance.general
+    L = g.period_length
     return CostBreakdown(
         production, startup, shutdown,
-        g.under_prod_penalty * under_prod,
-        g.under_reserve_penalty * under_res,
-        g.over_prod_penalty * over_prod,
+        g.under_prod_penalty * L * under_prod,
+        g.under_reserve_penalty * L * under_res,
+        g.over_prod_penalty * L * over_prod,
     )
 
 

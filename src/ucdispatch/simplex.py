@@ -115,41 +115,36 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
             return LpResult("unbounded", None, -np.inf, 0)
         return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0))
 
-    senses = list(senses)
-    A = A.copy()
-    # normalize to nonnegative right-hand sides
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    senses = np.asarray(senses)
+    le, eq, ge = (senses == sense for sense in ("<=", "=", ">="))
+    known = le | eq | ge
+    if not known.all():
+        raise ValueError(f"unknown row sense {str(senses[~known][0])!r}")
+    # normalize to nonnegative right-hand sides; a flipped row swaps <= and >=
     flipped = b < 0.0
-    for i in range(m):
-        if flipped[i]:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            senses[i] = flip[senses[i]]
+    A[flipped] = -A[flipped]
+    b[flipped] = -b[flipped]
+    le, ge = np.where(flipped, ge, le), np.where(flipped, le, ge)
 
-    slack_rows = [i for i, s in enumerate(senses) if s == "<="]
-    surplus_rows = [i for i, s in enumerate(senses) if s == ">="]
-    art_rows = [i for i, s in enumerate(senses) if s in ("=", ">=")]
+    slack_rows = np.flatnonzero(le)
+    surplus_rows = np.flatnonzero(ge)
+    art_rows = np.flatnonzero(ge | eq)
 
-    n_slack = len(slack_rows)
-    n_surplus = len(surplus_rows)
-    n_art = len(art_rows)
+    n_slack = slack_rows.size
+    n_surplus = surplus_rows.size
+    n_art = art_rows.size
     art_start = n + n_slack + n_surplus
     total = art_start + n_art
 
     tableau = np.zeros((m + 1, total + 1))
     tableau[:m, :n] = A
     tableau[:m, -1] = b
-    basis = np.full(m, -1, dtype=np.int64)
     identity = np.empty(m, dtype=np.int64)  # each row's slack or artificial
-
-    for offset, i in enumerate(slack_rows):
-        tableau[i, n + offset] = 1.0
-        basis[i] = identity[i] = n + offset
-    for offset, i in enumerate(surplus_rows):
-        tableau[i, n + n_slack + offset] = -1.0
-    for offset, i in enumerate(art_rows):
-        tableau[i, art_start + offset] = 1.0
-        basis[i] = identity[i] = art_start + offset
+    identity[slack_rows] = n + np.arange(n_slack)
+    identity[art_rows] = art_start + np.arange(n_art)
+    tableau[np.arange(m), identity] = 1.0
+    tableau[surplus_rows, n + n_slack + np.arange(n_surplus)] = -1.0
+    basis = identity.copy()
 
     allowed = np.ones(total, dtype=bool)
     allowed[art_start:] = False  # artificials may leave but never re-enter
@@ -201,9 +196,8 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
         return LpResult("unbounded", None, -np.inf, iterations)
 
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
+    structural = basis < n
+    x[basis[structural]] = tableau[:m, -1][structural]
     objective = float(c @ x)
     if not (np.isfinite(objective) and np.isfinite(x).all()):
         raise NumericalFailure("simplex ended at a non-finite point")

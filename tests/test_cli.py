@@ -185,6 +185,13 @@ class TestBuildCommand:
         assert not out_dir.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("prod-cost[1,1]" in line for line in err)
+        # UPP * L overflows the p_under objective coefficient; this wrote inf
+        instance = make_instance([make_unit()], demand=(100.0, 150.0),
+                                 upp=1e308, length=2.0)
+        paths = write_instance_files(instance, tmp_path / "penalty")
+        assert main(["build", "--out", str(out), *input_args(paths)]) == 1
+        assert not out.exists()
+        assert "p_under objective coefficient" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -214,6 +221,21 @@ class TestSolveCommand:
         penalty = [line for line in out.splitlines()
                    if "under_production_penalty" in line][0]
         assert float(penalty.split()[-1]) > 0.0
+
+    def test_penalties_are_charged_per_mwh(self, tmp_path, capsys):
+        # producing 100 MW for 2 h costs 60 * 2 * 100 = 12000; shedding it
+        # costs UPP * L * 100 = 20000, not the 10000 of a per-MW penalty
+        instance = make_instance(
+            [make_unit(1, p_min=0.0, var_cost=60.0, fixed_cost=0.0)],
+            demand=(100.0,), upp=100.0, opp=100.0, length=2.0)
+        paths = write_instance_files(instance, tmp_path / "mwh")
+        out_dir = tmp_path / "out"
+        assert main(["solve", "--json", "--out-dir", str(out_dir),
+                     *input_args(paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["objective"] == pytest.approx(12000.0)
+        assert sum(payload["cost_breakdown"].values()) == pytest.approx(12000.0)
+        assert (out_dir / "p.csv").read_text().splitlines()[1].split(",")[-1] == "100"
 
     def test_external_backend_without_command_is_usage_error(
             self, fixture_files, monkeypatch):
@@ -265,6 +287,10 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective"] == pytest.approx(2700.0)
         assert payload["cost_breakdown"]["production_cost"] == pytest.approx(2700.0)
+        stats = payload["stats"]
+        assert stats["lps"] > 0
+        assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
+                                     + stats["lps"])
 
     def test_config_override_changes_solution(self, fixture_files, tmp_path,
                                               capsys):
@@ -361,3 +387,9 @@ def test_imports_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+    # the shim shares no code with the builder, so it loads none of it
+    code = ("import sys, ucdispatch.mipshim; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ucdispatch'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "['ucdispatch', 'ucdispatch.mipshim']"

@@ -178,7 +178,8 @@ def test_objective_coefficients(fixture_inst):
                            ("ru", g.under_reserve_penalty),
                            ("po", g.over_prod_penalty)]:
         for k in (1, 2):
-            assert model.objective[model.column_of(f"{token}_{k}")] == penalty
+            assert model.objective[model.column_of(f"{token}_{k}")] == \
+                penalty * g.period_length
     covered = set(model.objective)
     for col, (kind, _, _) in enumerate(model.columns.keys):
         if kind in ("v", "p", "p_max", "s", "c"):

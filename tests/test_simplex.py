@@ -52,6 +52,14 @@ def test_negative_rhs_normalization():
     assert result.x == pytest.approx([1.0])
 
 
+@pytest.mark.parametrize("b", [1.0, -1.0], ids=["kept", "flipped"])
+def test_unknown_sense_is_rejected(b):
+    # an unknown sense used to get no slack and no artificial: "optimal"
+    # on a row it never read, or a KeyError once flipped
+    with pytest.raises(ValueError, match="unknown row sense '=='"):
+        solve_dense_lp([1.0], [[1.0]], ["=="], [b])
+
+
 def test_degenerate_lp_terminates():
     # multiple rows active at the optimum; Bland must not cycle
     A = [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]

@@ -1,7 +1,6 @@
 """Built-in exact solver, solution parsing/checking, external bridge."""
 
 import dataclasses
-import importlib
 import sys
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SHIM_TEMPLATE
 from helpers import fixture_instance, make_instance, make_unit, random_instance
+import ucdispatch.solve as solve_module
 from ucdispatch import mipshim
 from ucdispatch.errors import (
     NumericalFailure,
@@ -35,9 +35,6 @@ from ucdispatch.solve import (
 )
 from ucdispatch.thinning import thin_all
 from ucdispatch.writers import write_mps
-
-#: the module, which the package's ``solve`` function shadows as an attribute
-solve_module = importlib.import_module("ucdispatch.solve")
 
 
 def build(instance, tol=None):

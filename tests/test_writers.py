@@ -140,9 +140,10 @@ GOLDEN = {
     "storage": (
         "38080be9f25df002232546029a56b0923dc6463b71ea1015635b67c4600fd56d",
         "9e1919e17a0521f67514fb1a116c7dcf05b578fd0775c72c950f356c3323cfb1"),
+    # L = 1.5: the 18 slack objective coefficients are their penalty times L
     "multi-unit": (
-        "eb419c81a739c14f04e88f2b17f397dec7b06e51d2106f876a7724d4a6d1688a",
-        "758a19f8c9fa4f72f7646656b3036799aeffecdd067ba20581a274d82e7c1169"),
+        "9586626e7cfb8498c157850f44fcb3b018d0175eb7b83ea3df9488fe8f552c3a",
+        "5ced1156ed29ec1f9be51635475b81075f5b1333265de1efde39671189712513"),
     # 3,396 rows and 25,042 nonzeros: LP rows of up to 44 terms that wrap
     # many times, and columns with up to 207 entries
     "week-4x48": (
