@@ -165,6 +165,8 @@ def _solver_config(args, parser) -> SolverConfig:
     command = args.solver_cmd or os.environ.get("UC_SOLVER_CMD", "")
     if args.backend == "external" and not command:
         parser.error("--backend external requires --solver-cmd or UC_SOLVER_CMD")
+    if args.binary_budget < 0:
+        parser.error(f"--binary-budget must be at least 0, got {args.binary_budget}")
     return SolverConfig(backend=args.backend, command_template=command,
                         binary_budget=args.binary_budget)
 

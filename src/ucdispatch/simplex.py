@@ -59,7 +59,7 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _pivot_loop(tableau, basis, allowed, max_iter):
+def _pivot_loop(tableau, basis, allowed):
     """Run simplex pivots in place until optimal, unbounded or the cap.
 
     ``tableau`` is (m+1) x (ncols+1): m constraint rows plus the reduced-cost
@@ -71,7 +71,7 @@ def _pivot_loop(tableau, basis, allowed, max_iter):
     m = tableau.shape[0] - 1
     cost = tableau[m]
     iters = 0
-    while iters < max_iter:
+    while iters < MAX_ITERATIONS:
         entering = np.flatnonzero(allowed & (cost[:-1] < -TOL))
         if entering.size == 0:
             return "optimal", iters
@@ -94,16 +94,16 @@ def _pivot_loop(tableau, basis, allowed, max_iter):
 
 
 @numerical_guard("simplex")
-def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResult:
+def solve_dense_lp(c, A, senses, b) -> LpResult:
     """Solve min c.x s.t. A x (senses) b, x >= 0.
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  An optimal
     result carries the row duals in ``dual``: minus the final reduced cost
     of each row's identity column (its slack or its artificial), negated
     back on rows flipped for a negative right-hand side, 0 on rows dropped
-    as redundant.  Raises
-    :class:`NumericalFailure` if the pivot cap is hit, the arithmetic
-    overflows, or a NaN ratio or a non-finite optimum turns up.
+    as redundant.  Raises :class:`NumericalFailure` if a phase reaches
+    MAX_ITERATIONS pivots, the arithmetic overflows, or a NaN ratio or a
+    non-finite optimum turns up.
     """
     c = np.asarray(c, dtype=float)
     A = np.array(A, dtype=float, ndmin=2)
@@ -158,10 +158,10 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
             tableau[m, :] -= tableau[i, :]
         tableau[m, art_start:total] = 0.0
 
-        status, iters = _pivot_loop(tableau, basis, allowed, max_iter)
+        status, iters = _pivot_loop(tableau, basis, allowed)
         iterations += iters
         if status == "limit":
-            raise NumericalFailure(f"simplex phase 1 exceeded {max_iter} pivots")
+            raise NumericalFailure(f"simplex phase 1 exceeded {MAX_ITERATIONS} pivots")
         infeasibility = -tableau[m, -1]
         if infeasibility > 1e-7 * (1.0 + float(np.max(b))):
             return LpResult("infeasible", None, np.inf, iterations)
@@ -188,10 +188,10 @@ def solve_dense_lp(c, A, senses, b, *, max_iter: int = MAX_ITERATIONS) -> LpResu
         if basis[i] < n and c[basis[i]] != 0.0:
             tableau[m, :] -= c[basis[i]] * tableau[i, :]
 
-    status, iters = _pivot_loop(tableau, basis, allowed, max_iter)
+    status, iters = _pivot_loop(tableau, basis, allowed)
     iterations += iters
     if status == "limit":
-        raise NumericalFailure(f"simplex phase 2 exceeded {max_iter} pivots")
+        raise NumericalFailure(f"simplex phase 2 exceeded {MAX_ITERATIONS} pivots")
     if status == "unbounded":
         return LpResult("unbounded", None, -np.inf, iterations)
 

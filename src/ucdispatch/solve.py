@@ -1,11 +1,12 @@
 """Solving: the built-in exact solver and the external-solver bridge.
 
 The built-in backend enumerates all commitment patterns (0/1 assignments of
-the binary columns), prunes them with the purely-binary constraint rows
-(initial-state fixing, minimal up/downtime), folds single-variable rows into
-bounds and solves the remaining LP of each surviving pattern with the bundled
-dense simplex.  It is meant as a desk-scale oracle, not a production MIP
-solver.
+the binary columns) a block of PATTERN_BLOCK at a time.  For a whole block it
+prunes them with the purely-binary constraint rows (initial-state fixing,
+minimal up/downtime), folds single-variable rows into each pattern's bounds
+and drops the patterns whose bounds cross; then it solves the remaining LP of
+each surviving pattern with the bundled dense simplex.  It is meant as a
+desk-scale oracle, not a production MIP solver.
 
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
@@ -60,6 +61,8 @@ DUAL_POOL = 8
 #: a pattern is skipped when a dual bound exceeds the tie cut by this much,
 #: relative to 1 + |best|; far above the dual's rounding error
 DUAL_SKIP_REL = 1e-6
+#: patterns whose binary rows and bounds are checked at once
+PATTERN_BLOCK = 1 << 12
 
 
 @dataclass
@@ -137,11 +140,13 @@ class _ExactEngine:
         self.s_inv = 1.0 / coef
         self.s_is_ub = (s_sense == _SENSE_LE) | (s_sense == _SENSE_EQ)
         self.s_is_lb = (s_sense == _SENSE_GE) | (s_sense == _SENSE_EQ)
+        # the single rows of each variable's bound as one run, in row order
+        self.ub_rows, self.fin_vars, self.ub_starts = _runs(self.s_var, self.s_is_ub)
+        self.lb_rows, self.lb_vars, self.lb_starts = _runs(self.s_var, self.s_is_lb)
 
         self.m_bin, self.m_cont, self.m_rhs = brows[lp], crows[lp], rows.rhs[lp]
 
         # variables with a structurally finite upper bound get an explicit row
-        self.fin_vars = np.unique(self.s_var[self.s_is_ub])
         n_fin = len(self.fin_vars)
         eye_rows = np.zeros((n_fin, nc))
         eye_rows[np.arange(n_fin), self.fin_vars] = 1.0
@@ -153,6 +158,9 @@ class _ExactEngine:
         c = np.zeros(model.num_columns)
         c[list(model.objective)] = list(model.objective.values())
         self.c_cont, self.c_bin = c[~is_bin], c[is_bin]
+
+        self.stats = dict.fromkeys(
+            ("patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"), 0)
 
         # bits fixed by singleton pure equality rows (initial on/off states)
         self.fixed = np.full(len(bin_cols), -1, dtype=np.int8)
@@ -169,69 +177,49 @@ class _ExactEngine:
                     self.fixed[nz[0]] = bit
 
     def patterns(self):
-        """Feasible-by-binary-rows patterns, in lexicographic order."""
+        """``(pattern, lower, b)`` of each pattern that the binary rows and
+        its own bounds allow, in lexicographic order: ``lower`` is the shift
+        and ``b`` the right-hand side of its LP over ``x - lower``.  Checks
+        and counts PATTERN_BLOCK patterns at a time; one whose bounds or ``b``
+        overflow raises :class:`NumericalFailure` when the walk reaches it,
+        so that an earlier pattern's LP fails first."""
         if self.contradictory:
             return
         free = np.flatnonzero(self.fixed < 0)
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
         n_free = len(free)
         shifts = np.arange(n_free - 1, -1, -1, dtype=np.int64)
-        chunk = 1 << 14
-        for start in range(0, 1 << n_free, chunk):
-            stop = min(start + chunk, 1 << n_free)
+        for start in range(0, 1 << n_free, PATTERN_BLOCK):
+            stop = min(start + PATTERN_BLOCK, 1 << n_free)
             codes = np.arange(start, stop, dtype=np.int64)
             block = np.repeat(template[None, :], len(codes), axis=0)
-            if n_free:
-                block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-            if len(self.pure_w):
-                lhs = block @ self.pure_w.T
-                ok = np.ones(len(codes), dtype=bool)
-                le = self.pure_sense == _SENSE_LE
-                ge = self.pure_sense == _SENSE_GE
-                eq = self.pure_sense == _SENSE_EQ
-                if le.any():
-                    ok &= (lhs[:, le] <= self.pure_rhs[le] + 1e-9).all(axis=1)
-                if ge.any():
-                    ok &= (lhs[:, ge] >= self.pure_rhs[ge] - 1e-9).all(axis=1)
-                if eq.any():
-                    ok &= (np.abs(lhs[:, eq] - self.pure_rhs[eq]) <= 1e-9).all(axis=1)
-                block = block[ok]
-            yield from block
+            block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+            # the residual of each binary row, chosen by its sense code
+            gap = block @ self.pure_w.T - self.pure_rhs
+            residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
+            block = block[(residual <= 1e-9).all(axis=1)]
 
-    def pattern_lp(self, pattern):
-        """The shift ``lower`` and the right-hand side of one pattern's LP
-        over ``x - lower``, or None when the pattern's bounds cross."""
-        nc = self.nc
-        lower = np.zeros(nc)
-        upper = np.full(nc, np.inf)
-        if len(self.s_var):
-            vals = (self.s_rhs - self.s_bin @ pattern) * self.s_inv
-            np.minimum.at(upper, self.s_var[self.s_is_ub], vals[self.s_is_ub])
-            np.maximum.at(lower, self.s_var[self.s_is_lb], vals[self.s_is_lb])
-        if np.any(lower > upper + 1e-9):
-            return None
-        b = np.concatenate([
-            self.m_rhs - self.m_bin @ pattern - self.m_cont @ lower,
-            upper[self.fin_vars] - lower[self.fin_vars],
-        ])
-        return lower, b
-
-    def outcome(self, pattern, lower, result):
-        """(status, objective, values) of one pattern from its LP result."""
-        if result.status != "optimal":
-            return result.status, np.inf, None
-        x = result.x + lower
-        objective = float(self.c_cont @ x + self.c_bin @ pattern)
-        return "optimal", objective, x
-
-    def solve_pattern(self, pattern):
-        """LP of one commitment pattern; returns (status, objective, values)."""
-        shifted = self.pattern_lp(pattern)
-        if shifted is None:
-            return "infeasible", np.inf, None
-        lower, b = shifted
-        result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
-        return self.outcome(pattern, lower, result)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = (self.s_rhs - block @ self.s_bin.T) * self.s_inv
+                lower = np.zeros((len(block), self.nc))
+                upper = np.full((len(block), self.nc), np.inf)
+                upper[:, self.fin_vars] = np.minimum.reduceat(
+                    vals[:, self.ub_rows], self.ub_starts, axis=1)
+                lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
+                    vals[:, self.lb_rows], self.lb_starts, axis=1))
+                b = np.hstack([self.m_rhs - block @ self.m_bin.T - lower @ self.m_cont.T,
+                               upper[:, self.fin_vars] - lower[:, self.fin_vars]])
+                finite = np.isfinite(vals).all(axis=1)
+                crossed = finite & (lower > upper + 1e-9).any(axis=1)
+                finite &= np.isfinite(b).all(axis=1)
+            self.stats["patterns"] += len(block)
+            self.stats["bound_infeasible"] += int(crossed.sum())
+            for i in np.flatnonzero(~crossed):
+                if not finite[i]:
+                    raise NumericalFailure(
+                        "exact solver arithmetic failed: overflow in the LP bounds "
+                        f"of pattern {''.join(map(str, block[i]))}")
+                yield block[i], lower[i], b[i]
 
     def feasible_dual(self, dual):
         """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
@@ -248,17 +236,10 @@ class _ExactEngine:
         optimum, in lexicographic order, or None if a pattern's LP is
         unbounded.  Patterns that a pooled dual bound puts above the tie cut
         are skipped; ``self.stats`` counts what became of each pattern."""
-        stats = self.stats = dict.fromkeys(
-            ("patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"), 0)
+        stats = self.stats
         duals = np.empty((0, len(self.lp_senses)))
         best, ties = np.inf, []
-        for pattern in self.patterns():
-            stats["patterns"] += 1
-            shifted = self.pattern_lp(pattern)
-            if shifted is None:
-                stats["bound_infeasible"] += 1
-                continue
-            lower, b = shifted
+        for pattern, lower, b in self.patterns():
             if len(duals):
                 bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
                 if bound > _tie_cut(best) + DUAL_SKIP_REL * (1.0 + abs(best)):
@@ -267,14 +248,15 @@ class _ExactEngine:
             result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
             stats["lps"] += 1
             stats["pivots"] += result.iterations
-            status, objective, x = self.outcome(pattern, lower, result)
-            if status == "unbounded":
+            if result.status == "unbounded":
                 return None
-            if status != "optimal":
+            if result.status != "optimal":
                 continue
             y = self.feasible_dual(result.dual)
             if y is not None:
                 duals = np.vstack([duals, y])[-DUAL_POOL:]
+            x = result.x + lower
+            objective = float(self.c_cont @ x + self.c_bin @ pattern)
             if objective > _tie_cut(best):
                 continue
             if objective < best:
@@ -282,6 +264,15 @@ class _ExactEngine:
                 ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
             ties.append((pattern.copy(), objective, x))
         return ties
+
+
+def _runs(var, mask):
+    """The rows in ``mask`` ordered by ``var``, stably, with the distinct
+    vars and where each one's run of rows starts."""
+    rows = np.flatnonzero(mask)
+    rows = rows[np.argsort(var[rows], kind="stable")]
+    values, starts = np.unique(var[rows], return_index=True)
+    return rows, values, starts
 
 
 def _tie_cut(best: float) -> float:

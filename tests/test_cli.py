@@ -259,6 +259,19 @@ class TestSolveCommand:
                      *input_args(fixture_files)]) == 3
         assert "--backend external" in capsys.readouterr().err
 
+    def test_negative_binary_budget_is_usage_error(self, fixture_files, tmp_path, capsys):
+        # this exited 3, hinting at the external backend
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--binary-budget", "-1", "--out-dir", str(tmp_path / "x"),
+                  *input_args(fixture_files)])
+        assert info.value.code == 2
+        assert "--binary-budget must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        # 0 is a budget: the fixture's two binaries exceed it
+        assert main(["solve", "--binary-budget", "0", "--out-dir", str(tmp_path / "x"),
+                     *input_args(fixture_files)]) == 3
+        assert "enumeration budget of 0" in capsys.readouterr().err
+
     def test_overflowing_costs_exit_three(self, tmp_path, capsys):
         # the ratio test met a NaN and raised IndexError, a traceback
         instance = make_instance([make_unit(var_cost=1e308)], demand=(100.0, 150.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ucdispatch import simplex
 from ucdispatch.errors import NumericalFailure
 from ucdispatch.simplex import TOL, kernel_name, solve_dense_lp
 
@@ -75,10 +76,14 @@ def test_no_rows():
     assert solve_dense_lp([-1.0], np.zeros((0, 1)), [], []).status == "unbounded"
 
 
-def test_iteration_cap_raises():
-    with pytest.raises(NumericalFailure):
+def test_iteration_cap_raises(monkeypatch):
+    # each LP needs two pivots in the phase named; the cap is read per call
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
+    with pytest.raises(NumericalFailure, match="phase 1 exceeded 1 pivots"):
+        solve_dense_lp([1.0, 1.0], np.eye(2), [">=", ">="], [1.0, 1.0])
+    with pytest.raises(NumericalFailure, match="phase 2 exceeded 1 pivots"):
         solve_dense_lp([-1.0, -2.0], [[1.0, 1.0], [1.0, 0.0]],
-                       ["<=", "<="], [4.0, 3.0], max_iter=1)
+                       ["<=", "<="], [4.0, 3.0])
 
 
 def _random_lp(rng):

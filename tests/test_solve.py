@@ -1,7 +1,9 @@
 """Built-in exact solver, solution parsing/checking, external bridge."""
 
 import dataclasses
+import itertools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ucdispatch.errors import (
     UnparsableSolution,
 )
 from ucdispatch.instance import StartupCostCurve
-from ucdispatch.model import ColumnIndex, MilpModel, RowMatrix, build_model
+from ucdispatch.model import SENSE_CODE, ColumnIndex, MilpModel, RowMatrix, build_model
 from ucdispatch.solve import (
     SolverConfig,
     _ExactEngine,
@@ -207,17 +209,56 @@ class TestEnumerateOptimalPatterns:
 def unpruned_ties(engine):
     """The tie list of a full enumeration: every pattern cold-solved."""
     best, ties = np.inf, []
-    for pattern in engine.patterns():
-        status, objective, x = engine.solve_pattern(pattern)
-        if status == "unbounded":
+    for pattern, lower, b in engine.patterns():
+        result = solve_module.solve_dense_lp(engine.c_cont, engine.lp_matrix,
+                                             engine.lp_senses, b)
+        if result.status == "unbounded":
             return None
-        if status != "optimal" or objective > _tie_cut(best):
+        if result.status != "optimal":
+            continue
+        x = result.x + lower
+        objective = float(engine.c_cont @ x + engine.c_bin @ pattern)
+        if objective > _tie_cut(best):
             continue
         if objective < best:
             best = objective
             ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
         ties.append((pattern.copy(), objective, x))
     return ties
+
+
+def pattern_lp(engine, pattern):
+    """The shift ``lower`` and the right-hand side of one pattern's LP over
+    ``x - lower``, or None when the pattern's bounds cross: the engine's
+    bounds one pattern at a time, as a reference for its blocks."""
+    nc = engine.nc
+    lower = np.zeros(nc)
+    upper = np.full(nc, np.inf)
+    if len(engine.s_var):
+        vals = (engine.s_rhs - engine.s_bin @ pattern) * engine.s_inv
+        np.minimum.at(upper, engine.s_var[engine.s_is_ub], vals[engine.s_is_ub])
+        np.maximum.at(lower, engine.s_var[engine.s_is_lb], vals[engine.s_is_lb])
+    if np.any(lower > upper + 1e-9):
+        return None
+    b = np.concatenate([
+        engine.m_rhs - engine.m_bin @ pattern - engine.m_cont @ lower,
+        upper[engine.fin_vars] - lower[engine.fin_vars],
+    ])
+    return lower, b
+
+
+def reference_patterns(engine):
+    """Every 0/1 pattern in lexicographic order that each binary row allows,
+    with ``pattern_lp`` of it (None where its bounds cross)."""
+    lhs_ok = {SENSE_CODE["<="]: lambda lhs, rhs: lhs <= rhs + 1e-9,
+              SENSE_CODE[">="]: lambda lhs, rhs: lhs >= rhs - 1e-9,
+              SENSE_CODE["="]: lambda lhs, rhs: abs(lhs - rhs) <= 1e-9}
+    for bits in itertools.product((0, 1), repeat=len(engine.bin_cols)):
+        pattern = np.array(bits, dtype=np.int8)
+        lhs = engine.pure_w @ pattern
+        if all(lhs_ok[sense](value, rhs) for value, sense, rhs
+               in zip(lhs, engine.pure_sense, engine.pure_rhs)):
+            yield pattern, pattern_lp(engine, pattern)
 
 
 @st.composite
@@ -237,22 +278,55 @@ def desk_instances(draw):
                                startup_curves=curves)
 
 
+def same_as_full_enumeration(model):
+    """Check the engine's ties against a cold solve of every pattern and
+    ``solve_exact`` against the first of them; return the ties and stats."""
+    engine = _ExactEngine(model, SolverConfig())
+    ties, expected = engine.optimal(), unpruned_ties(engine)
+    assert [tuple(p) for p, _, _ in ties] == [tuple(p) for p, _, _ in expected]
+    assert [o for _, o, _ in ties] == [o for _, o, _ in expected]
+    assert [x.tobytes() for _, _, x in ties] == [x.tobytes() for _, _, x in expected]
+    pattern, objective, x = expected[0]
+    values = np.empty(model.num_columns)
+    values[engine.bin_cols], values[engine.cont_cols] = pattern, x
+    solution = solve_exact(model)
+    assert solution.objective == objective
+    assert solution.values.tobytes() == values.tobytes()
+    return ties, solution.stats
+
+
 class TestDualSkip:
     @settings(max_examples=40, deadline=None)
     @given(desk_instances())
     def test_same_answer_as_full_enumeration(self, instance):
+        same_as_full_enumeration(build(instance))
+
+    @settings(max_examples=20, deadline=None)
+    @given(desk_instances())
+    def test_block_seams_change_nothing(self, instance):
+        # blocks of 3: several per instance, a partial last one and some
+        # that the binary rows or the bounds empty
         model = build(instance)
-        engine = _ExactEngine(model, SolverConfig())
-        ties, expected = engine.optimal(), unpruned_ties(engine)
-        assert [tuple(p) for p, _, _ in ties] == [tuple(p) for p, _, _ in expected]
-        assert [o for _, o, _ in ties] == [o for _, o, _ in expected]
-        assert [x.tobytes() for _, _, x in ties] == [x.tobytes() for _, _, x in expected]
-        pattern, objective, x = expected[0]
-        values = np.empty(model.num_columns)
-        values[engine.bin_cols], values[engine.cont_cols] = pattern, x
-        solution = solve_exact(model)
-        assert solution.objective == objective
-        assert solution.values.tobytes() == values.tobytes()
+        ties, stats = same_as_full_enumeration(model)
+        with mock.patch.object(solve_module, "PATTERN_BLOCK", 3):
+            small_ties, small_stats = same_as_full_enumeration(model)
+        assert [(p.tobytes(), o, x.tobytes()) for p, o, x in small_ties] == \
+            [(p.tobytes(), o, x.tobytes()) for p, o, x in ties]
+        assert small_stats == stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(desk_instances())
+    def test_blocks_match_the_per_pattern_reference(self, instance):
+        engine = _ExactEngine(build(instance), SolverConfig())
+        reference = list(reference_patterns(engine))
+        kept = [(pattern, *shifted) for pattern, shifted in reference if shifted]
+        got = list(engine.patterns())
+        assert [p.tobytes() for p, _, _ in got] == [p.tobytes() for p, _, _ in kept]
+        for (_, lower, b), (_, ref_lower, ref_b) in zip(got, kept):
+            np.testing.assert_allclose(lower, ref_lower, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(b, ref_b, rtol=1e-12, atol=1e-12)
+        assert engine.stats["patterns"] == len(reference)
+        assert engine.stats["bound_infeasible"] == len(reference) - len(kept)
 
     def test_unpruned_enumeration_solves_few_lps(self, monkeypatch):
         # 1024 patterns and no commitment rule: the full enumeration solves
