@@ -28,11 +28,13 @@ from .errors import (
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
-#: units.csv column order (also the write-back order used by the test fixtures)
+#: units.csv column order: UnitSpec's field order and the fixtures' write-back order
 UNIT_COLUMNS = (
     "j", "UT", "DT", "IUT", "IDT", "P_min", "P_max", "RU", "RD", "SU", "SD",
     "SC", "SE", "SIF", "SI", "SF", "F", "FA", "FB", "PA", "PB", "CD",
 )
+#: the units.csv columns read as integers; F is text and the rest are floats
+_INT_UNIT_COLUMNS = frozenset(("j", "UT", "DT", "IUT", "IDT"))
 
 STARTUP_COLUMNS = ("j", "k", "CU")
 
@@ -286,30 +288,11 @@ def _read_units(path) -> tuple[UnitSpec, ...]:
         _check_columns(path, reader.fieldnames, UNIT_COLUMNS)
         for row_no, row in enumerate(reader, start=2):
             where = f"{path}:{row_no}"
-            units.append(UnitSpec(
-                unit_id=_parse_int(row["j"], f"{where} j"),
-                min_uptime=_parse_int(row["UT"], f"{where} UT"),
-                min_downtime=_parse_int(row["DT"], f"{where} DT"),
-                initial_uptime=_parse_int(row["IUT"], f"{where} IUT"),
-                initial_downtime=_parse_int(row["IDT"], f"{where} IDT"),
-                p_min=_parse_float(row["P_min"], f"{where} P_min"),
-                p_max=_parse_float(row["P_max"], f"{where} P_max"),
-                ramp_up=_parse_float(row["RU"], f"{where} RU"),
-                ramp_down=_parse_float(row["RD"], f"{where} RD"),
-                startup_ramp=_parse_float(row["SU"], f"{where} SU"),
-                shutdown_ramp=_parse_float(row["SD"], f"{where} SD"),
-                storage_capacity=_parse_float(row["SC"], f"{where} SC"),
-                storage_efficiency=_parse_float(row["SE"], f"{where} SE"),
-                storage_inflow=_parse_float(row["SIF"], f"{where} SIF"),
-                initial_storage=_parse_float(row["SI"], f"{where} SI"),
-                final_storage=_parse_float(row["SF"], f"{where} SF"),
-                fuel_type=(row["F"] or "").strip(),
-                var_fuel=_parse_float(row["FA"], f"{where} FA"),
-                fixed_fuel=_parse_float(row["FB"], f"{where} FB"),
-                var_cost=_parse_float(row["PA"], f"{where} PA"),
-                fixed_cost=_parse_float(row["PB"], f"{where} PB"),
-                shutdown_cost=_parse_float(row["CD"], f"{where} CD"),
-            ))
+            units.append(UnitSpec(*(
+                (row[column] or "").strip() if column == "F"
+                else (_parse_int if column in _INT_UNIT_COLUMNS else _parse_float)(
+                    row[column], f"{where} {column}")
+                for column in UNIT_COLUMNS)))
     return tuple(units)
 
 

@@ -23,22 +23,22 @@ Constraint families (names used in constraint tags and stats):
 
 A model stores its constraints once, as ``MilpModel.rows``: compressed
 sparse rows in NumPy arrays with each row's name, sense, right-hand side and
-family code, filled one row at a time by :meth:`RowMatrix.from_rows` from
-the builder's row generator.  It stores its columns once, as
-``MilpModel.columns``: each column's (kind, unit, period) key and name, the
-name -> column and key -> column maps and the binary columns.  Every
-consumer (exact engine, LP relaxation, residual check, MPS/LP writers,
-solution parser, reports) reads only ``rows`` and ``columns``, so a built
-model is read-only.  ``MilpModel.constraints`` is a view that makes
-:class:`LinearConstraint` objects from ``rows`` on each access.
+family code, made in one pass by :meth:`RowMatrix.from_blocks` from one
+:class:`RowBlock` per family and unit, its terms vectorised over periods.
+It stores its columns once, as ``MilpModel.columns``: each column's (kind,
+unit, period) key and name, the name -> column and key -> column maps and
+the binary columns.  Every consumer (exact engine, LP relaxation, residual
+check, MPS/LP writers, solution parser, reports) reads only ``rows`` and
+``columns``, so a built model is read-only.  ``MilpModel.constraints`` is a
+view that makes :class:`LinearConstraint` objects from ``rows`` on each
+access.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +79,20 @@ class LinearConstraint:
         return self.name.split("[", 1)[0]
 
 
+class RowBlock(NamedTuple):
+    """Rows of one family for :meth:`RowMatrix.from_blocks`: row i is named
+    ``family[keys[i]]``.  ``rhs`` is one value or one per row.  A term
+    ``(columns, values)`` puts one nonzero in every row, ``(rows, columns,
+    values)`` one in each listed row; scalars broadcast.  No row may name a
+    column twice."""
+
+    family: str
+    keys: Sequence
+    sense: str
+    rhs: float | np.ndarray
+    terms: list[tuple]
+
+
 #: row senses in the order of their :attr:`RowMatrix.sense` codes
 SENSES = ("<=", "=", ">=")
 SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
@@ -101,26 +115,36 @@ class RowMatrix:
     names: tuple[str, ...]
 
     @classmethod
-    def from_rows(cls, rows) -> RowMatrix:
-        """The matrix of ``(name, {column: value}, sense, rhs)`` rows, read one
-        at a time, zero values dropped; a row's family is its name up to "["."""
-        indptr, indices, data = array("q", [0]), array("i"), array("d")
-        sense, rhs, family = array("b"), array("d"), array("q")
-        families: dict[str, int] = {}
-        names = []
-        for name, coefficients, row_sense, row_rhs in rows:
-            columns = sorted(c for c, v in coefficients.items() if v != 0.0)
-            indices.extend(columns)
-            data.extend(map(coefficients.__getitem__, columns))
-            indptr.append(len(indices))
-            sense.append(SENSE_CODE[row_sense])
-            rhs.append(row_rhs)
-            family.append(families.setdefault(name.partition("[")[0], len(families)))
-            names.append(name)
-        return cls(np.frombuffer(indptr, np.int64), np.frombuffer(indices, np.int32),
-                   np.frombuffer(data, np.float64), np.frombuffer(sense, np.int8),
-                   np.frombuffer(rhs, np.float64), np.frombuffer(family, np.int64),
-                   tuple(families), tuple(names))
+    def from_blocks(cls, blocks) -> RowMatrix:
+        """The rows of ``blocks``, block after block, with zero values dropped
+        and each row's columns sorted; families are numbered in the order in
+        which they first appear."""
+        blocks = [block for block in blocks if len(block.keys)]
+        sizes = [len(block.keys) for block in blocks]
+        families = {f: i for i, f in enumerate(dict.fromkeys(b.family for b in blocks))}
+        rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        rhs, start = [np.zeros(0)], 0
+        for block, size in zip(blocks, sizes):
+            every = np.arange(start, start + size)
+            rhs.append([block.rhs] * size if np.isscalar(block.rhs) else block.rhs)
+            for *at, columns, values in block.terms:
+                rows.append(every[at[0]] if at else every)
+                cols.append(columns)
+                vals.append([values] * len(columns) if np.isscalar(values) else values)
+            start += size
+        row, col, val = map(np.concatenate, (rows, cols, vals))
+        keep = val != 0.0
+        row, col, val = row[keep], col[keep], val[keep]
+        # (row, column) order as one argsort of row * width + column
+        order = np.argsort(row * (int(col.max(initial=0)) + 1) + col, kind="stable")
+        return cls(
+            np.concatenate([[0], np.cumsum(np.bincount(row, minlength=start))]),
+            col[order].astype(np.int32), val[order],
+            np.repeat([SENSE_CODE[block.sense] for block in blocks], sizes).astype(np.int8),
+            np.concatenate(rhs),
+            np.repeat([families[block.family] for block in blocks], sizes).astype(np.int64),
+            tuple(families),
+            tuple(f"{block.family}[{key}]" for block in blocks for key in block.keys))
 
     def row_ids(self) -> np.ndarray:
         """The row of every nonzero."""
@@ -192,6 +216,13 @@ class MilpModel:
         return sum(coef * float(values[col]) for col, coef in self.objective.items())
 
 
+def _pairs(outer, inner, keep):
+    """The pairs (o, i) of ``outer`` x ``inner`` with ``keep(o, i)``, as two
+    arrays in outer-major order."""
+    at_outer, at_inner = np.nonzero(keep(outer[:, None], inner[None, :]))
+    return outer[at_outer], inner[at_inner]
+
+
 def build_model(instance: Instance,
                 thinned: dict[int, ThinnedCurve] | None = None,
                 *, ramp_tightening: bool = True) -> MilpModel:
@@ -228,7 +259,9 @@ def build_model(instance: Instance,
     objective: dict[int, float] = {}
 
     def col(kind, j, k):
-        return columns.by_key[(kind, j, k)]
+        """The column of (kind, j, k); ``k`` may be an array of periods, since
+        a (kind, unit)'s columns are consecutive for periods 1..T."""
+        return columns.by_key[(kind, j, 1)] - 1 + k
 
     # --- objective -----------------------------------------------------------
     for u in units:
@@ -249,171 +282,147 @@ def build_model(instance: Instance,
             if cost != 0.0:
                 objective[col(kind, None, k)] = cost
 
-    def rows():
-        # --- initial state fixing --------------------------------------------
-        for u in units:
-            j = u.unit_id
-            for k in range(1, min(u.initial_uptime, T) + 1):
-                yield (f"initial-on[{j},{k}]", {col("v", j, k): 1.0}, "=", 1.0)
-        for u in units:
-            j = u.unit_id
-            for k in range(1, min(u.initial_downtime, T) + 1):
-                yield (f"initial-off[{j},{k}]", {col("v", j, k): 1.0}, "=", 0.0)
+    # --- rows, one block per family and unit ---------------------------------
+    periods, ks, last = np.arange(1, T + 1), np.arange(2, T + 1), np.array([T])
+    # the row keys "j,k" of each unit for periods 1..T
+    jk = {u.unit_id: [f"{u.unit_id},{k}" for k in range(1, T + 1)] for u in units}
+    blocks = []
 
-        # --- minimal up/downtime ---------------------------------------------
-        # A startup in period k (v(k) - v(k-1) = 1) forces v(k+i) = 1 for the
-        # next UT-1 periods; shutdowns are handled symmetrically.
-        for u in units:
-            j = u.unit_id
-            for k in range(u.initial_uptime + 2, T + 1):
-                for i in range(1, min(u.min_uptime - 1, T - k) + 1):
-                    yield (
-                        f"min-up[{j},{k},{i}]",
-                        {col("v", j, k + i): 1.0, col("v", j, k): -1.0,
-                         col("v", j, k - 1): 1.0},
-                        ">=", 0.0)
-        for u in units:
-            j = u.unit_id
-            for k in range(u.initial_downtime + 2, T + 1):
-                for i in range(1, min(u.min_downtime - 1, T - k) + 1):
-                    yield (
-                        f"min-down[{j},{k},{i}]",
-                        {col("v", j, k + i): 1.0, col("v", j, k - 1): 1.0,
-                         col("v", j, k): -1.0},
-                        "<=", 1.0)
+    # --- initial state fixing ------------------------------------------------
+    for u in units:
+        j, n = u.unit_id, u.initial_uptime
+        blocks.append(RowBlock("initial-on", jk[j][:n], "=", 1.0,
+                               [(col("v", j, periods[:n]), 1.0)]))
+    for u in units:
+        j, n = u.unit_id, u.initial_downtime
+        blocks.append(RowBlock("initial-off", jk[j][:n], "=", 0.0,
+                               [(col("v", j, periods[:n]), 1.0)]))
 
-        # --- production bounds, split into three rows ------------------------
-        for u in units:
-            j = u.unit_id
-            for k in range(1, T + 1):
-                yield (f"bounds[{j},{k},1]",
-                       {col("v", j, k): u.p_min, col("p", j, k): -1.0}, "<=", 0.0)
-                yield (f"bounds[{j},{k},2]",
-                       {col("p", j, k): 1.0, col("p_max", j, k): -1.0}, "<=", 0.0)
-                yield (f"bounds[{j},{k},3]",
-                       {col("p_max", j, k): 1.0, col("v", j, k): -u.p_max}, "<=", 0.0)
+    # --- minimal up/downtime -------------------------------------------------
+    # A startup in period k (v(k) - v(k-1) = 1) forces v(k+i) = 1 for the next
+    # UT-1 periods; shutdowns are handled symmetrically.
+    for u in units:
+        j = u.unit_id
+        k, i = _pairs(np.arange(u.initial_uptime + 2, T + 1), np.arange(1, u.min_uptime),
+                      lambda k, i: i <= T - k)
+        blocks.append(RowBlock(
+            "min-up", [f"{j},{a},{b}" for a, b in zip(k.tolist(), i.tolist())], ">=", 0.0,
+            [(col("v", j, k + i), 1.0), (col("v", j, k), -1.0), (col("v", j, k - 1), 1.0)]))
+    for u in units:
+        j = u.unit_id
+        k, i = _pairs(np.arange(u.initial_downtime + 2, T + 1),
+                      np.arange(1, u.min_downtime), lambda k, i: i <= T - k)
+        blocks.append(RowBlock(
+            "min-down", [f"{j},{a},{b}" for a, b in zip(k.tolist(), i.tolist())], "<=", 1.0,
+            [(col("v", j, k + i), 1.0), (col("v", j, k - 1), 1.0), (col("v", j, k), -1.0)]))
 
-        # --- ramping ---------------------------------------------------------
-        # The tightening constants use max(P_min, 0): the best variable-free lower
-        # bound on the previous production, valid also for storage units.
-        for u in units:
-            j = u.unit_id
-            base = max(u.p_min, 0.0)
-            rtu = min(u.startup_ramp, base + L * u.ramp_up) if ramp_tightening else 0.0
-            for k in range(2, T + 1):
-                yield (
-                    f"ramp-up[{j},{k}]",
-                    {col("p_max", j, k): 1.0,
-                     col("p", j, k - 1): -1.0,
-                     col("v", j, k - 1): u.startup_ramp - L * u.ramp_up,
-                     col("v", j, k): -rtu},
-                    "<=", u.startup_ramp - rtu)
-            rtd = min(u.shutdown_ramp, base + L * u.ramp_down) if ramp_tightening else 0.0
-            for k in range(2, T + 1):
-                yield (
-                    f"ramp-down[{j},{k}]",
-                    {col("p", j, k): 1.0,
-                     col("p", j, k - 1): -1.0,
-                     col("v", j, k): L * u.ramp_down - u.shutdown_ramp,
-                     col("v", j, k - 1): rtd},
-                    ">=", rtd - u.shutdown_ramp)
-            for k in range(1, T):
-                yield (
-                    f"shutdown-limit[{j},{k}]",
-                    {col("p_max", j, k): 1.0,
-                     col("v", j, k): -u.shutdown_ramp,
-                     col("v", j, k + 1): u.shutdown_ramp - u.p_max},
-                    "<=", 0.0)
+    # --- production bounds, three rows per period ----------------------------
+    first = 3 * (periods - 1)
+    for u in units:
+        j = u.unit_id
+        v, p, pm = col("v", j, periods), col("p", j, periods), col("p_max", j, periods)
+        blocks.append(RowBlock(
+            "bounds", [f"{key},{i}" for key in jk[j] for i in (1, 2, 3)], "<=", 0.0,
+            [(first, v, u.p_min), (first, p, -1.0), (first + 1, p, 1.0),
+             (first + 1, pm, -1.0), (first + 2, pm, 1.0), (first + 2, v, -u.p_max)]))
 
-        # --- storage ---------------------------------------------------------
-        for u in storage:
-            j = u.unit_id
-            for k in range(1, T + 1):
-                yield (f"storage-cap[{j},{k}]",
-                       {col("s", j, k): 1.0}, "<=", u.storage_capacity)
-            for k in range(1, T + 1):
-                yield (f"consumption-cap[{j},{k}]",
-                       {col("c", j, k): 1.0}, "<=", max(0.0, -u.p_min))
-            for k in range(2, T + 1):
-                yield (
-                    f"storage-balance[{j},{k}]",
-                    {col("s", j, k): 1.0,
-                     col("s", j, k - 1): -1.0,
-                     col("c", j, k - 1): -L * u.storage_efficiency,
-                     col("p", j, k - 1): L},
-                    "=", L * u.storage_inflow)
-            yield (f"storage-initial[{j}]", {col("s", j, 1): 1.0},
-                   "=", u.initial_storage)
-            yield (
-                f"storage-final[{j}]",
-                {col("s", j, T): 1.0,
-                 col("c", j, T): L * u.storage_efficiency,
-                 col("p", j, T): -L},
-                "=", u.final_storage - L * u.storage_inflow)
+    # --- ramping -------------------------------------------------------------
+    # The tightening constants use max(P_min, 0): the best variable-free lower
+    # bound on the previous production, valid also for storage units.
+    for u in units:
+        j = u.unit_id
+        base = max(u.p_min, 0.0)
+        rtu = min(u.startup_ramp, base + L * u.ramp_up) if ramp_tightening else 0.0
+        blocks.append(RowBlock(
+            "ramp-up", jk[j][1:], "<=", u.startup_ramp - rtu,
+            [(col("p_max", j, ks), 1.0), (col("p", j, ks - 1), -1.0),
+             (col("v", j, ks - 1), u.startup_ramp - L * u.ramp_up),
+             (col("v", j, ks), -rtu)]))
+        rtd = min(u.shutdown_ramp, base + L * u.ramp_down) if ramp_tightening else 0.0
+        blocks.append(RowBlock(
+            "ramp-down", jk[j][1:], ">=", rtd - u.shutdown_ramp,
+            [(col("p", j, ks), 1.0), (col("p", j, ks - 1), -1.0),
+             (col("v", j, ks), L * u.ramp_down - u.shutdown_ramp),
+             (col("v", j, ks - 1), rtd)]))
+        blocks.append(RowBlock(
+            "shutdown-limit", jk[j][:-1], "<=", 0.0,
+            [(col("p_max", j, ks - 1), 1.0), (col("v", j, ks - 1), -u.shutdown_ramp),
+             (col("v", j, ks), u.shutdown_ramp - u.p_max)]))
 
-        # --- demand and reserve with slacks ----------------------------------
-        for k in range(1, T + 1):
-            coeffs = {col("p", u.unit_id, k): 1.0 for u in units}
-            for u in storage:
-                coeffs[col("c", u.unit_id, k)] = -1.0
-            coeffs[col("p_under", None, k)] = 1.0
-            coeffs[col("p_over", None, k)] = -1.0
-            yield (f"demand[{k}]", coeffs, "=", instance.periods.demand[k - 1])
-        for k in range(1, T + 1):
-            coeffs = {}
-            for u in units:
-                coeffs[col("p_max", u.unit_id, k)] = 1.0
-                coeffs[col("p", u.unit_id, k)] = -1.0
-            for u in storage:
-                coeffs[col("c", u.unit_id, k)] = 1.0
-            coeffs[col("r_under", None, k)] = 1.0
-            yield (f"reserve[{k}]", coeffs, ">=", instance.periods.reserve[k - 1])
+    # --- storage -------------------------------------------------------------
+    for u in storage:
+        j = u.unit_id
+        blocks += [
+            RowBlock("storage-cap", jk[j], "<=", u.storage_capacity,
+                     [(col("s", j, periods), 1.0)]),
+            RowBlock("consumption-cap", jk[j], "<=", max(0.0, -u.p_min),
+                     [(col("c", j, periods), 1.0)]),
+            RowBlock("storage-balance", jk[j][1:], "=", L * u.storage_inflow,
+                     [(col("s", j, ks), 1.0), (col("s", j, ks - 1), -1.0),
+                      (col("c", j, ks - 1), -L * u.storage_efficiency),
+                      (col("p", j, ks - 1), L)]),
+            RowBlock("storage-initial", [j], "=", u.initial_storage,
+                     [(col("s", j, periods[:1]), 1.0)]),
+            RowBlock("storage-final", [j], "=", u.final_storage - L * u.storage_inflow,
+                     [(col("s", j, last), 1.0),
+                      (col("c", j, last), L * u.storage_efficiency),
+                      (col("p", j, last), -L)]),
+        ]
 
-        # --- production cost equalities --------------------------------------
-        for u in units:
-            j = u.unit_id
-            fc = instance.periods.fuel_cost[u.fuel_type]
-            for k in range(1, T + 1):
-                var_rate = (u.var_fuel * fc[k - 1] + u.var_cost) * L
-                fixed_rate = (u.fixed_fuel * fc[k - 1] + u.fixed_cost) * L
-                yield (
-                    f"prod-cost[{j},{k}]",
-                    {col("cp", j, k): 1.0,
-                     col("p", j, k): -var_rate,
-                     col("v", j, k): -fixed_rate},
-                    "=", 0.0)
+    # --- demand and reserve with slacks --------------------------------------
+    blocks.append(RowBlock(
+        "demand", range(1, T + 1), "=", np.asarray(instance.periods.demand, dtype=float),
+        [*((col("p", u.unit_id, periods), 1.0) for u in units),
+         *((col("c", u.unit_id, periods), -1.0) for u in storage),
+         (col("p_under", None, periods), 1.0), (col("p_over", None, periods), -1.0)]))
+    blocks.append(RowBlock(
+        "reserve", range(1, T + 1), ">=", np.asarray(instance.periods.reserve, dtype=float),
+        [*((col(kind, u.unit_id, periods), value) for u in units
+           for kind, value in (("p_max", 1.0), ("p", -1.0))),
+         *((col("c", u.unit_id, periods), 1.0) for u in storage),
+         (col("r_under", None, periods), 1.0)]))
 
-        # --- shutdown cost epigraph ------------------------------------------
-        for u in units:
-            j = u.unit_id
-            for k in range(2, T + 1):
-                yield (
-                    f"shutdown-cost[{j},{k}]",
-                    {col("cd", j, k): 1.0,
-                     col("v", j, k - 1): -u.shutdown_cost,
-                     col("v", j, k): u.shutdown_cost},
-                    ">=", 0.0)
+    # --- production cost equalities ------------------------------------------
+    for u in units:
+        j = u.unit_id
+        fc = np.asarray(instance.periods.fuel_cost[u.fuel_type], dtype=float)
+        # an overflow here is reported as a DomainError naming the row
+        with np.errstate(over="ignore", invalid="ignore"):
+            var_rate = (u.var_fuel * fc + u.var_cost) * L
+            fixed_rate = (u.fixed_fuel * fc + u.fixed_cost) * L
+        blocks.append(RowBlock(
+            "prod-cost", jk[j], "=", 0.0,
+            [(col("cp", j, periods), 1.0), (col("p", j, periods), -var_rate),
+             (col("v", j, periods), -fixed_rate)]))
 
-        # --- startup cost epigraph over thinned group starts -----------------
-        # cu(j,k) >= step(t) * (v(j,k) - sum_{n=1..t} v(j,k-n)) for group starts
-        # t < k.  The right-hand term is 1 exactly when the unit starts in k after
-        # at least t offline periods.  A unit's v columns are consecutive, so the
-        # window v(k-t..k-1) is one column range.
-        for u in units:
-            j = u.unit_id
-            curve = thinned.get(j)
-            starts = curve.group_starts() if curve is not None else []
-            for k in range(1, T + 1):
-                for t in starts:
-                    if t > k - 1:
-                        break
-                    step = curve.steps[t]
-                    coeffs = {col("cu", j, k): 1.0, col("v", j, k): -step}
-                    window = range(col("v", j, k - t), col("v", j, k))
-                    coeffs.update(dict.fromkeys(window, step))
-                    yield (f"startup-cost[{j},{k},{t}]", coeffs, ">=", 0.0)
+    # --- shutdown cost epigraph ----------------------------------------------
+    for u in units:
+        j = u.unit_id
+        blocks.append(RowBlock(
+            "shutdown-cost", jk[j][1:], ">=", 0.0,
+            [(col("cd", j, ks), 1.0), (col("v", j, ks - 1), -u.shutdown_cost),
+             (col("v", j, ks), u.shutdown_cost)]))
 
-    matrix = RowMatrix.from_rows(rows())
+    # --- startup cost epigraph over thinned group starts ---------------------
+    # cu(j,k) >= step(t) * (v(j,k) - sum_{n=1..t} v(j,k-n)) for group starts
+    # t < k.  The right-hand term is 1 exactly when the unit starts in k after
+    # at least t offline periods.  The window v(k-t..k-1) is one ragged term.
+    for u in units:
+        j = u.unit_id
+        curve = thinned.get(j)
+        starts = np.array(curve.group_starts() if curve is not None else [], dtype=np.int64)
+        steps = np.array([curve.steps[t] for t in starts.tolist()], dtype=float)
+        k, g = _pairs(periods, np.arange(len(starts)), lambda k, g: starts[g] < k)
+        t, step = starts[g], steps[g]
+        row = np.repeat(np.arange(len(k)), t)
+        offset = np.arange(len(row)) - np.repeat(np.cumsum(t) - t, t)
+        blocks.append(RowBlock(
+            "startup-cost",
+            [f"{j},{a},{b}" for a, b in zip(k.tolist(), t.tolist())], ">=", 0.0,
+            [(col("cu", j, k), 1.0), (col("v", j, k), -step),
+             (row, col("v", j, (k - t)[row] + offset), step[row])]))
+
+    matrix = RowMatrix.from_blocks(blocks)
     finite = np.isfinite(matrix.data)
     if not (finite.all() and np.isfinite(matrix.rhs).all()):
         bad = min([*np.flatnonzero(~np.isfinite(matrix.rhs)).tolist(),
@@ -424,11 +433,14 @@ def build_model(instance: Instance,
 
 
 def model_stats(model: MilpModel) -> dict:
-    """Constraint counts per family and variable counts per kind."""
+    """Constraint and nonzero counts per family and variable counts per kind."""
     rows, columns = model.rows, model.columns
     counts = np.bincount(rows.family, minlength=len(rows.families)).tolist()
+    nonzeros = np.bincount(rows.family, weights=np.diff(rows.indptr),
+                           minlength=len(rows.families)).astype(np.int64).tolist()
     return {
         "families": dict(zip(rows.families, counts)),
+        "nonzeros": dict(zip(rows.families, nonzeros)),
         "variables": dict(Counter(kind for kind, _, _ in columns.keys)),
         "total_constraints": len(rows.rhs),
         "total_variables": len(columns.keys),

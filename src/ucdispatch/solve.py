@@ -137,7 +137,10 @@ class _ExactEngine:
                            _SENSE_LE + _SENSE_GE - s_sense, s_sense)
         self.s_bin, self.s_rhs = brows[single], rows.rhs[single]
         self.s_var = (np.cumsum(~is_bin) - 1)[rows.indices[single_nz]]
-        self.s_inv = 1.0 / coef
+        # inf for a subnormal coefficient: patterns() then raises
+        # NumericalFailure on the pattern's bounds that are not finite
+        with np.errstate(over="ignore"):
+            self.s_inv = 1.0 / coef
         self.s_is_ub = (s_sense == _SENSE_LE) | (s_sense == _SENSE_EQ)
         self.s_is_lb = (s_sense == _SENSE_GE) | (s_sense == _SENSE_EQ)
         # the single rows of each variable's bound as one run, in row order

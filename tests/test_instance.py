@@ -1,5 +1,6 @@
 """Loading, period indexing and the validation catalog."""
 
+import dataclasses
 from datetime import datetime
 
 import pytest
@@ -14,6 +15,7 @@ from ucdispatch.errors import (
     UnknownFuelReference,
 )
 from ucdispatch.instance import (
+    UNIT_COLUMNS,
     StartupCostCurve,
     load_instance,
     period_index,
@@ -63,6 +65,30 @@ class TestLoadInstance:
         assert loaded == original
         assert len(loaded.units) == 2
         assert loaded.num_periods == 2
+
+    def test_every_units_column_loads_into_its_field(self, tmp_path):
+        paths = write_instance_files(fixture_instance(), tmp_path)
+        cells = ["7", "2", "3", "4", "5", *(f"{i}.5" for i in range(6, 17)), " gas ",
+                 *(f"{i}.25" for i in range(18, 23))]
+        paths[1].write_text(",".join(UNIT_COLUMNS) + "\n" + ",".join(cells) + "\n")
+        (unit,) = load_instance(*paths).units
+        assert dataclasses.astuple(unit) == (
+            7, 2, 3, 4, 5, *(i + 0.5 for i in range(6, 17)), "gas",
+            *(i + 0.25 for i in range(18, 23)))
+
+    @pytest.mark.parametrize("column", [c for c in UNIT_COLUMNS if c != "F"])
+    def test_first_bad_units_cell_names_its_column(self, tmp_path, column):
+        # every number cell from this column on is bad; the first is reported
+        paths = write_instance_files(fixture_instance(), tmp_path)
+        header, row = paths[1].read_text().splitlines()
+        cells = row.split(",")
+        for i in range(UNIT_COLUMNS.index(column), len(cells)):
+            if UNIT_COLUMNS[i] != "F":
+                cells[i] = "x"
+        paths[1].write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(MalformedNumber,
+                           match=f"units.csv:2 {column}: cannot parse 'x'"):
+            load_instance(*paths)
 
     def test_missing_units_column(self, tmp_path):
         paths = write_instance_files(fixture_instance(), tmp_path)

@@ -1,5 +1,7 @@
 """MILP construction: variables, constraint families, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from helpers import (
     make_instance,
     make_unit,
     multi_unit_instance,
+    random_instance,
     storage_instance,
 )
 import ucdispatch.model
@@ -19,6 +22,7 @@ from ucdispatch.model import (
     KIND_TOKEN,
     SENSES,
     MilpModel,
+    RowBlock,
     RowMatrix,
     build_model,
     model_stats,
@@ -44,6 +48,19 @@ def test_fixture_counts_match_hand_enumeration(fixture_inst):
         "startup-cost": 1,
     }
     assert stats["total_constraints"] == sum(stats["families"].values())
+
+
+def test_fixture_nonzeros_per_family(fixture_inst):
+    # one unit, T = 2; SD = P_max drops v(2) from shutdown-limit and a zero
+    # shutdown cost drops both v terms of shutdown-cost
+    model = build_model(fixture_inst, thin_all(fixture_inst))
+    nonzeros = model_stats(model)["nonzeros"]
+    assert nonzeros == {
+        "bounds": 12, "ramp-up": 4, "ramp-down": 4, "shutdown-limit": 2,
+        "demand": 6, "reserve": 6, "prod-cost": 6, "shutdown-cost": 1,
+        "startup-cost": 3,
+    }
+    assert sum(nonzeros.values()) == len(model.rows.data)
 
 
 def test_storage_unit_gets_storage_variables_and_families(storage_inst):
@@ -229,21 +246,15 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
         instance = make()
         model = build_model(instance, thin_all(instance))
         rows = model.rows
-        again = RowMatrix.from_rows((con.name, con.coefficients, con.sense, con.rhs)
-                                    for con in model.constraints)
-        for field in ("indptr", "indices", "data", "sense", "rhs", "family"):
-            ours, theirs = getattr(again, field), getattr(rows, field)
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
-        assert (again.families, again.names) == (rows.families, rows.names)
+        assert len(rows.rhs) == len(model.constraints)
+        for i, con in enumerate(model.constraints):
+            assert list(rows.row(i)) == sorted(con.coefficients.items())
+            assert SENSES[rows.sense[i]] == con.sense
+            assert rows.rhs[i] == con.rhs
+            assert rows.families[rows.family[i]] == con.family
 
     model = build_model(storage_inst, thin_all(storage_inst))
     rows = model.rows
-    assert len(rows.rhs) == len(model.constraints)
-    for i, con in enumerate(model.constraints):
-        assert list(rows.row(i)) == sorted(con.coefficients.items())
-        assert SENSES[rows.sense[i]] == con.sense
-        assert rows.rhs[i] == con.rhs
-        assert rows.families[rows.family[i]] == con.family
     # row activities against a plain loop; only the summation order differs
     x = np.random.default_rng(3).uniform(-2.0, 2.0, model.num_columns)
     expected = [sum(coef * x[col] for col, coef in con.coefficients.items())
@@ -262,11 +273,13 @@ def test_row_matrix_and_column_index_match_the_model(storage_inst):
                                       in enumerate(columns.keys) if kind == "v"]
 
 
-def test_from_rows_drops_zeros_and_sorts_columns():
-    rows = RowMatrix.from_rows([
-        ("a[1]", {4: 2.0, 1: 0.0, 0: -1.0, 2: -0.0}, ">=", 3.0),
-        ("b[1]", {}, "=", 0.0),
-        ("a[2]", {3: 1.5, 2: 0.5}, "<=", -1.0),
+def test_from_blocks_drops_zeros_and_sorts_columns():
+    rows = RowMatrix.from_blocks([
+        RowBlock("empty", [], "<=", 0.0, []),
+        RowBlock("a", [1], ">=", 3.0,
+                 [([0, 0, 0], [4, 1, 0], [2.0, 0.0, -1.0]), ([2], -0.0)]),
+        RowBlock("b", [1], "=", 0.0, []),
+        RowBlock("a", [2], "<=", -1.0, [([3], 1.5), ([2], 0.5)]),
     ])
     assert rows.indptr.tolist() == [0, 2, 2, 4]
     assert rows.indices.tolist() == [0, 4, 2, 3]
@@ -309,3 +322,39 @@ def test_pipeline_reads_only_the_row_matrix(make, tmp_path, monkeypatch):
     assert check_solution(model, solution.values).passed
     report = build_report(instance, model, solution)
     assert write_reports(instance, model, solution, report, tmp_path)
+
+
+#: instances whose row matrices and objectives are pinned together below; the
+#: writers' golden hashes cover neither ramp_tightening=False, nor T = 1, nor
+#: the empty unit set
+PINNED_INSTANCES = (
+    fixture_instance, storage_instance, multi_unit_instance,
+    lambda: random_instance(np.random.default_rng(11), 4, 48),
+    lambda: make_instance([], demand=(50.0, 60.0, 70.0)),
+    lambda: random_instance(np.random.default_rng(0), 2, 1, with_storage=True),
+    # both draws hold units with initial up- and with initial down-states
+    lambda: random_instance(np.random.default_rng(0), 4, 9, with_storage=True),
+    lambda: random_instance(np.random.default_rng(1), 4, 9, with_storage=True),
+)
+PINNED_DIGEST = "ee531f03aef68b4b92a7405114673f1188c7effd08e101ce9bf9bd600347b7af"
+
+
+def pinned_digest() -> str:
+    digest = hashlib.sha256()
+    for make in PINNED_INSTANCES:
+        instance = make()
+        for tightening in (True, False):
+            model = build_model(instance, thin_all(instance),
+                                ramp_tightening=tightening)
+            rows = model.rows
+            for field in ("indptr", "indices", "data", "sense", "rhs", "family"):
+                array = getattr(rows, field)
+                digest.update(array.dtype.str.encode())
+                digest.update(array.tobytes())
+            digest.update(repr((rows.families, rows.names,
+                                sorted(model.objective.items()))).encode())
+    return digest.hexdigest()
+
+
+def test_row_matrix_is_pinned():
+    assert pinned_digest() == PINNED_DIGEST

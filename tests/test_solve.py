@@ -23,7 +23,8 @@ from ucdispatch.errors import (
     UnparsableSolution,
 )
 from ucdispatch.instance import StartupCostCurve
-from ucdispatch.model import SENSE_CODE, ColumnIndex, MilpModel, RowMatrix, build_model
+from ucdispatch.model import (SENSE_CODE, ColumnIndex, MilpModel, RowBlock, RowMatrix,
+                              build_model)
 from ucdispatch.solve import (
     SolverConfig,
     _ExactEngine,
@@ -162,9 +163,21 @@ class TestSolveExact:
         # and drop the pattern as infeasible
         model = MilpModel(
             ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("cu", 1, 2)]),
-            RowMatrix.from_rows([("r[1]", {0: 1e308, 1: 1e308, 2: 1.0}, "<=", 1.0)]),
+            RowMatrix.from_blocks([RowBlock("r", [1], "<=", 1.0,
+                                            [([0, 0, 0], [0, 1, 2], [1e308, 1e308, 1.0])])]),
             {2: 1.0})
         with pytest.raises(NumericalFailure, match="overflow"):
+            solve_exact(model)
+
+    def test_overflowing_single_row_reciprocal_is_a_numerical_failure(self):
+        # -v + 1e-320 cu <= 0: the reciprocal of the subnormal coefficient
+        # overflows to inf; this used to warn while the engine was set up
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("cu", 1, 1)]),
+            RowMatrix.from_blocks([RowBlock("r", [1], "<=", 0.0,
+                                            [([0, 0], [0, 1], [-1.0, 1e-320])])]),
+            {1: 1.0})
+        with pytest.raises(NumericalFailure, match="overflow in the LP bounds of pattern 0"):
             solve_exact(model)
 
     def test_every_source_gives_one_value_per_column(self, fixture_inst):

@@ -16,6 +16,7 @@ from helpers import (
 from ucdispatch.model import (
     ColumnIndex,
     MilpModel,
+    RowBlock,
     RowMatrix,
     build_model,
     model_stats,
@@ -25,13 +26,13 @@ from ucdispatch.writers import _row_name, _row_names, write_lp, write_mps
 
 
 def empty_model():
-    return MilpModel(ColumnIndex.from_keys([]), RowMatrix.from_rows([]), {})
+    return MilpModel(ColumnIndex.from_keys([]), RowMatrix.from_blocks([]), {})
 
 
 def single_constraint_model():
     # min x subject to x <= 5
     columns = ColumnIndex.from_keys([("p", 1, 1)])
-    rows = RowMatrix.from_rows([("cap[1]", {0: 1.0}, "<=", 5.0)])
+    rows = RowMatrix.from_blocks([RowBlock("cap", [1], "<=", 5.0, [([0], 1.0)])])
     return MilpModel(columns, rows, {0: 1.0})
 
 
@@ -85,7 +86,7 @@ class TestMps:
 
     def test_no_negative_zero(self):
         columns = ColumnIndex.from_keys([("p", 1, 1)])
-        rows = RowMatrix.from_rows([("zero[1]", {0: -0.0 or 1.0}, "<=", -0.0)])
+        rows = RowMatrix.from_blocks([RowBlock("zero", [1], "<=", -0.0, [([0], 1.0)])])
         text = write_mps(MilpModel(columns, rows, {}))
         assert "-0 " not in text
 
