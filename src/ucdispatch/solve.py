@@ -198,19 +198,20 @@ class _ExactEngine:
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
             # the residual of each binary row, chosen by its sense code
-            gap = block @ self.pure_w.T - self.pure_rhs
+            gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
             residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
             block = block[(residual <= 1e-9).all(axis=1)]
 
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = (self.s_rhs - block @ self.s_bin.T) * self.s_inv
+                vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
                 lower = np.zeros((len(block), self.nc))
                 upper = np.full((len(block), self.nc), np.inf)
                 upper[:, self.fin_vars] = np.minimum.reduceat(
                     vals[:, self.ub_rows], self.ub_starts, axis=1)
                 lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
                     vals[:, self.lb_rows], self.lb_starts, axis=1))
-                b = np.hstack([self.m_rhs - block @ self.m_bin.T - lower @ self.m_cont.T,
+                b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
+                                          (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
                                upper[:, self.fin_vars] - lower[:, self.fin_vars]])
                 finite = np.isfinite(vals).all(axis=1)
                 crossed = finite & (lower > upper + 1e-9).any(axis=1)
@@ -267,6 +268,18 @@ class _ExactEngine:
                 ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
             ties.append((pattern.copy(), objective, x))
         return ties
+
+
+def _rhs_minus(rhs, *terms):
+    """``rhs - left @ right.T`` summed over the ``(left, right)`` terms, one
+    column of ``left`` at a time, in order: each row of the result then has
+    the same bits whatever rows share its block, which a BLAS product does
+    not promise (it takes another path for a block of one row)."""
+    out = np.repeat(rhs[None, :], len(terms[0][0]), axis=0)
+    for left, right in terms:
+        for j in range(left.shape[1]):
+            out -= left[:, j, None] * right[:, j]
+    return out
 
 
 def _runs(var, mask):
