@@ -17,9 +17,15 @@ duality, as in Benders' cuts).  The engine keeps the last DUAL_POOL such
 duals and skips a pattern's LP when the best bound exceeds the tie cut by
 more than DUAL_SKIP_REL * (1 + |best|), a thousand times TIE_REL_TOL.  A
 skipped pattern lies above the tie cut, so it could neither lower the best
-optimum nor join the ties: the patterns visited in lexicographic order, the
-cold solve of each pattern that is not skipped and the tie rule are those
-of a full enumeration, and so are the answer and every report.
+optimum nor join the ties.
+
+For the same reason a new ``b`` leaves the last optimal basis dual
+feasible, so each LP starts warm from it (a dual simplex, see
+``simplex``).  A warm result only steers the walk: a warm "infeasible" is
+confirmed by a cold solve, and every pattern whose warm optimum lies within
+the skip margin of the tie cut is solved cold again at the end.  The cold
+results alone decide the ties, so the answer and every report are those of
+a full enumeration that cold-solves every pattern.
 
 The external backend writes the model to a standard-format file, runs a
 solver subprocess via a command template with {model} and {solution}
@@ -163,7 +169,8 @@ class _ExactEngine:
         self.c_cont, self.c_bin = c[~is_bin], c[is_bin]
 
         self.stats = dict.fromkeys(
-            ("patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"), 0)
+            ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "resolved",
+             "pivots"), 0)
 
         # bits fixed by singleton pure equality rows (initial on/off states)
         self.fixed = np.full(len(bin_cols), -1, dtype=np.int8)
@@ -210,15 +217,17 @@ class _ExactEngine:
                     vals[:, self.ub_rows], self.ub_starts, axis=1)
                 lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
                     vals[:, self.lb_rows], self.lb_starts, axis=1))
+                finite = np.isfinite(vals).all(axis=1)
+                crossed = finite & (lower > upper + 1e-9).any(axis=1)
+                self.stats["patterns"] += len(block)
+                self.stats["bound_infeasible"] += int(crossed.sum())
+                kept = ~crossed
+                block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
                 b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
                                           (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
                                upper[:, self.fin_vars] - lower[:, self.fin_vars]])
-                finite = np.isfinite(vals).all(axis=1)
-                crossed = finite & (lower > upper + 1e-9).any(axis=1)
                 finite &= np.isfinite(b).all(axis=1)
-            self.stats["patterns"] += len(block)
-            self.stats["bound_infeasible"] += int(crossed.sum())
-            for i in np.flatnonzero(~crossed):
+            for i in range(len(block)):
                 if not finite[i]:
                     raise NumericalFailure(
                         "exact solver arithmetic failed: overflow in the LP bounds "
@@ -239,26 +248,59 @@ class _ExactEngine:
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
         unbounded.  Patterns that a pooled dual bound puts above the tie cut
-        are skipped; ``self.stats`` counts what became of each pattern."""
+        are skipped.  Each LP starts warm from the last optimal basis; a warm
+        "infeasible" is confirmed cold, and a warm optimum within the skip
+        margin of the tie cut makes its pattern a candidate, solved cold
+        again at the end, so that cold results alone decide the ties.
+        ``self.stats`` counts what became of each pattern."""
         stats = self.stats
+
+        def lp(b, start=None):
+            result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b,
+                                    start=start)
+            stats["pivots"] += result.iterations
+            return result
+
         duals = np.empty((0, len(self.lp_senses)))
-        best, ties = np.inf, []
+        best, candidates, start = np.inf, [], None
         for pattern, lower, b in self.patterns():
+            cut = _skip_cut(best)
             if len(duals):
                 bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
-                if bound > _tie_cut(best) + DUAL_SKIP_REL * (1.0 + abs(best)):
+                if bound > cut:
                     stats["dual_pruned"] += 1
                     continue
-            result = solve_dense_lp(self.c_cont, self.lp_matrix, self.lp_senses, b)
+            result = lp(b, start)
             stats["lps"] += 1
-            stats["pivots"] += result.iterations
+            stats["warm"] += result.warm
+            if result.warm and result.status == "infeasible":
+                stats["resolved"] += 1
+                result = lp(b)
             if result.status == "unbounded":
                 return None
             if result.status != "optimal":
                 continue
+            start = result
             y = self.feasible_dual(result.dual)
             if y is not None:
                 duals = np.vstack([duals, y])[-DUAL_POOL:]
+            objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
+            if objective > cut:
+                continue
+            if objective < best:
+                best = objective
+                candidates = [cand for cand in candidates if cand[1] <= _skip_cut(best)]
+            candidates.append((pattern.copy(), objective, lower.copy(), b.copy(), result))
+
+        best, ties = np.inf, []
+        for pattern, objective, lower, b, result in candidates:
+            if result.warm:
+                stats["resolved"] += 1
+                result = lp(b)
+                if result.status == "unbounded":
+                    return None
+                if result.status != "optimal":
+                    continue
             x = result.x + lower
             objective = float(self.c_cont @ x + self.c_bin @ pattern)
             if objective > _tie_cut(best):
@@ -266,7 +308,7 @@ class _ExactEngine:
             if objective < best:
                 best = objective
                 ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
-            ties.append((pattern.copy(), objective, x))
+            ties.append((pattern, objective, x))
         return ties
 
 
@@ -295,14 +337,21 @@ def _tie_cut(best: float) -> float:
     return best + TIE_REL_TOL * (1.0 + abs(best))
 
 
+def _skip_cut(best: float) -> float:
+    """Above this no rounding of a dual bound or of a warm optimum can hide
+    an optimum that joins the ties."""
+    return _tie_cut(best) + DUAL_SKIP_REL * (1.0 + abs(best))
+
+
 def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solution:
     """Enumerate commitment patterns and solve each LP with the bundled
     simplex, skipping those that a pooled dual bound rules out.
 
     Of the patterns within TIE_REL_TOL of the best optimum, the
-    lexicographically smallest wins, with its own objective and values.
+    lexicographically smallest wins, with its own cold objective and values.
     ``Solution.stats`` counts the patterns, how many were ruled out by their
-    bounds or a dual bound, the LPs solved and their pivots.  Raises
+    bounds or a dual bound, the LPs solved, how many of them started warm,
+    the extra cold re-solves and the pivots of all of them.  Raises
     :class:`TooManyBinaries` when the model exceeds the enumeration budget
     and :class:`NumericalFailure` if the simplex cycling guard trips on an
     LP that is solved or the arithmetic overflows.

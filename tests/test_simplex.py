@@ -1,4 +1,5 @@
-"""The bundled dense simplex against scipy and its pinned pivot trajectories."""
+"""The bundled dense simplex against scipy, its pinned pivot trajectories and
+its warm start."""
 
 import hashlib
 
@@ -139,8 +140,7 @@ def test_golden_pivot_trajectories(label):
 
 @pytest.mark.parametrize("label", sorted(DRAWS))
 def test_duals_of_the_golden_draws_are_optimal(label):
-    # weak duality certifies each optimum: y keeps its signs, c - A'y >= 0
-    # and b.y equals c.x (GOLDEN_TRAJECTORIES pins that the pivots are unmoved)
+    # GOLDEN_TRAJECTORIES pins that the pivots are unmoved
     rng = np.random.default_rng(42)
     checked = 0
     for _ in range(400):
@@ -149,14 +149,81 @@ def test_duals_of_the_golden_draws_are_optimal(label):
         if result.status != "optimal":
             assert result.dual is None
             continue
-        y, senses = result.dual, np.array(senses)
-        assert y.shape == (len(b),)
-        assert np.all(y[senses == "<="] <= TOL) and np.all(y[senses == ">="] >= -TOL)
-        assert np.all(c - A.T @ y >= -1e-9)
-        primal = c @ result.x
-        assert abs(primal - b @ y) <= 1e-7 * (1.0 + abs(primal))
+        assert_certified(result, c, A, senses, b)
         checked += 1
     assert checked >= 100
+
+
+def assert_certified(result, c, A, senses, b):
+    """Weak duality certifies an optimum: y keeps its signs, c - A'y >= 0
+    and b.y equals c.x; neither x nor y holds a negative zero."""
+    y, senses = result.dual, np.array(senses)
+    assert y.shape == (len(b),)
+    assert np.all(y[senses == "<="] <= TOL) and np.all(y[senses == ">="] >= -TOL)
+    assert np.all(c - A.T @ y >= -1e-9)
+    primal = c @ result.x
+    assert abs(primal - b @ y) <= 1e-7 * (1.0 + abs(primal))
+    assert not np.signbit(result.x[result.x == 0.0]).any()
+    assert not np.signbit(y[y == 0.0]).any()
+
+
+@pytest.mark.parametrize("label", sorted(DRAWS))
+def test_warm_start_from_each_golden_optimum(label):
+    # a new b, some of its signs flipped, from the basis of each optimal
+    # draw: the cold status and optimum, with a certified dual
+    rng, noise = np.random.default_rng(42), np.random.default_rng(7)
+    warm = 0
+    for _ in range(400):
+        c, A, senses, b = DRAWS[label](rng)
+        first = solve_dense_lp(c, A, senses, b)
+        if first.status != "optimal":
+            continue
+        for new_b in (b + noise.normal(scale=3.0, size=b.shape), -b,
+                      np.where(noise.random(b.shape) < 0.5, -b, b)):
+            cold = solve_dense_lp(c, A, senses, new_b)
+            result = solve_dense_lp(c, A, senses, new_b, start=first)
+            assert result.status == cold.status
+            warm += result.warm
+            if cold.status == "optimal":
+                assert abs(result.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+                assert_certified(result, c, A, senses, new_b)
+    assert warm >= 300
+
+
+def test_warm_start_finds_infeasibility():
+    # x >= 0.5, x <= 1 is solved at x = 0.5; x >= 2, x <= 1 has no point
+    first = solve_dense_lp([1.0], [[1.0], [1.0]], [">=", "<="], [0.5, 1.0])
+    result = solve_dense_lp([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0], start=first)
+    assert result.warm and result.status == "infeasible" and result.x is None
+
+
+@pytest.mark.parametrize("first, lp", [
+    # the doubled equality row is dropped as redundant: no basis to start from
+    (([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [3.0, 6.0]),
+     ([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [2.0, 4.0])),
+    # another cost vector: the slack basis prices x out below -TOL, and
+    # x0 >= 1 would send a dual simplex on a pivot
+    (([1.0, 1.0], [[1.0, 1.0], [-1.0, 0.0]], ["<=", "<="], [4.0, 3.0]),
+     ([-1.0, -2.0], [[1.0, 1.0], [-1.0, 0.0]], ["<=", "<="], [4.0, -1.0])),
+], ids=["redundant-row", "negative-reduced-cost"])
+def test_warm_start_falls_back_to_cold(first, lp):
+    start = solve_dense_lp(*first)
+    assert start.status == "optimal"
+    cold, result = solve_dense_lp(*lp), solve_dense_lp(*lp, start=start)
+    assert not result.warm
+    assert (result.status, result.iterations, result.x.tobytes()) == \
+        (cold.status, cold.iterations, cold.x.tobytes())
+
+
+def test_warm_pivot_cap_falls_back_to_cold(monkeypatch):
+    # two dual pivots from the first basis, none cold; the cap is 1
+    lp = ([1.0, 1.0], [[-1.0, 2.0], [0.0, -1.0]], ["<=", "<="])
+    start = solve_dense_lp(*lp, [0.0, -2.0])
+    assert solve_dense_lp(*lp, [1.0, 2.0], start=start).iterations == 2
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
+    result = solve_dense_lp(*lp, [1.0, 2.0], start=start)
+    assert not result.warm and result.status == "optimal"
+    assert result.iterations == 1 and result.x.tolist() == [0.0, 0.0]
 
 
 def test_dual_of_flipped_and_redundant_rows():

@@ -25,7 +25,9 @@ from ucdispatch.errors import (
 from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import (SENSE_CODE, ColumnIndex, MilpModel, RowBlock, RowMatrix,
                               build_model)
+from ucdispatch.simplex import LpResult
 from ucdispatch.solve import (
+    DUAL_SKIP_REL,
     SolverConfig,
     _ExactEngine,
     _tie_cut,
@@ -343,7 +345,8 @@ class TestDualSkip:
 
     def test_unpruned_enumeration_solves_few_lps(self, monkeypatch):
         # 1024 patterns and no commitment rule: the full enumeration solves
-        # 1024 LPs, the pooled dual bounds skip all but about a hundred
+        # 1024 LPs, the pooled dual bounds skip all but about a hundred; the
+        # cold re-solves of warm results are counted apart
         calls = []
         lp = solve_module.solve_dense_lp
         monkeypatch.setattr(solve_module, "solve_dense_lp",
@@ -352,7 +355,42 @@ class TestDualSkip:
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(30400.0)
         assert solution.stats["patterns"] == 1024
-        assert solution.stats["lps"] == len(calls) <= 150
+        stats = solution.stats
+        assert stats["lps"] + stats["resolved"] == len(calls)
+        assert stats["lps"] <= 150
+
+    @pytest.mark.parametrize("fault", ["infeasible", "lower", "higher"])
+    @pytest.mark.parametrize("make", [lambda: twin_unit_instance(164),
+                                      lambda: twin_unit_instance(187),
+                                      lambda: random_instance(np.random.default_rng(3), 2, 4,
+                                                              with_storage=True)])
+    def test_cold_solves_overrule_a_wrong_warm_result(self, make, fault, monkeypatch):
+        # each warm solve of the winning pattern's LP says "infeasible", or
+        # moves its optimum by half the skip margin: the answer is unchanged
+        model = build(make())
+        engine = _ExactEngine(model, SolverConfig())
+        expected = unpruned_ties(engine)
+        (winner_b,) = [b for p, _, b in engine.patterns() if p.tobytes() == expected[0][0].tobytes()]
+        shift = 0.5 * DUAL_SKIP_REL * (1.0 + abs(expected[0][1]))
+        lp, hits = solve_module.solve_dense_lp, []
+
+        def faulty(c, A, senses, b, start=None):
+            result = lp(c, A, senses, b, start=start)
+            if not result.warm or b.tobytes() != winner_b.tobytes():
+                return result
+            hits.append(fault)
+            if fault == "infeasible":
+                return LpResult("infeasible", None, np.inf, result.iterations, warm=True)
+            col = np.flatnonzero(c)[0]
+            delta = shift if fault == "higher" else -shift
+            x = result.x.copy()
+            x[col] += delta / c[col]
+            return dataclasses.replace(result, x=x, objective=result.objective + delta)
+
+        monkeypatch.setattr(solve_module, "solve_dense_lp", faulty)
+        same_as_full_enumeration(model)
+        assert enumerate_optimal_patterns(model) == [tuple(p) for p, _, _ in expected]
+        assert hits
 
     @pytest.mark.parametrize("make", [fixture_instance, enumeration_instance,
                                       lambda: twin_unit_instance(164),
@@ -361,7 +399,8 @@ class TestDualSkip:
     def test_stats_account_for_every_pattern(self, make, caplog):
         with caplog.at_level("DEBUG", logger="ucdispatch.solve"):
             stats = solve_exact(build(make())).stats
-        assert set(stats) == {"patterns", "bound_infeasible", "dual_pruned", "lps", "pivots"}
+        assert set(stats) == {"patterns", "bound_infeasible", "dual_pruned", "lps", "warm",
+                              "resolved", "pivots"}
         assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
                                      + stats["lps"])
         assert stats["lps"] > 0 and stats["pivots"] > 0
