@@ -6,16 +6,21 @@ termination at the price of speed; a hard iteration cap acts as a cycling
 guard on top.  Given the optimal result of an LP with the same ``c``, ``A``
 and senses, it starts ("warm") from that result's basis, which a new ``b``
 leaves dual feasible, and runs a dual simplex with Bland's rules; it falls
-back to the cold path whenever that basis cannot be used.  Both share one
-NumPy pivot.  The exact solver's lexicographic tie rule relies on the cold
-path's pivot choices, so keep its entering rule, its ratio test and the
-floating-point order of the elimination as they are.
+back to the cold path whenever that basis cannot be used.  The warm start
+takes B^-1 from the final tableau that the optimal result carries, so it
+needs no factorization (the inverse is kept from one dual reoptimization
+to the next); only when an answer it reaches fails its check against the
+original rows is the basis refactored from those rows and the LP solved
+again.  All paths share one NumPy pivot.  The exact solver's
+lexicographic tie rule relies on the cold path's pivot choices, so keep
+its entering rule, its ratio test and the floating-point order of the
+elimination as they are.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +44,9 @@ class LpResult:
     objective: float
     iterations: int
     #: optimal duals, one per input row in its order and sense: <= 0 on
-    #: "<=" rows, >= 0 on ">=" rows, with c - A'dual >= -TOL; None unless optimal
+    #: "<=" rows, >= 0 on ">=" rows, with c - A'dual >= -TOL; for a warm
+    #: "infeasible", the ray y that proves it: y'A >= 0 > y'b, with y >= 0 on
+    #: "<=" rows and <= 0 on ">=" rows; None otherwise
     dual: np.ndarray | None = None
     #: the final basic column of each row and the rows flipped (a cold solve
     #: flips those with a negative right-hand side, a warm one keeps the
@@ -49,6 +56,14 @@ class LpResult:
     flipped: np.ndarray | None = None
     #: whether the solve started from the basis of ``start``
     warm: bool = False
+    #: whether the answer reached from the carried tableau failed its check
+    #: against the original rows, so that the basis was refactored from them
+    refactored: bool = False
+    #: the final tableau, its identity column of each row and its first
+    #: artificial column: a warm start reads B^-1 from them; set with ``basis``
+    tableau: np.ndarray | None = field(default=None, repr=False)
+    identity: np.ndarray | None = field(default=None, repr=False)
+    art_start: int | None = field(default=None, repr=False)
 
 
 @contextmanager
@@ -68,9 +83,9 @@ def _pivot(tableau, basis, row, col):
     them could change only the sign of a zero entry."""
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
-    rows = np.flatnonzero(tableau[:, col])
+    rows = tableau[:, col].nonzero()[0]
     rows = rows[rows != row]
-    tableau[rows] -= np.outer(tableau[rows, col], pivot_row)
+    tableau[rows] -= tableau[rows, col][:, None] * pivot_row
     basis[row] = col
 
 
@@ -87,13 +102,13 @@ def _pivot_loop(tableau, basis, allowed):
     cost = tableau[m]
     iters = 0
     while iters < MAX_ITERATIONS:
-        entering = np.flatnonzero(allowed & (cost[:-1] < -TOL))
+        entering = (allowed & (cost[:-1] < -TOL)).nonzero()[0]
         if entering.size == 0:
             return "optimal", iters
         col = int(entering[0])
 
         column = tableau[:m, col]
-        candidates = np.flatnonzero(column > TOL)
+        candidates = (column > TOL).nonzero()[0]
         if candidates.size == 0:
             return "unbounded", iters
         ratios = tableau[candidates, -1] / column[candidates]
@@ -121,9 +136,9 @@ def _start_tableau(A, b, le, ge, flipped):
     b[flipped] = -b[flipped]
     le, ge = np.where(flipped, ge, le), np.where(flipped, le, ge)
 
-    slack_rows = np.flatnonzero(le)
-    surplus_rows = np.flatnonzero(ge)
-    art_rows = np.flatnonzero(~le)
+    slack_rows = le.nonzero()[0]
+    surplus_rows = ge.nonzero()[0]
+    art_rows = (~le).nonzero()[0]
 
     n_slack = slack_rows.size
     n_surplus = surplus_rows.size
@@ -156,31 +171,75 @@ def _optimum(c, tableau, basis, identity, flipped):
     return x + 0.0, objective, dual + 0.0
 
 
-def _dual_simplex(c, A, b, le, ge, start):
-    """Solve from the basis and row flips of ``start`` with a dual simplex.
+def _carried(c, b, start):
+    """The start's final tableau with the right-hand sides of ``b``, B^-1
+    times ``b`` with the start's flips, and the reduced costs of ``c``
+    priced out over its basis; ``start.tableau[:m, start.identity]`` is B^-1."""
+    m = len(start.basis)
+    tableau = start.tableau.copy()
+    tableau[:m, -1] = tableau[:m, start.identity] @ np.where(start.flipped, -b, b)
+    return _priced(c, tableau, start.basis)
 
-    Refactors the basis from the original rows, prices out the costs and
-    pivots with Bland's rules: the leaving row is the primal-infeasible one
-    with the smallest basic column, the entering column the minimal ratio,
-    the smallest column on ties.  Returns (result, pivots); result is None
-    where the cold path must take over: a singular basis, a reduced cost
-    below -TOL at the start or the end, or the pivot cap.
-    """
-    m, n = A.shape
-    flipped = start.flipped
-    tableau, identity, art_start = _start_tableau(A, b, le, ge, flipped)
-    basis = start.basis.copy()
+
+def _refactored(c, A, b, le, ge, start):
+    """The tableau of the start's basis and flips, refactored from the
+    original rows, with the reduced costs of ``c``; None if the basis is
+    singular there."""
+    m = len(start.basis)
+    tableau, _, _ = _start_tableau(A, b, le, ge, start.flipped)
     try:
-        tableau[:m] = np.linalg.solve(tableau[:m, basis], tableau[:m])
+        tableau[:m] = np.linalg.solve(tableau[:m, start.basis], tableau[:m])
     except np.linalg.LinAlgError:
-        return None, 0
+        return None
     if not np.isfinite(tableau[:m]).all():
-        return None, 0
-    tableau[:m, basis] = np.eye(m)
+        return None
+    tableau[:m, start.basis] = np.eye(m)
+    return _priced(c, tableau, start.basis)
+
+
+def _priced(c, tableau, basis):
+    """``tableau`` with its last row set to the reduced costs of ``c``."""
+    m = len(basis)
     costs = np.zeros(tableau.shape[1])
-    costs[:n] = c
+    costs[:len(c)] = c
     tableau[m] = costs - costs[basis] @ tableau[:m]
     tableau[m, basis] = 0.0
+    return tableau
+
+
+def _holds(c, A, b, le, ge, result):
+    """Whether a warm answer holds on the original rows, each side within
+    1e-9 times one plus its own magnitude.  An optimum is certified by its
+    point ``x`` and its duals ``y``: ``x`` meets each row of ``A x (senses)
+    b``, ``c - A'y >= 0`` and ``c.x = b.y`` (the signs of ``y`` are those of
+    the final reduced costs).  An infeasible verdict is certified by its ray
+    ``y``: ``y'A >= 0 > y'b``."""
+    y = result.dual
+    if result.x is None:
+        return bool(np.all(y @ A >= -1e-9 * (1.0 + np.abs(y) @ np.abs(A)))
+                    and y @ b < -1e-9 * (1.0 + np.abs(y) @ np.abs(b)))
+    gap = A @ result.x - b
+    residual = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
+    return bool(np.all(residual <= 1e-9 * (1.0 + np.abs(b)))
+                and np.all(c - y @ A >= -1e-9 * (1.0 + np.abs(c)))
+                and abs(result.objective - b @ y) <= 1e-9 * (1.0 + abs(result.objective)))
+
+
+def _dual_simplex(c, tableau, start):
+    """Solve from ``tableau``, in the basis and row flips of ``start``, with
+    a dual simplex.
+
+    Pivots with Bland's rules: the leaving row is the primal-infeasible one
+    with the smallest basic column, the entering column the minimal ratio,
+    the smallest column on ties.  Returns (result, pivots); result is None
+    where the cold path must take over: no tableau, a reduced cost below
+    -TOL at the start or the end, or the pivot cap.
+    """
+    if tableau is None:
+        return None, 0
+    m = len(start.basis)
+    flipped, identity, art_start = start.flipped, start.identity, start.art_start
+    basis = start.basis.copy()
     cost = tableau[m, :art_start]  # artificials never enter
     if np.any(cost < -TOL):
         return None, 0
@@ -188,16 +247,18 @@ def _dual_simplex(c, A, b, le, ge, start):
     rhs = tableau[:m, -1]
     iters = 0
     while True:
-        leaving = np.flatnonzero(rhs < -TOL)
+        leaving = (rhs < -TOL).nonzero()[0]
         if leaving.size == 0:
             break
         if iters >= MAX_ITERATIONS:
             return None, iters
         row = int(leaving[np.argmin(basis[leaving])])
         alpha = tableau[row, :art_start]
-        candidates = np.flatnonzero(alpha < -TOL)
+        candidates = (alpha < -TOL).nonzero()[0]
         if candidates.size == 0:
-            return LpResult("infeasible", None, np.inf, iters, warm=True), iters
+            ray = tableau[row, identity]
+            return LpResult("infeasible", None, np.inf, iters,
+                            np.where(flipped, -ray, ray) + 0.0, warm=True), iters
         ratios = cost[candidates] / -alpha[candidates]
         ties = candidates[ratios == ratios.min()]
         if ties.size == 0:  # a NaN ratio, from an overflow in the tableau
@@ -208,7 +269,8 @@ def _dual_simplex(c, A, b, le, ge, start):
     if np.any(cost < -TOL):
         return None, iters
     x, objective, dual = _optimum(c, tableau, basis, identity, flipped)
-    return LpResult("optimal", x, objective, iters, dual, basis, flipped, warm=True), iters
+    return LpResult("optimal", x, objective, iters, dual, basis, flipped, warm=True,
+                    tableau=tableau, identity=identity, art_start=art_start), iters
 
 
 @numerical_guard("simplex")
@@ -217,9 +279,15 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
 
     ``senses`` is a sequence of "<=", "=" or ">=" per row.  ``start`` is an
     optimal result of an LP with the same ``c``, ``A`` and senses: the solve
-    then starts warm from its basis and row flips, and runs cold when there
-    is no ``start``, when that solve dropped redundant rows or when the warm
-    path gives up.  An optimal result carries the row duals in ``dual``:
+    then starts warm from its basis and row flips, with B^-1 taken from the
+    final tableau that ``start`` carries and the reduced costs priced out
+    from ``c``.  Each answer reached so is checked against ``c``, ``A`` and
+    ``b``: an optimum by its point and its duals, an infeasible verdict by
+    its ray (see ``_holds``).  One that fails is thrown away, and the LP is
+    solved warm again from the basis refactored from ``A``; ``refactored``
+    says so.  The solve runs cold when there is no ``start``, when that
+    solve dropped redundant rows or when the warm path gives up.  An
+    optimal result carries the row duals in ``dual``:
     minus the final reduced cost of each row's identity column (its slack or
     its artificial), negated back on flipped rows, 0 on rows dropped as
     redundant; neither ``x`` nor ``dual`` holds a negative zero.  ``iterations``
@@ -236,7 +304,9 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
         if np.any(c < -TOL):
             return LpResult("unbounded", None, -np.inf, 0)
         return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0),
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool),
+                        tableau=np.zeros((1, n + 1)), identity=np.zeros(0, dtype=np.int64),
+                        art_start=n)
 
     senses = np.asarray(senses)
     le, eq, ge = (senses == sense for sense in ("<=", "=", ">="))
@@ -246,7 +316,12 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
 
     iterations = 0
     if start is not None and start.basis is not None:
-        result, iterations = _dual_simplex(c, A, b, le, ge, start)
+        result, iterations = _dual_simplex(c, _carried(c, b, start), start)
+        if result is not None and not _holds(c, A, b, le, ge, result):
+            result, iters = _dual_simplex(c, _refactored(c, A, b, le, ge, start), start)
+            iterations += iters
+            if result is not None:
+                result.iterations, result.refactored = iterations, True
         if result is not None:
             return result
 
@@ -254,7 +329,7 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
     flipped = b < 0.0
     tableau, identity, art_start = _start_tableau(A, b, le, ge, flipped)
     total = tableau.shape[1] - 1
-    art_rows = np.flatnonzero(identity >= art_start)
+    art_rows = (identity >= art_start).nonzero()[0]
     basis = identity.copy()
 
     allowed = np.ones(total, dtype=bool)
@@ -280,7 +355,7 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
         for i in range(m):
             if basis[i] < art_start:
                 continue
-            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > TOL)
+            nonzero = (np.abs(tableau[i, :art_start]) > TOL).nonzero()[0]
             if nonzero.size == 0:
                 redundant.append(i)
             else:
@@ -307,5 +382,7 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
 
     x, objective, dual = _optimum(c, tableau, basis, identity, flipped)
     dual[redundant] = 0.0
-    return LpResult("optimal", x, objective, iterations, dual,
-                    None if redundant else basis, flipped)
+    if redundant:
+        return LpResult("optimal", x, objective, iterations, dual, None, flipped)
+    return LpResult("optimal", x, objective, iterations, dual, basis, flipped,
+                    tableau=tableau, identity=identity, art_start=art_start)

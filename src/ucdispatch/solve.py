@@ -20,12 +20,13 @@ skipped pattern lies above the tie cut, so it could neither lower the best
 optimum nor join the ties.
 
 For the same reason a new ``b`` leaves the last optimal basis dual
-feasible, so each LP starts warm from it (a dual simplex, see
-``simplex``).  A warm result only steers the walk: a warm "infeasible" is
-confirmed by a cold solve, and every pattern whose warm optimum lies within
-the skip margin of the tie cut is solved cold again at the end.  The cold
-results alone decide the ties, so the answer and every report are those of
-a full enumeration that cold-solves every pattern.
+feasible, so each LP starts warm from it and from the final tableau that
+its result carries (a dual simplex, see ``simplex``).  A warm result only
+steers the walk: a warm "infeasible" is confirmed by a cold solve, and
+every pattern whose warm optimum lies within the skip margin of the tie
+cut is solved cold again at the end.  The cold results alone decide the
+ties, so the answer and every report are those of a full enumeration that
+cold-solves every pattern.
 
 The external backend writes the model to a standard-format file, runs a
 solver subprocess via a command template with {model} and {solution}
@@ -169,8 +170,8 @@ class _ExactEngine:
         self.c_cont, self.c_bin = c[~is_bin], c[is_bin]
 
         self.stats = dict.fromkeys(
-            ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "resolved",
-             "pivots"), 0)
+            ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "refactored",
+             "resolved", "pivots"), 0)
 
         # bits fixed by singleton pure equality rows (initial on/off states)
         self.fixed = np.full(len(bin_cols), -1, dtype=np.int8)
@@ -251,8 +252,9 @@ class _ExactEngine:
         are skipped.  Each LP starts warm from the last optimal basis; a warm
         "infeasible" is confirmed cold, and a warm optimum within the skip
         margin of the tie cut makes its pattern a candidate, solved cold
-        again at the end, so that cold results alone decide the ties.
-        ``self.stats`` counts what became of each pattern."""
+        again at the end, so that cold results alone decide the ties.  A
+        candidate keeps only its cold values, not the result and the tableau
+        it carries.  ``self.stats`` counts what became of each pattern."""
         stats = self.stats
 
         def lp(b, start=None):
@@ -273,6 +275,7 @@ class _ExactEngine:
             result = lp(b, start)
             stats["lps"] += 1
             stats["warm"] += result.warm
+            stats["refactored"] += result.refactored
             if result.warm and result.status == "infeasible":
                 stats["resolved"] += 1
                 result = lp(b)
@@ -290,18 +293,20 @@ class _ExactEngine:
             if objective < best:
                 best = objective
                 candidates = [cand for cand in candidates if cand[1] <= _skip_cut(best)]
-            candidates.append((pattern.copy(), objective, lower.copy(), b.copy(), result))
+            candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
+                               None if result.warm else result.x))
 
         best, ties = np.inf, []
-        for pattern, objective, lower, b, result in candidates:
-            if result.warm:
+        for pattern, objective, lower, b, x in candidates:
+            if x is None:
                 stats["resolved"] += 1
                 result = lp(b)
                 if result.status == "unbounded":
                     return None
                 if result.status != "optimal":
                     continue
-            x = result.x + lower
+                x = result.x
+            x = x + lower
             objective = float(self.c_cont @ x + self.c_bin @ pattern)
             if objective > _tie_cut(best):
                 continue
@@ -351,10 +356,12 @@ def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solutio
     lexicographically smallest wins, with its own cold objective and values.
     ``Solution.stats`` counts the patterns, how many were ruled out by their
     bounds or a dual bound, the LPs solved, how many of them started warm,
-    the extra cold re-solves and the pivots of all of them.  Raises
-    :class:`TooManyBinaries` when the model exceeds the enumeration budget
-    and :class:`NumericalFailure` if the simplex cycling guard trips on an
-    LP that is solved or the arithmetic overflows.
+    how many warm ones refactored their basis after the answer of the
+    carried tableau failed its check, the extra cold re-solves and the
+    pivots of all of them.  Raises :class:`TooManyBinaries` when the model
+    exceeds the enumeration budget and :class:`NumericalFailure` if the
+    simplex cycling guard trips on an LP that is solved or the arithmetic
+    overflows.
     """
     config = config or SolverConfig()
     started = time.perf_counter()

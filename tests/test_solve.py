@@ -1,6 +1,7 @@
 """Built-in exact solver, solution parsing/checking, external bridge."""
 
 import dataclasses
+import hashlib
 import itertools
 import sys
 from unittest import mock
@@ -221,6 +222,35 @@ class TestEnumerateOptimalPatterns:
         assert (0, 1) in patterns and (1, 0) in patterns
 
 
+#: (units, periods) of the pinned desk instances: 8 to 12 binaries each
+PINNED_SHAPES = [(1, 8), (2, 4), (1, 9), (3, 3), (1, 10),
+                 (2, 5), (1, 11), (3, 4), (1, 12), (2, 6)]
+#: SHA-256 over the answers of the exact engine on the instances of
+#: ``pinned_instances``: a change to the LP loop must leave every bit of them
+PINNED_ANSWERS = "83ea19366e3ea8090fdf50a41d50a53639ef3f8ebe88c257d8c3b2de6f9e0df2"
+
+
+def pinned_instances():
+    """Twenty seeded desk instances, each shape once without a storage unit
+    and once with one."""
+    for seed, (n_units, T) in enumerate(PINNED_SHAPES * 2):
+        yield random_instance(np.random.default_rng(seed), n_units, T,
+                              with_storage=seed >= len(PINNED_SHAPES))
+
+
+def test_exact_answers_are_pinned():
+    # the status and objective repr, the value bytes and the optimal
+    # patterns of each instance
+    digest = hashlib.sha256()
+    for instance in pinned_instances():
+        model = build(instance)
+        solution = solve_exact(model)
+        digest.update(f"{solution.status} {solution.objective!r};".encode())
+        digest.update(solution.values.tobytes())
+        digest.update(f"{enumerate_optimal_patterns(model)};".encode())
+    assert digest.hexdigest() == PINNED_ANSWERS
+
+
 def unpruned_ties(engine):
     """The tie list of a full enumeration: every pattern cold-solved."""
     best, ties = np.inf, []
@@ -400,12 +430,14 @@ class TestDualSkip:
         with caplog.at_level("DEBUG", logger="ucdispatch.solve"):
             stats = solve_exact(build(make())).stats
         assert set(stats) == {"patterns", "bound_infeasible", "dual_pruned", "lps", "warm",
-                              "resolved", "pivots"}
+                              "refactored", "resolved", "pivots"}
         assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
                                      + stats["lps"])
         assert stats["lps"] > 0 and stats["pivots"] > 0
         (record,) = [r for r in caplog.records if r.getMessage().startswith("exact solve:")]
         assert f"lps {stats['lps']}," in record.getMessage()
+        assert f"refactored {stats['refactored']}," in record.getMessage()
+        assert stats["refactored"] <= stats["warm"] <= stats["lps"]
 
 
 class TestCheckSolution:
