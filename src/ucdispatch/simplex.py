@@ -9,12 +9,11 @@ leaves dual feasible, and runs a dual simplex with Bland's rules; it falls
 back to the cold path whenever that basis cannot be used.  The warm start
 takes B^-1 from the final tableau that the optimal result carries, so it
 needs no factorization (the inverse is kept from one dual reoptimization
-to the next); only when an answer it reaches fails its check against the
-original rows is the basis refactored from those rows and the LP solved
-again.  All paths share one NumPy pivot.  The exact solver's
-lexicographic tie rule relies on the cold path's pivot choices, so keep
-its entering rule, its ratio test and the floating-point order of the
-elimination as they are.
+to the next); an answer it reaches that fails its check against the
+original rows is thrown away, and the LP is solved cold.  Both paths share
+one NumPy pivot.  The exact solver's lexicographic tie rule relies on the
+cold path's pivot choices, so keep its entering rule, its ratio test and
+the floating-point order of the elimination as they are.
 """
 
 from __future__ import annotations
@@ -54,13 +53,14 @@ class LpResult:
     #: and ``basis`` also None when rows were dropped as redundant
     basis: np.ndarray | None = None
     flipped: np.ndarray | None = None
-    #: whether the solve started from the basis of ``start``
+    #: whether the answer was reached from the basis of ``start``
     warm: bool = False
-    #: whether the answer reached from the carried tableau failed its check
-    #: against the original rows, so that the basis was refactored from them
-    refactored: bool = False
+    #: whether a warm answer failed its check against the original rows, so
+    #: that the LP was solved cold
+    rejected: bool = False
     #: the final tableau, its identity column of each row and its first
-    #: artificial column: a warm start reads B^-1 from them; set with ``basis``
+    #: artificial column: a warm start reads B^-1 from them; set with
+    #: ``basis`` on every optimal result with rows
     tableau: np.ndarray | None = field(default=None, repr=False)
     identity: np.ndarray | None = field(default=None, repr=False)
     art_start: int | None = field(default=None, repr=False)
@@ -171,42 +171,6 @@ def _optimum(c, tableau, basis, identity, flipped):
     return x + 0.0, objective, dual + 0.0
 
 
-def _carried(c, b, start):
-    """The start's final tableau with the right-hand sides of ``b``, B^-1
-    times ``b`` with the start's flips, and the reduced costs of ``c``
-    priced out over its basis; ``start.tableau[:m, start.identity]`` is B^-1."""
-    m = len(start.basis)
-    tableau = start.tableau.copy()
-    tableau[:m, -1] = tableau[:m, start.identity] @ np.where(start.flipped, -b, b)
-    return _priced(c, tableau, start.basis)
-
-
-def _refactored(c, A, b, le, ge, start):
-    """The tableau of the start's basis and flips, refactored from the
-    original rows, with the reduced costs of ``c``; None if the basis is
-    singular there."""
-    m = len(start.basis)
-    tableau, _, _ = _start_tableau(A, b, le, ge, start.flipped)
-    try:
-        tableau[:m] = np.linalg.solve(tableau[:m, start.basis], tableau[:m])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(tableau[:m]).all():
-        return None
-    tableau[:m, start.basis] = np.eye(m)
-    return _priced(c, tableau, start.basis)
-
-
-def _priced(c, tableau, basis):
-    """``tableau`` with its last row set to the reduced costs of ``c``."""
-    m = len(basis)
-    costs = np.zeros(tableau.shape[1])
-    costs[:len(c)] = c
-    tableau[m] = costs - costs[basis] @ tableau[:m]
-    tableau[m, basis] = 0.0
-    return tableau
-
-
 def _holds(c, A, b, le, ge, result):
     """Whether a warm answer holds on the original rows, each side within
     1e-9 times one plus its own magnitude.  An optimum is certified by its
@@ -225,21 +189,27 @@ def _holds(c, A, b, le, ge, result):
                 and abs(result.objective - b @ y) <= 1e-9 * (1.0 + abs(result.objective)))
 
 
-def _dual_simplex(c, tableau, start):
-    """Solve from ``tableau``, in the basis and row flips of ``start``, with
-    a dual simplex.
+def _dual_simplex(c, b, start):
+    """Solve for ``b`` from the basis, the row flips and the final tableau
+    of ``start`` with a dual simplex.
 
-    Pivots with Bland's rules: the leaving row is the primal-infeasible one
-    with the smallest basic column, the entering column the minimal ratio,
-    the smallest column on ties.  Returns (result, pivots); result is None
-    where the cold path must take over: no tableau, a reduced cost below
-    -TOL at the start or the end, or the pivot cap.
+    The right-hand sides become B^-1 times ``b`` with the start's flips,
+    B^-1 being ``start.tableau[:m, start.identity]``, and the reduced costs
+    are priced out again from ``c``.  Pivots with Bland's rules: the leaving
+    row is the primal-infeasible one with the smallest basic column, the
+    entering column the minimal ratio, the smallest column on ties.  Returns
+    (result, pivots); result is None where the cold path must take over: a
+    reduced cost below -TOL at the start or the end, or the pivot cap.
     """
-    if tableau is None:
-        return None, 0
     m = len(start.basis)
     flipped, identity, art_start = start.flipped, start.identity, start.art_start
     basis = start.basis.copy()
+    tableau = start.tableau.copy()
+    tableau[:m, -1] = tableau[:m, identity] @ np.where(flipped, -b, b)
+    costs = np.zeros(tableau.shape[1])
+    costs[:len(c)] = c
+    tableau[m] = costs - costs[basis] @ tableau[:m]
+    tableau[m, basis] = 0.0
     cost = tableau[m, :art_start]  # artificials never enter
     if np.any(cost < -TOL):
         return None, 0
@@ -273,57 +243,10 @@ def _dual_simplex(c, tableau, start):
                     tableau=tableau, identity=identity, art_start=art_start), iters
 
 
-@numerical_guard("simplex")
-def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
-    """Solve min c.x s.t. A x (senses) b, x >= 0.
-
-    ``senses`` is a sequence of "<=", "=" or ">=" per row.  ``start`` is an
-    optimal result of an LP with the same ``c``, ``A`` and senses: the solve
-    then starts warm from its basis and row flips, with B^-1 taken from the
-    final tableau that ``start`` carries and the reduced costs priced out
-    from ``c``.  Each answer reached so is checked against ``c``, ``A`` and
-    ``b``: an optimum by its point and its duals, an infeasible verdict by
-    its ray (see ``_holds``).  One that fails is thrown away, and the LP is
-    solved warm again from the basis refactored from ``A``; ``refactored``
-    says so.  The solve runs cold when there is no ``start``, when that
-    solve dropped redundant rows or when the warm path gives up.  An
-    optimal result carries the row duals in ``dual``:
-    minus the final reduced cost of each row's identity column (its slack or
-    its artificial), negated back on flipped rows, 0 on rows dropped as
-    redundant; neither ``x`` nor ``dual`` holds a negative zero.  ``iterations``
-    counts the pivots of both paths.  Raises :class:`NumericalFailure` if a
-    cold phase reaches MAX_ITERATIONS pivots, the arithmetic overflows, or a
-    NaN ratio or a non-finite optimum turns up.
-    """
-    c = np.asarray(c, dtype=float)
-    A = np.array(A, dtype=float, ndmin=2)
-    b = np.array(b, dtype=float)
-    n = c.shape[0]
-    m = b.shape[0]
-    if m == 0:
-        if np.any(c < -TOL):
-            return LpResult("unbounded", None, -np.inf, 0)
-        return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0),
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool),
-                        tableau=np.zeros((1, n + 1)), identity=np.zeros(0, dtype=np.int64),
-                        art_start=n)
-
-    senses = np.asarray(senses)
-    le, eq, ge = (senses == sense for sense in ("<=", "=", ">="))
-    known = le | eq | ge
-    if not known.all():
-        raise ValueError(f"unknown row sense {str(senses[~known][0])!r}")
-
+def _two_phase(c, A, b, le, ge):
+    """Solve from scratch with the two-phase primal simplex."""
+    m, n = len(b), len(c)
     iterations = 0
-    if start is not None and start.basis is not None:
-        result, iterations = _dual_simplex(c, _carried(c, b, start), start)
-        if result is not None and not _holds(c, A, b, le, ge, result):
-            result, iters = _dual_simplex(c, _refactored(c, A, b, le, ge, start), start)
-            iterations += iters
-            if result is not None:
-                result.iterations, result.refactored = iterations, True
-        if result is not None:
-            return result
 
     # normalize to nonnegative right-hand sides
     flipped = b < 0.0
@@ -386,3 +309,53 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
         return LpResult("optimal", x, objective, iterations, dual, None, flipped)
     return LpResult("optimal", x, objective, iterations, dual, basis, flipped,
                     tableau=tableau, identity=identity, art_start=art_start)
+
+
+@numerical_guard("simplex")
+def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
+    """Solve min c.x s.t. A x (senses) b, x >= 0.
+
+    ``senses`` is a sequence of "<=", "=" or ">=" per row.  ``start`` is an
+    optimal result of an LP with the same ``c``, ``A`` and senses: the solve
+    then starts warm from its basis and row flips, with B^-1 taken from the
+    final tableau that ``start`` carries and the reduced costs priced out
+    from ``c``.  Each answer reached so is checked against ``c``, ``A`` and
+    ``b``: an optimum by its point and its duals, an infeasible verdict by
+    its ray (see ``_holds``).  One that fails is thrown away and the LP is
+    solved cold; ``rejected`` says so.  The solve also runs cold when there
+    is no ``start``, when that solve dropped redundant rows or when the warm
+    path gives up.  An optimal result carries the row duals in ``dual``:
+    minus the final reduced cost of each row's identity column (its slack or
+    its artificial), negated back on flipped rows, 0 on rows dropped as
+    redundant; neither ``x`` nor ``dual`` holds a negative zero.  ``iterations``
+    counts the pivots of both paths.  Raises :class:`NumericalFailure` if a
+    cold phase reaches MAX_ITERATIONS pivots, the arithmetic overflows, or a
+    NaN ratio or a non-finite optimum turns up.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.array(A, dtype=float, ndmin=2)
+    b = np.array(b, dtype=float)
+    n = c.shape[0]
+    if b.shape[0] == 0:
+        if np.any(c < -TOL):
+            return LpResult("unbounded", None, -np.inf, 0)
+        return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0),
+                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+
+    senses = np.asarray(senses)
+    le, eq, ge = (senses == sense for sense in ("<=", "=", ">="))
+    known = le | eq | ge
+    if not known.all():
+        raise ValueError(f"unknown row sense {str(senses[~known][0])!r}")
+
+    iterations, rejected = 0, False
+    if start is not None and start.basis is not None:
+        result, iterations = _dual_simplex(c, b, start)
+        if result is not None and _holds(c, A, b, le, ge, result):
+            return result
+        rejected = result is not None
+    result = _two_phase(c, A, b, le, ge)
+    result.iterations += iterations
+    result.rejected = rejected
+    return result
+

@@ -21,12 +21,13 @@ optimum nor join the ties.
 
 For the same reason a new ``b`` leaves the last optimal basis dual
 feasible, so each LP starts warm from it and from the final tableau that
-its result carries (a dual simplex, see ``simplex``).  A warm result only
-steers the walk: a warm "infeasible" is confirmed by a cold solve, and
-every pattern whose warm optimum lies within the skip margin of the tie
-cut is solved cold again at the end.  The cold results alone decide the
-ties, so the answer and every report are those of a full enumeration that
-cold-solves every pattern.
+its result carries (a dual simplex, see ``simplex``).  A warm "infeasible"
+comes with a ray that ``simplex`` has checked against the original rows,
+so it stands.  A warm optimum only steers the walk: every pattern whose
+warm optimum lies within the skip margin of the tie cut is solved cold
+again at the end.  The cold results alone decide the ties, so the answer
+and every report are those of a full enumeration that cold-solves every
+pattern.
 
 The external backend writes the model to a standard-format file, runs a
 solver subprocess via a command template with {model} and {solution}
@@ -170,7 +171,7 @@ class _ExactEngine:
         self.c_cont, self.c_bin = c[~is_bin], c[is_bin]
 
         self.stats = dict.fromkeys(
-            ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "refactored",
+            ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "rejected",
              "resolved", "pivots"), 0)
 
         # bits fixed by singleton pure equality rows (initial on/off states)
@@ -250,9 +251,9 @@ class _ExactEngine:
         optimum, in lexicographic order, or None if a pattern's LP is
         unbounded.  Patterns that a pooled dual bound puts above the tie cut
         are skipped.  Each LP starts warm from the last optimal basis; a warm
-        "infeasible" is confirmed cold, and a warm optimum within the skip
-        margin of the tie cut makes its pattern a candidate, solved cold
-        again at the end, so that cold results alone decide the ties.  A
+        optimum within the skip margin of the tie cut makes its pattern a
+        candidate, solved cold again at the end, so that cold results alone
+        decide the ties (a warm "infeasible" is certified by its ray).  A
         candidate keeps only its cold values, not the result and the tableau
         it carries.  ``self.stats`` counts what became of each pattern."""
         stats = self.stats
@@ -275,10 +276,7 @@ class _ExactEngine:
             result = lp(b, start)
             stats["lps"] += 1
             stats["warm"] += result.warm
-            stats["refactored"] += result.refactored
-            if result.warm and result.status == "infeasible":
-                stats["resolved"] += 1
-                result = lp(b)
+            stats["rejected"] += result.rejected
             if result.status == "unbounded":
                 return None
             if result.status != "optimal":
@@ -356,12 +354,11 @@ def solve_exact(model: MilpModel, config: SolverConfig | None = None) -> Solutio
     lexicographically smallest wins, with its own cold objective and values.
     ``Solution.stats`` counts the patterns, how many were ruled out by their
     bounds or a dual bound, the LPs solved, how many of them started warm,
-    how many warm ones refactored their basis after the answer of the
-    carried tableau failed its check, the extra cold re-solves and the
-    pivots of all of them.  Raises :class:`TooManyBinaries` when the model
-    exceeds the enumeration budget and :class:`NumericalFailure` if the
-    simplex cycling guard trips on an LP that is solved or the arithmetic
-    overflows.
+    how many were solved cold because a warm answer failed its check, the
+    cold re-solves of the tie candidates and the pivots of all of them.
+    Raises :class:`TooManyBinaries` when the model exceeds the enumeration
+    budget and :class:`NumericalFailure` if the simplex cycling guard trips
+    on an LP that is solved or the arithmetic overflows.
     """
     config = config or SolverConfig()
     started = time.perf_counter()

@@ -302,7 +302,7 @@ class TestSolveCommand:
         assert payload["cost_breakdown"]["production_cost"] == pytest.approx(2700.0)
         stats = payload["stats"]
         assert stats["lps"] > 0
-        assert stats["refactored"] <= stats["warm"] <= stats["lps"]
+        assert stats["warm"] + stats["rejected"] <= stats["lps"]
         assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
                                      + stats["lps"])
 

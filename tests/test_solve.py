@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import SHIM_TEMPLATE
 from helpers import fixture_instance, make_instance, make_unit, random_instance
+import ucdispatch.simplex as simplex_module
 import ucdispatch.solve as solve_module
 from ucdispatch import mipshim
 from ucdispatch.errors import (
@@ -395,29 +396,38 @@ class TestDualSkip:
                                       lambda: random_instance(np.random.default_rng(3), 2, 4,
                                                               with_storage=True)])
     def test_cold_solves_overrule_a_wrong_warm_result(self, make, fault, monkeypatch):
-        # each warm solve of the winning pattern's LP says "infeasible", or
-        # moves its optimum by half the skip margin: the answer is unchanged
+        # each dual simplex on the winning pattern's LP says "infeasible"
+        # with a ray that proves nothing, or each warm solve of it moves its
+        # optimum by half the skip margin: the answer is unchanged
         model = build(make())
         engine = _ExactEngine(model, SolverConfig())
         expected = unpruned_ties(engine)
         (winner_b,) = [b for p, _, b in engine.patterns() if p.tobytes() == expected[0][0].tobytes()]
         shift = 0.5 * DUAL_SKIP_REL * (1.0 + abs(expected[0][1]))
-        lp, hits = solve_module.solve_dense_lp, []
+        lp, dual_simplex, hits = solve_module.solve_dense_lp, simplex_module._dual_simplex, []
 
-        def faulty(c, A, senses, b, start=None):
+        def false_infeasible(c, b, start):
+            result, iters = dual_simplex(c, b, start)
+            if b.tobytes() != winner_b.tobytes():
+                return result, iters
+            hits.append(fault)
+            return LpResult("infeasible", None, np.inf, iters, np.zeros(len(b)), warm=True), iters
+
+        def moved(c, A, senses, b, start=None):
             result = lp(c, A, senses, b, start=start)
             if not result.warm or b.tobytes() != winner_b.tobytes():
                 return result
             hits.append(fault)
-            if fault == "infeasible":
-                return LpResult("infeasible", None, np.inf, result.iterations, warm=True)
             col = np.flatnonzero(c)[0]
             delta = shift if fault == "higher" else -shift
             x = result.x.copy()
             x[col] += delta / c[col]
             return dataclasses.replace(result, x=x, objective=result.objective + delta)
 
-        monkeypatch.setattr(solve_module, "solve_dense_lp", faulty)
+        if fault == "infeasible":
+            monkeypatch.setattr(simplex_module, "_dual_simplex", false_infeasible)
+        else:
+            monkeypatch.setattr(solve_module, "solve_dense_lp", moved)
         same_as_full_enumeration(model)
         assert enumerate_optimal_patterns(model) == [tuple(p) for p, _, _ in expected]
         assert hits
@@ -430,14 +440,14 @@ class TestDualSkip:
         with caplog.at_level("DEBUG", logger="ucdispatch.solve"):
             stats = solve_exact(build(make())).stats
         assert set(stats) == {"patterns", "bound_infeasible", "dual_pruned", "lps", "warm",
-                              "refactored", "resolved", "pivots"}
+                              "rejected", "resolved", "pivots"}
         assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
                                      + stats["lps"])
         assert stats["lps"] > 0 and stats["pivots"] > 0
         (record,) = [r for r in caplog.records if r.getMessage().startswith("exact solve:")]
         assert f"lps {stats['lps']}," in record.getMessage()
-        assert f"refactored {stats['refactored']}," in record.getMessage()
-        assert stats["refactored"] <= stats["warm"] <= stats["lps"]
+        assert f"rejected {stats['rejected']}," in record.getMessage()
+        assert stats["warm"] + stats["rejected"] <= stats["lps"]
 
 
 class TestCheckSolution:
