@@ -184,6 +184,24 @@ class TestSolveExact:
         with pytest.raises(NumericalFailure, match="overflow in the LP bounds of pattern 0"):
             solve_exact(model)
 
+    @pytest.mark.parametrize("rows", [
+        # v = 1 and v = 0 on the same column
+        [RowBlock("initial-on", [1], "=", 1.0, [([0], [1.0])]),
+         RowBlock("initial-off", [1], "=", 0.0, [([0], [1.0])])],
+        # a fixing row of value 0.5
+        [RowBlock("initial-on", [1], "=", 1.0, [([0], [2.0])])],
+    ], ids=["conflicting", "fractional"])
+    def test_fixing_rows_no_pattern_meets_are_infeasible(self, rows):
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("p", 1, 1)]),
+            RowMatrix.from_blocks([*rows, RowBlock("demand", [1], ">=", 1.0,
+                                                   [([2], [1.0])])]),
+            {2: 1.0})
+        solution = solve_exact(model)
+        assert solution.status == "infeasible"
+        assert solution.stats["patterns"] == 0
+        assert enumerate_optimal_patterns(model) == []
+
     def test_every_source_gives_one_value_per_column(self, fixture_inst):
         model = build(fixture_inst)
         config = SolverConfig(backend="external", command_template=SHIM_TEMPLATE)
@@ -250,6 +268,21 @@ def test_exact_answers_are_pinned():
         digest.update(solution.values.tobytes())
         digest.update(f"{enumerate_optimal_patterns(model)};".encode())
     assert digest.hexdigest() == PINNED_ANSWERS
+
+
+#: SHA-256 over every counter of ``Solution.stats`` and the optimal
+#: patterns of the exact engine on ``pinned_instances``: a change that only
+#: simplifies the engine must leave each of them as it was
+PINNED_COUNTERS = "83cb772b45261a6ed2a15efd24d2879c437801171ecd6ee64e2998e22dfb49c9"
+
+
+def test_exact_counters_are_pinned():
+    digest = hashlib.sha256()
+    for instance in pinned_instances():
+        model = build(instance)
+        digest.update(f"{sorted(solve_exact(model).stats.items())};".encode())
+        digest.update(f"{enumerate_optimal_patterns(model)};".encode())
+    assert digest.hexdigest() == PINNED_COUNTERS
 
 
 def unpruned_ties(engine):
