@@ -60,7 +60,7 @@ class LpResult:
     rejected: bool = False
     #: the final tableau, its identity column of each row and its first
     #: artificial column: a warm start reads B^-1 from them; set with
-    #: ``basis`` on every optimal result with rows
+    #: ``basis``
     tableau: np.ndarray | None = field(default=None, repr=False)
     identity: np.ndarray | None = field(default=None, repr=False)
     art_start: int | None = field(default=None, repr=False)
@@ -89,12 +89,14 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _pivot_loop(tableau, basis, allowed):
+def _pivot_loop(tableau, basis, art_start):
     """Run simplex pivots in place until optimal, unbounded or the cap.
 
     ``tableau`` is (m+1) x (ncols+1): m constraint rows plus the reduced-cost
     row, last column holds the right-hand sides and minus the objective.
-    Entering column: the first allowed one with reduced cost below -TOL.
+    Entering column: the first one before ``art_start`` with reduced cost
+    below -TOL; artificials, the columns from ``art_start`` on, may leave the
+    basis but never enter it.
     Leaving row: the minimal ratio, ties broken by the smallest basic column.
     Returns (status, iterations), status "optimal", "unbounded" or "limit".
     """
@@ -102,7 +104,7 @@ def _pivot_loop(tableau, basis, allowed):
     cost = tableau[m]
     iters = 0
     while iters < MAX_ITERATIONS:
-        entering = (allowed & (cost[:-1] < -TOL)).nonzero()[0]
+        entering = (cost[:art_start] < -TOL).nonzero()[0]
         if entering.size == 0:
             return "optimal", iters
         col = int(entering[0])
@@ -251,12 +253,8 @@ def _two_phase(c, A, b, le, ge):
     # normalize to nonnegative right-hand sides
     flipped = b < 0.0
     tableau, identity, art_start = _start_tableau(A, b, le, ge, flipped)
-    total = tableau.shape[1] - 1
     art_rows = (identity >= art_start).nonzero()[0]
     basis = identity.copy()
-
-    allowed = np.ones(total, dtype=bool)
-    allowed[art_start:] = False  # artificials may leave but never re-enter
 
     redundant = []
     if art_rows.size:
@@ -264,9 +262,9 @@ def _two_phase(c, A, b, le, ge):
         tableau[m, :] = 0.0
         for i in art_rows:
             tableau[m, :] -= tableau[i, :]
-        tableau[m, art_start:total] = 0.0
+        tableau[m, art_start:-1] = 0.0
 
-        status, iters = _pivot_loop(tableau, basis, allowed)
+        status, iters = _pivot_loop(tableau, basis, art_start)
         iterations += iters
         if status == "limit":
             raise NumericalFailure(f"simplex phase 1 exceeded {MAX_ITERATIONS} pivots")
@@ -296,7 +294,7 @@ def _two_phase(c, A, b, le, ge):
         if basis[i] < n and c[basis[i]] != 0.0:
             tableau[m, :] -= c[basis[i]] * tableau[i, :]
 
-    status, iters = _pivot_loop(tableau, basis, allowed)
+    status, iters = _pivot_loop(tableau, basis, art_start)
     iterations += iters
     if status == "limit":
         raise NumericalFailure(f"simplex phase 2 exceeded {MAX_ITERATIONS} pivots")
@@ -330,19 +328,14 @@ def solve_dense_lp(c, A, senses, b, start: LpResult | None = None) -> LpResult:
     redundant; neither ``x`` nor ``dual`` holds a negative zero.  ``iterations``
     counts the pivots of both paths.  Raises :class:`NumericalFailure` if a
     cold phase reaches MAX_ITERATIONS pivots, the arithmetic overflows, or a
-    NaN ratio or a non-finite optimum turns up.
+    NaN ratio or a non-finite optimum turns up.  An LP without rows takes
+    the same path: its tableau is the reduced-cost row alone, so it is
+    optimal at x = 0 with no pivot, or unbounded where a cost is below -TOL.
     """
     c = np.asarray(c, dtype=float)
     A = np.array(A, dtype=float, ndmin=2)
     b = np.array(b, dtype=float)
-    n = c.shape[0]
-    if b.shape[0] == 0:
-        if np.any(c < -TOL):
-            return LpResult("unbounded", None, -np.inf, 0)
-        return LpResult("optimal", np.zeros(n), 0.0, 0, np.zeros(0),
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
-
-    senses = np.asarray(senses)
+    senses = np.asarray(senses, dtype=str)
     le, eq, ge = (senses == sense for sense in ("<=", "=", ">="))
     known = le | eq | ge
     if not known.all():

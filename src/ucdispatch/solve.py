@@ -24,8 +24,8 @@ feasible, so each LP starts warm from it and from the final tableau that
 its result carries (a dual simplex, see ``simplex``).  A warm "infeasible"
 comes with a ray that ``simplex`` has checked against the original rows,
 so it stands.  A warm optimum only steers the walk: every pattern whose
-warm optimum lies within the skip margin of the tie cut is solved cold
-again at the end.  The cold results alone decide the ties, so the answer
+warm optimum lies within the skip margin of the final best's tie cut is
+solved cold again at the end.  The cold results alone decide the ties, so the answer
 and every report are those of a full enumeration that cold-solves every
 pattern.
 
@@ -174,18 +174,16 @@ class _ExactEngine:
             ("patterns", "bound_infeasible", "dual_pruned", "lps", "warm", "rejected",
              "resolved", "pivots"), 0)
 
-        # bits fixed by singleton pure equality rows (initial on/off states)
+        # bits fixed by singleton pure equality rows (initial on/off states);
+        # a row that conflicts with an earlier one or whose value is no bit
+        # fixes nothing, and the binary-row check rejects every pattern
         self.fixed = np.full(len(bin_cols), -1, dtype=np.int8)
-        self.contradictory = False
         for w, sense, rhs in zip(self.pure_w, self.pure_sense, self.pure_rhs):
             nz = np.flatnonzero(w)
-            if sense == _SENSE_EQ and len(nz) == 1:
+            if sense == _SENSE_EQ and len(nz) == 1 and self.fixed[nz[0]] < 0:
                 value = rhs / w[nz[0]]
                 bit = int(round(value))
-                if (abs(value - bit) > 1e-6 or bit not in (0, 1)
-                        or self.fixed[nz[0]] not in (-1, bit)):
-                    self.contradictory = True
-                else:
+                if abs(value - bit) <= 1e-6 and bit in (0, 1):
                     self.fixed[nz[0]] = bit
 
     def patterns(self):
@@ -195,8 +193,6 @@ class _ExactEngine:
         and counts PATTERN_BLOCK patterns at a time; one whose bounds or ``b``
         overflow raises :class:`NumericalFailure` when the walk reaches it,
         so that an earlier pattern's LP fails first."""
-        if self.contradictory:
-            return
         free = np.flatnonzero(self.fixed < 0)
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
         n_free = len(free)
@@ -249,13 +245,14 @@ class _ExactEngine:
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded.  Patterns that a pooled dual bound puts above the tie cut
-        are skipped.  Each LP starts warm from the last optimal basis; a warm
-        optimum within the skip margin of the tie cut makes its pattern a
-        candidate, solved cold again at the end, so that cold results alone
-        decide the ties (a warm "infeasible" is certified by its ray).  A
-        candidate keeps only its cold values, not the result and the tableau
-        it carries.  ``self.stats`` counts what became of each pattern."""
+        unbounded.  Each LP starts warm from the last optimal basis (a warm
+        "infeasible" is certified by its ray).  The running best only prunes
+        the walk, by the skip cut of its dual bounds and optima.  The
+        candidates, the optima within the skip cut of the final best, are
+        solved cold where warm, and the ties are the cold results within the
+        tie cut of their own best; both cuts rise with the best, so the walk
+        need not filter.  A candidate keeps only its cold values, not the
+        tableau.  ``self.stats`` counts what became of each pattern."""
         stats = self.stats
 
         def lp(b, start=None):
@@ -286,16 +283,15 @@ class _ExactEngine:
             if y is not None:
                 duals = np.vstack([duals, y])[-DUAL_POOL:]
             objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
+            if objective <= cut:
+                best = min(best, objective)
+                candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
+                                   None if result.warm else result.x))
+
+        cut, cold = _skip_cut(best), []
+        for pattern, objective, lower, b, x in candidates:
             if objective > cut:
                 continue
-            if objective < best:
-                best = objective
-                candidates = [cand for cand in candidates if cand[1] <= _skip_cut(best)]
-            candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
-                               None if result.warm else result.x))
-
-        best, ties = np.inf, []
-        for pattern, objective, lower, b, x in candidates:
             if x is None:
                 stats["resolved"] += 1
                 result = lp(b)
@@ -305,14 +301,9 @@ class _ExactEngine:
                     continue
                 x = result.x
             x = x + lower
-            objective = float(self.c_cont @ x + self.c_bin @ pattern)
-            if objective > _tie_cut(best):
-                continue
-            if objective < best:
-                best = objective
-                ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
-            ties.append((pattern, objective, x))
-        return ties
+            cold.append((pattern, float(self.c_cont @ x + self.c_bin @ pattern), x))
+        cut = _tie_cut(min((objective for _, objective, _ in cold), default=np.inf))
+        return [tie for tie in cold if tie[1] <= cut]
 
 
 def _rhs_minus(rhs, *terms):

@@ -73,8 +73,12 @@ def test_degenerate_lp_terminates():
 
 def test_no_rows():
     result = solve_dense_lp([1.0, 2.0], np.zeros((0, 2)), [], [])
-    assert result.status == "optimal"
-    assert result.x == pytest.approx([0.0, 0.0])
+    assert result.status == "optimal" and result.iterations == 0
+    assert result.x.tolist() == [0.0, 0.0] and result.objective == 0.0
+    # it carries its tableau, the cost row alone, like any other optimum
+    assert result.tableau.shape == (1, 3)
+    warm = solve_dense_lp([1.0, 2.0], np.zeros((0, 2)), [], [], start=result)
+    assert warm.warm and warm.iterations == 0 and warm.x.tolist() == [0.0, 0.0]
     assert solve_dense_lp([-1.0], np.zeros((0, 1)), [], []).status == "unbounded"
 
 
