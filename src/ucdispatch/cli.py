@@ -22,7 +22,7 @@ from .errors import (
     TooManyBinaries,
     ValidationFailed,
 )
-from .instance import load_instance, validate
+from .instance import CONFIG_KEYS, load_instance, validate
 from .model import build_model, model_stats
 from .report import build_report, write_reports
 from .solve import SolverConfig, Solution, accept_solution, solve
@@ -93,6 +93,9 @@ def _parse_overrides(parser, pairs) -> dict[str, str]:
         if "=" not in pair:
             parser.error(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
+        if key.strip() not in CONFIG_KEYS:
+            parser.error(f"--set: unknown config key {key.strip()!r} "
+                         f"(known: {', '.join(CONFIG_KEYS)})")
         overrides[key.strip()] = value.strip()
     return overrides
 

@@ -24,7 +24,8 @@ class UnknownFuelReference(DataError):
 
 
 class DuplicatePeriod(DataError):
-    """Two period rows map to the same period index."""
+    """Two rows of a table share their key: two period rows map to the same
+    period index, or two startup-cost rows have the same (j, k)."""
 
 
 class MissingPeriod(DataError):

@@ -298,6 +298,7 @@ def _read_units(path) -> tuple[UnitSpec, ...]:
 
 def _read_startup_curves(path, unit_ids) -> dict[int, StartupCostCurve]:
     costs: dict[int, dict[int, float]] = {j: {} for j in unit_ids}
+    lines: dict[tuple[int, int], int] = {}  # (j, k) -> the line of its row
     with _open_csv(path) as handle:
         reader = csv.DictReader(handle)
         _check_columns(path, reader.fieldnames, STARTUP_COLUMNS)
@@ -307,6 +308,10 @@ def _read_startup_curves(path, unit_ids) -> dict[int, StartupCostCurve]:
             if j not in costs:
                 continue  # rows for unlisted units carry no meaning
             t = _parse_int(row["k"], f"{where} k")
+            if (j, t) in lines:
+                raise DuplicatePeriod(f"{where}: unit {j} already has a row for k = {t}, "
+                                      f"on line {lines[j, t]}")
+            lines[j, t] = row_no
             costs[j][t] = _parse_float(row["CU"], f"{where} CU")
     return {j: StartupCostCurve(j, c) for j, c in costs.items()}
 

@@ -12,7 +12,9 @@ exact solver checks both sides.
 Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
 The MPS reader honours ``OBJSENSE``; a section it does not read or a row
-declared twice is a parse error (exit 2), never a silently different model.
+declared twice is a parse error (exit 2), never a silently different model;
+so is, in an LP file, a line before the first section or in a section the
+reader does not support.
 It walks the text a block of about 1 MiB at a time rather than splitting it
 into one list of lines, converts each distinct number text once, and takes
 a COLUMNS line for the same column as the line before it straight to its
@@ -182,29 +184,38 @@ _LP_TOKEN = re.compile(
     r"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*"
 )
 
+#: the keywords, of one or two words, that open a section, and the section;
+#: None for the CPLEX sections this reader does not support
 _LP_SECTIONS = {
-    "minimize": "objective", "minimise": "objective", "min": "objective",
-    "maximize": "objective", "maximise": "objective", "max": "objective",
-    "subject": "constraints", "st": "constraints", "s.t.": "constraints",
-    "such": "constraints",
+    "minimize": "objective", "minimise": "objective", "minimum": "objective",
+    "min": "objective", "maximize": "objective", "maximise": "objective",
+    "maximum": "objective", "max": "objective",
+    "subject to": "constraints", "such that": "constraints", "st": "constraints",
+    "s.t.": "constraints",
     "bounds": "bounds", "bound": "bounds",
     "binaries": "binaries", "binary": "binaries", "bin": "binaries",
     "generals": "generals", "general": "generals", "gen": "generals",
+    "semi-continuous": None, "semis": None, "semi": None, "sos": None,
+    "lazy constraints": None, "user cuts": None,
     "end": "end",
 }
 
 
-def _lp_section_of(line: str) -> str | None:
-    word = line.strip().split()[0].lower() if line.strip() else ""
-    section = _LP_SECTIONS.get(word)
-    if section == "constraints" and word in ("subject", "such"):
-        rest = line.strip().lower().split()
-        if len(rest) < 2 or rest[1] != "to":
-            return None
-    return section
+def _lp_keyword(line: str) -> tuple[str, str] | None:
+    """The section keyword that ``line`` starts with, lower-cased, and the
+    text after it, or None if it starts with none."""
+    words = line.split(None, 2)
+    for n in (2, 1):
+        keyword = " ".join(words[:n]).lower()
+        if len(words) >= n and keyword in _LP_SECTIONS:
+            return keyword, " ".join(words[n:])
+    return None
 
 
 def parse_lp(text: str) -> MipProblem:
+    """Read a CPLEX LP file.  The text after a section keyword on its line
+    belongs to that section; a line before the first section or in a
+    section this reader does not support is an error."""
     problem = MipProblem()
     sections: dict[str, list[str]] = {
         "objective": [], "constraints": [], "bounds": [],
@@ -212,19 +223,24 @@ def parse_lp(text: str) -> MipProblem:
     }
     current = None
     for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("\\", 1)[0].strip()
+        if not line:
             continue
-        section = _lp_section_of(line)
-        if section == "end":
-            break
-        if section is not None:
-            current = section
-            if section == "objective":
-                problem.maximize = line.strip().split()[0].lower().startswith("max")
-            continue
-        if current:
-            sections[current].append(line)
+        header = _lp_keyword(line)
+        if header is not None:
+            keyword, line = header
+            current = _LP_SECTIONS[keyword]
+            if current == "end":
+                break
+            if current is None:
+                raise ValueError(f"LP {keyword} sections are not supported")
+            if current == "objective":
+                problem.maximize = keyword.startswith("max")
+            if not line:
+                continue
+        if current is None:
+            raise ValueError(f"line {line!r} comes before the first section")
+        sections[current].append(line)
 
     tokens = _LP_TOKEN.findall(" ".join(sections["objective"]))
     i = 2 if len(tokens) > 1 and tokens[1] == ":" else 0

@@ -137,6 +137,14 @@ class TestThinCommand:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 4  # header + one group per point
 
+    def test_duplicate_startup_row_exits_two(self, fixture_files, capsys):
+        startup = fixture_files[2]
+        startup.write_text(startup.read_text() + "1,1,50000.0\n")
+        assert main(["thin", *input_args(fixture_files)]) == 2
+        captured = capsys.readouterr()
+        assert "50000" not in captured.out
+        assert "units_cu.csv:3: unit 1 already has a row for k = 1, on line 2" in captured.err
+
     def test_out_of_range_tol_is_usage_error(self, fixture_files):
         with pytest.raises(SystemExit) as info:
             main(["thin", "--tol", "1.5", *input_args(fixture_files)])
@@ -314,6 +322,17 @@ class TestSolveCommand:
                      "--out-dir", str(tmp_path / "o"),
                      *input_args(fixture_files)]) == 0
         assert "objective 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pair", ["t=1", "UP=0", "START_TOL=0.1"])
+    def test_unknown_config_override_is_usage_error(self, fixture_files, tmp_path,
+                                                    capsys, pair):
+        # "t=1" solved the fixture with T = 2 and exited 0
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--set", pair, "--out-dir", str(tmp_path / "o"),
+                  *input_args(fixture_files)])
+        assert info.value.code == 2
+        assert f"unknown config key {pair.split('=')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solve_reproducible_outputs(self, fixture_files, tmp_path, capsys):
         for name in ("one", "two"):

@@ -118,6 +118,16 @@ class TestLoadInstance:
         with pytest.raises(DuplicatePeriod):
             load_instance(*paths)
 
+    def test_duplicate_startup_row(self, tmp_path):
+        # the later row used to win: thinning printed a step of 50000
+        paths = write_instance_files(fixture_instance(), tmp_path)
+        startup = paths[2]
+        startup.write_text(startup.read_text() + "1,1,50000.0\n")
+        with pytest.raises(DuplicatePeriod,
+                           match=r"units_cu\.csv:3: unit 1 already has a row for k = 1, "
+                                 r"on line 2"):
+            load_instance(*paths)
+
     def test_rows_outside_horizon_are_dropped(self, tmp_path):
         paths = write_instance_files(fixture_instance(), tmp_path)
         periods = paths[3]

@@ -239,6 +239,40 @@ def test_lp_bounds(tmp_path, capsys, objective, bound, optimum):
     assert capsys.readouterr().out == f"optimal objective {optimum}\n"
 
 
+@pytest.mark.parametrize("text, optimum", [
+    # the objective after the keyword was dropped: optimum 0
+    ("Minimize obj: x + 2 y\nSubject To\n c1: x + y >= 2\nEnd\n", 2),
+    # the row after the keyword was dropped: optimum 0
+    ("Minimize\n obj: x + 2 y\nSubject To c1: x + y >= 2\nEnd\n", 2),
+    # "Such That" was a parse error, and "such to" a header
+    ("Minimize\n obj: x + 2 y\nSuch That\n c1: x + y >= 2\nEnd\n", 2),
+    # "Maximum" was no header, so its objective was dropped: optimum 0
+    ("Maximum\n obj: x + y\nSubject To\n c1: x + y <= 4\nEnd\n", 4),
+    ("minimum\n obj: x + 2 y\nst\n c1: x + y >= 2\nEnd\n", 2),
+], ids=["objective-on-header", "row-on-header", "such-that", "maximum", "minimum"])
+def test_lp_headers(tmp_path, capsys, text, optimum):
+    code, _ = run_shim(tmp_path, text, "model.lp")
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # "Semi-continuous" was read as a column of Generals
+    (GOOD_LP.replace("End", "Generals\n y\nSemi-continuous\n x\nEnd"),
+     "semi-continuous sections are not supported"),
+    (GOOD_LP.replace("End", "Semis\n x\nEnd"), "semis sections are not supported"),
+    (GOOD_LP.replace("End", "SOS\n s1: S1:: x:1 y:2\nEnd"), "sos sections are not supported"),
+    # a line before the first section was dropped
+    ("x + y\n" + GOOD_LP, "line 'x + y' comes before the first section"),
+    ("such to\n" + GOOD_LP, "line 'such to' comes before the first section"),
+], ids=["semi-continuous", "semis", "sos", "before-the-first-section", "such-to"])
+def test_lp_text_outside_a_known_section_exits_two(tmp_path, capsys, text, message):
+    code, solution = run_shim(tmp_path, text, "model.lp")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not solution.exists()
+
+
 def named(coefs, names):
     return {names[col]: coef for col, coef in coefs.items() if coef != 0.0}
 
