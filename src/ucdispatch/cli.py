@@ -92,11 +92,11 @@ def _parse_overrides(parser, pairs) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             parser.error(f"--set expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        if key.strip() not in CONFIG_KEYS:
-            parser.error(f"--set: unknown config key {key.strip()!r} "
+        key, _, value = (part.strip() for part in pair.partition("="))
+        if key not in CONFIG_KEYS:
+            parser.error(f"--set: unknown config key {key!r} "
                          f"(known: {', '.join(CONFIG_KEYS)})")
-        overrides[key.strip()] = value.strip()
+        overrides[key] = value
     return overrides
 
 

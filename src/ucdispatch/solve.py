@@ -25,9 +25,9 @@ its result carries (a dual simplex, see ``simplex``).  A warm "infeasible"
 comes with a ray that ``simplex`` has checked against the original rows,
 so it stands.  A warm optimum only steers the walk: every pattern whose
 warm optimum lies within the skip margin of the final best's tie cut is
-solved cold again at the end.  The cold results alone decide the ties, so the answer
-and every report are those of a full enumeration that cold-solves every
-pattern.
+solved cold again at the end.  The cold results alone decide the ties, so
+the answer and every report are those of a full enumeration that
+cold-solves every pattern.
 
 The external backend writes the model to a standard-format file, runs a
 solver subprocess via a command template with {model} and {solution}
