@@ -5,16 +5,22 @@ of the CLI.  Writes one "name value" line per column plus a commented
 objective line, and exits nonzero unless the solve reached optimality.
 
 This module deliberately shares no code with the model builder or the file
-writers: it parses the standard formats from scratch and solves with
-scipy's HiGHS interface, so an agreement between this path and the built-in
-exact solver checks both sides.
+writers: it parses the standard formats from scratch and solves with HiGHS,
+so an agreement between this path and the built-in exact solver checks both
+sides.  It calls HiGHS through the module SciPy bundles as
+``scipy.optimize._highspy._core``, loaded from its file next to the
+installed ``scipy`` so that a solver child never imports the much larger
+``scipy.optimize``; it hands HiGHS the model and options that
+``scipy.optimize.milp`` would.  Where that file is missing or lacks a name
+the shim uses (the module is private to SciPy), it calls ``milp`` instead.
 
 Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
 The MPS reader honours ``OBJSENSE``; a section it does not read or a row
 declared twice is a parse error (exit 2), never a silently different model;
 so is, in an LP file, a line before the first section or in a section the
-reader does not support.
+reader does not support, and in either format a number that is not finite,
+save an infinite bound that means "no bound".
 It walks the text a block of about 1 MiB at a time rather than splitting it
 into one list of lines, converts each distinct number text once, and takes
 a COLUMNS line for the same column as the line before it straight to its
@@ -24,6 +30,9 @@ row.
 from __future__ import annotations
 
 import argparse
+import importlib.machinery
+import importlib.util
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -64,11 +73,20 @@ def _mps_pairs(tokens):
     return zip(tokens[1::2], tokens[2::2])
 
 
+def _number(text: str, infinity: float | None = None) -> float:
+    """The float that ``text`` spells.  A NaN is an error, and so is an
+    infinity other than ``infinity``, the bound that means "no bound"."""
+    value = float(text)
+    if not (math.isfinite(value) or value == infinity):
+        raise ValueError(f"number {text!r} is not finite")
+    return value
+
+
 class _Numbers(dict):
-    """number text -> its float, converted on first use."""
+    """number text -> its finite float, converted and checked on first use."""
 
     def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
+        value = self[text] = _number(text)
         return value
 
 
@@ -147,11 +165,11 @@ def parse_mps(text: str) -> MipProblem:
             elif section == "BOUNDS":
                 btype, col = tokens[0].upper(), problem.touch(tokens[2])
                 if btype == "UP":
-                    problem.upper[col] = float(tokens[3])
+                    problem.upper[col] = _number(tokens[3], np.inf)
                 elif btype == "LO":
-                    problem.lower[col] = float(tokens[3])
+                    problem.lower[col] = _number(tokens[3], -np.inf)
                 elif btype == "FX":
-                    problem.lower[col] = problem.upper[col] = float(tokens[3])
+                    problem.lower[col] = problem.upper[col] = _number(tokens[3])
                 elif btype == "BV":
                     problem.integers.add(col)
                     problem.lower[col] = 0.0
@@ -266,7 +284,7 @@ def parse_lp(text: str) -> MipProblem:
             i += 1
         if i >= len(tokens) or not _LP_NUMBER.match(tokens[i]):
             raise ValueError("constraint without a right-hand side")
-        problem.rows.append([coefs, sense, rhs_sign * float(tokens[i])])
+        problem.rows.append([coefs, sense, rhs_sign * _number(tokens[i])])
         i += 1
 
     for line in sections["bounds"]:
@@ -297,7 +315,7 @@ def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
             raise ValueError(f"no + or - before {tokens[i]!r}")
         coef = 1.0
         if i < len(tokens) and _LP_NUMBER.match(tokens[i]):
-            coef = float(tokens[i])
+            coef = _number(tokens[i])
             i += 1
         if (i == len(tokens) or tokens[i] in _LP_SENSE or tokens[i] in ("+", "-", ":")
                 or _LP_NUMBER.match(tokens[i])):
@@ -306,12 +324,6 @@ def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
         coefs[col] = coefs.get(col, 0.0) + sign * coef
         i += 1
     return coefs, i
-
-
-def _lp_bound_value(token: str) -> float:
-    if _LP_INFINITY.match(token):
-        return -np.inf if token[0] == "-" else np.inf
-    return float(token)
 
 
 def _parse_lp_bound(line: str, problem: MipProblem) -> None:
@@ -326,21 +338,21 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
     parts = [p for p in parts if p]
     if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
         col = problem.touch(parts[2])
-        problem.lower[col] = _lp_bound_value(parts[0])
-        problem.upper[col] = _lp_bound_value(parts[4])
+        problem.lower[col] = _number(parts[0], -np.inf)
+        problem.upper[col] = _number(parts[4], np.inf)
     elif len(parts) == 3:
         left, op, right = parts
         if _LP_NUMBER.match(left) or _LP_INFINITY.match(left):
-            name, value, flip = right, _lp_bound_value(left), True
+            name, value, flip = right, left, True
         else:
-            name, value, flip = left, _lp_bound_value(right), False
+            name, value, flip = left, right, False
         col = problem.touch(name)
         if op == "=":
-            problem.lower[col] = problem.upper[col] = value
+            problem.lower[col] = problem.upper[col] = _number(value)
         elif (op == "<=") != flip:
-            problem.upper[col] = value
+            problem.upper[col] = _number(value, np.inf)
         else:
-            problem.lower[col] = value
+            problem.lower[col] = _number(value, -np.inf)
     else:
         raise ValueError(f"cannot parse bound line {line!r}")
 
@@ -349,8 +361,105 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
 # solving
 
 
+#: SciPy's bundled HiGHS module, and the names the shim uses from it
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_NAMES = ("HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus",
+                "HighsVarType", "MatrixFormat", "_Highs")
+
+
+def _highs_core():
+    """SciPy's bundled HiGHS module, or None if this SciPy has no such file
+    or it lacks a name the shim uses.  It is loaded from its file next to the
+    installed ``scipy``, under its own name, so ``scipy/optimize/__init__.py``
+    never runs, and a later ``import scipy.optimize`` takes it from
+    ``sys.modules`` instead of loading it twice."""
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is None:
+        import scipy
+
+        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        paths = (folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((path for path in paths if path.is_file()), None)
+        if path is None:
+            return None
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = core
+        spec.loader.exec_module(core)
+    return core if all(hasattr(core, name) for name in _HIGHS_NAMES) else None
+
+
+def _column_wise(problem: MipProblem):
+    """The rows' matrix as ``(start, index, value)``, column by column with
+    the row indices ascending within a column, as ``milp`` passes it."""
+    n = len(problem.var_order)
+    sizes = [len(coefs) for coefs, _, _ in problem.rows]
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    cols = np.fromiter((col for coefs, _, _ in problem.rows for col in coefs),
+                       dtype=np.int32, count=len(rows))
+    values = np.fromiter((value for coefs, _, _ in problem.rows for value in coefs.values()),
+                         dtype=float, count=len(rows))
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    order = np.lexsort((rows, cols))
+    return start, rows[order], values[order]
+
+
+def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
+    """(status, objective, column values) from HiGHS itself, given what
+    ``milp`` would give it; the status is HiGHS's model status unless it is
+    optimal."""
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lb)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _column_wise(problem)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
+    lp.integrality_ = [core.HighsVarType(kind) for kind in integrality.tolist()]
+    options = core.HighsOptions()
+    options.log_to_console = False
+    options.mip_rel_gap = 0.0
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(status), None, None
+    return "optimal", highs.getInfo().objective_function_value, highs.getSolution().col_value
+
+
+def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
+    """The same solve through ``scipy.optimize.milp``."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    constraints = []
+    if problem.rows:
+        data, rows_ix, cols_ix = [], [], []
+        for i, (coefs, _, _) in enumerate(problem.rows):
+            rows_ix += [i] * len(coefs)
+            cols_ix += coefs.keys()
+            data += coefs.values()
+        matrix = sparse.csr_matrix(
+            (data, (rows_ix, cols_ix)), shape=(len(problem.rows), len(c)))
+        constraints.append(LinearConstraint(matrix, row_lb, row_ub))
+
+    result = milp(c=c, constraints=constraints, integrality=integrality,
+                  bounds=Bounds(lb, ub), options={"mip_rel_gap": 0.0})
+    if result.status != 0 or result.x is None:
+        return result.message or f"status {result.status}", None, None
+    return "optimal", result.fun, result.x
+
+
 def solve_problem(problem: MipProblem):
-    """Returns (status_string, objective, {name: value})."""
+    """Returns (status_string, objective, {name: value}).  Solves with
+    SciPy's bundled HiGHS module where :func:`_highs_core` finds it, else
+    with ``scipy.optimize.milp``; both paths give HiGHS the same model and
+    options, so the same answer."""
     n = len(problem.var_order)
     con_lb = np.array([-np.inf if sense == "<=" else rhs for _, sense, rhs in problem.rows])
     con_ub = np.array([np.inf if sense == ">=" else rhs for _, sense, rhs in problem.rows])
@@ -359,9 +468,6 @@ def solve_problem(problem: MipProblem):
         if np.all(con_lb <= 0.0) and np.all(con_ub >= 0.0):
             return "optimal", 0.0, {}
         return "infeasible: a row without columns does not hold at 0", None, {}
-
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
 
     c = np.zeros(n)
     c[list(problem.objective)] = list(problem.objective.values())
@@ -373,27 +479,20 @@ def solve_problem(problem: MipProblem):
     integrality = np.zeros(n, dtype=int)
     integrality[list(problem.integers)] = 1
 
-    constraints = []
-    if problem.rows:
-        data, rows_ix, cols_ix = [], [], []
-        for i, (coefs, _, _) in enumerate(problem.rows):
-            rows_ix += [i] * len(coefs)
-            cols_ix += coefs.keys()
-            data += coefs.values()
-        matrix = sparse.csr_matrix(
-            (data, (rows_ix, cols_ix)), shape=(len(problem.rows), n))
-        constraints.append(LinearConstraint(matrix, con_lb, con_ub))
-
     # a zero gap: HiGHS's default 1e-4 stops short of the optimum the
     # cross-check against the built-in solver needs
-    result = milp(c=c, constraints=constraints, integrality=integrality,
-                  bounds=Bounds(lb, ub), options={"mip_rel_gap": 0.0})
-    if result.status != 0 or result.x is None:
-        return result.message or f"status {result.status}", None, {}
-    objective = float(result.fun)
+    core = _highs_core()
+    if core is None:
+        status, objective, x = _solve_milp(problem, c, lb, ub, integrality, con_lb, con_ub)
+    else:
+        status, objective, x = _solve_highs(core, problem, c, lb, ub, integrality,
+                                            con_lb, con_ub)
+    if status != "optimal":
+        return status, None, {}
+    objective = float(objective)
     if problem.maximize:
         objective = -objective
-    return "optimal", objective, dict(zip(problem.var_order, result.x.tolist()))
+    return "optimal", objective, dict(zip(problem.var_order, np.asarray(x).tolist()))
 
 
 def detect_format(path: str, text: str) -> str:

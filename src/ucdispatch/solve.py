@@ -245,14 +245,15 @@ class _ExactEngine:
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded.  Each LP starts warm from the last optimal basis (a warm
-        "infeasible" is certified by its ray).  The running best only prunes
-        the walk, by the skip cut of its dual bounds and optima.  The
-        candidates, the optima within the skip cut of the final best, are
-        solved cold where warm, and the ties are the cold results within the
-        tie cut of their own best; both cuts rise with the best, so the walk
-        need not filter.  A candidate keeps only its cold values, not the
-        tableau.  ``self.stats`` counts what became of each pattern."""
+        unbounded.  Each LP with rows starts warm from the last optimal
+        basis (a warm "infeasible" is certified by its ray).  The running
+        best only prunes the walk, by the skip cut of its dual bounds and
+        optima.  The candidates, the optima within the skip cut of the final
+        best, are solved cold where warm, and the ties are the cold results
+        within the tie cut of their own best; both cuts rise with the best,
+        so the walk need not filter.  A candidate keeps only its cold
+        values, not the tableau.  ``self.stats`` counts what became of each
+        pattern."""
         stats = self.stats
 
         def lp(b, start=None):
@@ -278,7 +279,8 @@ class _ExactEngine:
                 return None
             if result.status != "optimal":
                 continue
-            start = result
+            # a row-less LP is optimal at x = 0 cold, with no pivot
+            start = result if len(b) else None
             y = self.feasible_dual(result.dual)
             if y is not None:
                 duals = np.vstack([duals, y])[-DUAL_POOL:]

@@ -31,3 +31,25 @@ def storage_inst():
 @pytest.fixture
 def fixture_files(tmp_path):
     return write_instance_files(fixture_instance(), tmp_path / "data")
+
+
+@pytest.fixture
+def both_solve_paths(monkeypatch):
+    """Each ``mipshim.solve_problem`` call in the test solves on both of the
+    shim's paths: SciPy's bundled HiGHS module, then ``scipy.optimize.milp``,
+    which the shim takes when its locator finds nothing.  The two answers
+    must be the same to the bit, or neither optimal; the test sees the first."""
+    from ucdispatch import mipshim
+
+    solve = mipshim.solve_problem
+
+    def solve_both(problem):
+        direct = solve(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(mipshim, "_highs_core", lambda: None)
+            fallback = solve(problem)
+        if "optimal" in (direct[0], fallback[0]):
+            assert repr(fallback) == repr(direct)
+        return direct
+
+    monkeypatch.setattr(mipshim, "solve_problem", solve_both)

@@ -2,11 +2,14 @@
 
 import ast
 import inspect
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from helpers import fixture_instance, multi_unit_instance, storage_instance
-from test_writers import empty_model
+from test_writers import GOLDEN_INSTANCES, empty_model
 from ucdispatch import mipshim
 from ucdispatch.model import SENSES, build_model
 from ucdispatch.thinning import thin_all
@@ -34,7 +37,7 @@ def run_shim(tmp_path, text, name="model.mps"):
     return mipshim.main([str(model), str(solution)]), solution
 
 
-def test_good_model_solves(tmp_path, capsys):
+def test_good_model_solves(tmp_path, capsys, both_solve_paths):
     code, solution = run_shim(tmp_path, GOOD_MPS)
     assert code == 0
     assert "optimal objective 2" in capsys.readouterr().out
@@ -99,7 +102,7 @@ ENDATA
     ("OBJSENSE\n    MAX\n", 4), ("OBJSENSE MAX\n", 4),
     ("OBJSENSE\n    maximize\n", 4), ("OBJSENSE MINIMIZE\n", 0), ("", 0),
 ], ids=["max-block", "max-one-line", "maximize-block", "minimize-one-line", "none"])
-def test_objsense_is_honoured(tmp_path, capsys, objsense, optimum):
+def test_objsense_is_honoured(tmp_path, capsys, both_solve_paths, objsense, optimum):
     code, solution = run_shim(tmp_path, MAX_MPS.format(objsense=objsense))
     assert code == 0
     assert f"optimal objective {optimum}\n" == capsys.readouterr().out
@@ -184,6 +187,42 @@ def test_undeclared_row_on_a_same_column_line_exits_two(tmp_path, capsys):
     assert not solution.exists()
 
 
+X_LINE = "    x         obj       3              c1        1"
+
+
+@pytest.mark.parametrize("text, number", [
+    # a milp ValueError traceback, exit 1
+    (GOOD_MPS.replace(X_LINE, "    x         obj       nan            c1        1"), "nan"),
+    # exit 0, writing x 0 and y 2: an answer to an undefined model
+    (GOOD_MPS.replace(X_LINE, "    x         obj       3              c1        nan"), "nan"),
+    # the rest were "solve failed: ... Model error", exit 1
+    (GOOD_MPS.replace("    rhs       c1        2", "    rhs       c1        NaN"), "NaN"),
+    (GOOD_MPS.replace(X_LINE, "    x         obj       3              c1        inf"), "inf"),
+    (GOOD_MPS.replace(X_LINE, "    x         obj       -1e400         c1        1"), "-1e400"),
+    (GOOD_MPS.replace("ENDATA", "BOUNDS\n FX BND       x         nan\nENDATA"), "nan"),
+    # an infinite upper bound means "no bound"; a lower one does not
+    (GOOD_MPS.replace("ENDATA", "BOUNDS\n LO BND       x         inf\nENDATA"), "inf"),
+], ids=["objective", "coefficient", "rhs", "inf-coefficient", "overflow", "fixed-bound",
+        "inf-lower-bound"])
+def test_non_finite_mps_number_exits_two(tmp_path, capsys, text, number):
+    code, solution = run_shim(tmp_path, text)
+    assert code == 2
+    assert f"cannot parse {tmp_path / 'model.mps'}: number {number!r} is not finite" in (
+        capsys.readouterr().err)
+    assert not solution.exists()
+
+
+@pytest.mark.parametrize("bounds", [" UP BND       x         inf\n UP BND       y         3\n",
+                                    " LO BND       x         -Infinity\n UP BND       y         3\n"
+                                    " UP BND       x         3\n"],
+                         ids=["inf-upper", "minus-inf-lower"])
+def test_infinite_mps_bound_means_no_bound(tmp_path, capsys, both_solve_paths, bounds):
+    text = MAX_MPS.format(objsense="OBJSENSE MAX\n").replace(
+        " UP BND       x         3\n UP BND       y         3\n", bounds)
+    assert run_shim(tmp_path, text)[0] == 0
+    assert capsys.readouterr().out == "optimal objective 4\n"
+
+
 # min x + y  s.t.  x + y >= 2: the optimum is 2
 GOOD_LP = """\
 Minimize
@@ -194,13 +233,13 @@ End
 """
 
 
-def test_good_lp_solves(tmp_path, capsys):
+def test_good_lp_solves(tmp_path, capsys, both_solve_paths):
     code, solution = run_shim(tmp_path, GOOD_LP, "model.lp")
     assert code == 0
     assert "optimal objective 2" in capsys.readouterr().out
 
 
-def test_empty_lp_objective_solves(tmp_path, capsys):
+def test_empty_lp_objective_solves(tmp_path, capsys, both_solve_paths):
     # "obj: 0" is what write_lp writes for an empty objective
     code, _ = run_shim(tmp_path, GOOD_LP.replace("obj: x + y", "obj: 0"), "model.lp")
     assert code == 0
@@ -223,6 +262,22 @@ def test_malformed_lp_is_a_parse_error(tmp_path, capsys, old, new):
     assert not solution.exists()
 
 
+@pytest.mark.parametrize("old, new, number", [
+    # read as a NaN bound
+    ("End", "Bounds\n x <= nan\nEnd", "nan"),
+    ("End", "Bounds\n nan <= y <= 3\nEnd", "nan"),
+    ("End", "Bounds\n x = -inf\nEnd", "-inf"),
+    ("obj: x + y", "obj: 1e999 x + y", "1e999"),
+    ("c1: x + y >= 2", "c1: x + y >= -1e999", "1e999"),
+], ids=["nan-upper", "nan-lower", "fixed-at-infinity", "overflowing-coefficient",
+        "overflowing-rhs"])
+def test_non_finite_lp_number_exits_two(tmp_path, capsys, old, new, number):
+    code, solution = run_shim(tmp_path, GOOD_LP.replace(old, new), "model.lp")
+    assert code == 2
+    assert f"number {number!r} is not finite" in capsys.readouterr().err
+    assert not solution.exists()
+
+
 @pytest.mark.parametrize("objective, bound, optimum", [
     # a name ending in "inf" was taken for a number: exit 2
     ("- xinf", "xinf <= 5", -5),
@@ -232,7 +287,7 @@ def test_malformed_lp_is_a_parse_error(tmp_path, capsys, old, new):
     ("xinf", "-Infinity <= xinf <= +INF", -3),
 ], ids=["name-ending-in-inf", "flipped", "minus-inf-range", "minus-inf-lower",
         "infinity-words"])
-def test_lp_bounds(tmp_path, capsys, objective, bound, optimum):
+def test_lp_bounds(tmp_path, capsys, both_solve_paths, objective, bound, optimum):
     text = f"Minimize\n obj: {objective}\nSubject To\n c1: xinf >= -3\nBounds\n {bound}\nEnd\n"
     code, _ = run_shim(tmp_path, text, "model.lp")
     assert code == 0
@@ -250,7 +305,7 @@ def test_lp_bounds(tmp_path, capsys, objective, bound, optimum):
     ("Maximum\n obj: x + y\nSubject To\n c1: x + y <= 4\nEnd\n", 4),
     ("minimum\n obj: x + 2 y\nst\n c1: x + y >= 2\nEnd\n", 2),
 ], ids=["objective-on-header", "row-on-header", "such-that", "maximum", "minimum"])
-def test_lp_headers(tmp_path, capsys, text, optimum):
+def test_lp_headers(tmp_path, capsys, both_solve_paths, text, optimum):
     code, _ = run_shim(tmp_path, text, "model.lp")
     assert code == 0
     assert capsys.readouterr().out == f"optimal objective {optimum}\n"
@@ -304,3 +359,100 @@ def test_shim_imports_nothing_from_the_package():
             assert node.level == 0 and not node.module.startswith("ucdispatch"), node.module
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("ucdispatch") for alias in node.names)
+
+
+# min 3x + y  s.t.  x + y >= 2 with x, y <= 0.5 and x integer: no point
+INFEASIBLE_MPS = GOOD_MPS.replace(
+    X_LINE, f"    M  'MARKER'  'INTORG'\n{X_LINE}\n    M  'MARKER'  'INTEND'").replace(
+    "ENDATA", "BOUNDS\n UP BND       x         0.5\n UP BND       y         0.5\nENDATA")
+# min 3x - y  s.t.  x + y >= 2: y grows without bound
+UNBOUNDED_MPS = GOOD_MPS.replace("    y         obj       1", "    y         obj       -1")
+
+
+@pytest.mark.parametrize("path", ["highs", "milp"])
+@pytest.mark.parametrize("text, status", [(INFEASIBLE_MPS, "infeasible"),
+                                          (UNBOUNDED_MPS, "unbounded")],
+                         ids=["infeasible", "unbounded"])
+def test_failed_solve_exits_one(tmp_path, capsys, monkeypatch, text, status, path):
+    if path == "milp":
+        monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
+    code, solution = run_shim(tmp_path, text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ucdispatch-mip: solve failed: ") and status in err.lower()
+    assert not solution.exists()
+
+
+@pytest.mark.parametrize("write", [write_mps, write_lp], ids=["mps", "lp"])
+@pytest.mark.parametrize("label", sorted(GOLDEN_INSTANCES))
+def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write):
+    instance = GOLDEN_INSTANCES[label]()
+    text = write(build_model(instance, thin_all(instance)))
+    solutions = []
+    for path in ("highs", "milp"):
+        if path == "milp":
+            monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
+        (tmp_path / path).mkdir()
+        code, solution = run_shim(tmp_path / path, text, f"model.{write.__name__[-3:]}")
+        assert code == 0
+        solutions.append(solution.read_bytes())
+    assert solutions[0] == solutions[1]
+
+
+@pytest.mark.parametrize("text", [
+    GOOD_MPS, INFEASIBLE_MPS,
+    # a zero entry, a column on no row and rows out of column order
+    columns_mps("    y  c2  1  c1  2\n    z  obj  1\n    x  c1  0  c2  4\n    y  obj  3\n"),
+], ids=["good", "integer", "zero-and-empty"])
+def test_column_wise_matrix_is_milps(text):
+    # milp hands HiGHS the CSC form of this CSR matrix; the shim must hand
+    # it the same arrays, explicit zeros included
+    from scipy import sparse
+
+    problem = mipshim.parse_mps(text)
+    entries = [(i, col, value) for i, (coefs, _, _) in enumerate(problem.rows)
+               for col, value in coefs.items()]
+    rows, cols, values = zip(*entries)
+    csc = sparse.csc_array(sparse.csr_matrix(
+        (values, (rows, cols)), shape=(len(problem.rows), len(problem.var_order))))
+    start, index, value = mipshim._column_wise(problem)
+    assert start.tolist() == csc.indptr.tolist()
+    assert index.tolist() == csc.indices.tolist()
+    assert value.tobytes() == csc.data.tobytes()
+
+
+ORDER_STEPS = {
+    "shim": "print(mipshim.solve_problem(mipshim.parse_mps(sys.stdin.read()))[:2])",
+    "milp": "from scipy.optimize import milp; "
+            "print(milp(c=[3, 1], constraints=([[1, 1]], 2, float('inf'))).fun)",
+}
+
+
+@pytest.mark.parametrize("order", [("shim", "milp"), ("milp", "shim")],
+                         ids=["shim-first", "milp-first"])
+def test_either_import_order_works(order):
+    # scipy.optimize and the shim share one HiGHS module: loaded twice, its
+    # types would be registered twice
+    code = "\n".join(["import sys", "from ucdispatch import mipshim",
+                      *(ORDER_STEPS[step] for step in order)])
+    run = subprocess.run([sys.executable, "-c", code], input=GOOD_MPS,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    printed = {"shim": "('optimal', 2.0)", "milp": "2.0"}
+    assert run.stdout.splitlines() == [printed[step] for step in order]
+
+
+def test_shim_child_does_not_import_scipy_optimize(tmp_path):
+    # its package import cost about 0.7 s of every external solve
+    instance = fixture_instance()
+    model = tmp_path / "model.mps"
+    model.write_text(write_mps(build_model(instance, thin_all(instance))), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ucdispatch.mipshim",
+         str(model), str(tmp_path / "model.sol")],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "optimal objective 2700\n"
+    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    assert "scipy" in imported
+    assert "scipy.optimize" not in imported

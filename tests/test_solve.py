@@ -202,6 +202,20 @@ class TestSolveExact:
         assert solution.stats["patterns"] == 0
         assert enumerate_optimal_patterns(model) == []
 
+    def test_row_less_lps_never_start_warm(self):
+        # the demand row folds into p's bound, so each pattern's LP has no
+        # rows: its cold answer costs no pivot, and a warm one was solved
+        # cold again (warm 3, resolved 3)
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("p", 1, 1)]),
+            RowMatrix.from_blocks([RowBlock("demand", [1], ">=", 1.0, [([2], [1.0])])]),
+            {2: 1.0})
+        solution = solve_exact(model)
+        assert (solution.status, solution.objective) == ("optimal", 1.0)
+        assert {key: solution.stats[key] for key in ("lps", "warm", "resolved", "pivots")} == {
+            "lps": 4, "warm": 0, "resolved": 0, "pivots": 0}
+        assert enumerate_optimal_patterns(model) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_every_source_gives_one_value_per_column(self, fixture_inst):
         model = build(fixture_inst)
         config = SolverConfig(backend="external", command_template=SHIM_TEMPLATE)
