@@ -406,9 +406,9 @@ def _column_wise(problem: MipProblem):
 
 
 def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
-    """(status, objective, column values) from HiGHS itself, given what
-    ``milp`` would give it; the status is HiGHS's model status unless it is
-    optimal."""
+    """(status, objective, list of column values) from HiGHS itself, given
+    what ``milp`` would give it; the status is HiGHS's model status unless
+    it is optimal."""
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lb)
@@ -452,7 +452,7 @@ def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
                   bounds=Bounds(lb, ub), options={"mip_rel_gap": 0.0})
     if result.status != 0 or result.x is None:
         return result.message or f"status {result.status}", None, None
-    return "optimal", result.fun, result.x
+    return "optimal", result.fun, result.x.tolist()
 
 
 def solve_problem(problem: MipProblem):
@@ -492,7 +492,7 @@ def solve_problem(problem: MipProblem):
     objective = float(objective)
     if problem.maximize:
         objective = -objective
-    return "optimal", objective, dict(zip(problem.var_order, np.asarray(x).tolist()))
+    return "optimal", objective, dict(zip(problem.var_order, x))
 
 
 def detect_format(path: str, text: str) -> str:

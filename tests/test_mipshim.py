@@ -5,7 +5,6 @@ import inspect
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from helpers import fixture_instance, multi_unit_instance, storage_instance
@@ -212,10 +211,10 @@ def test_non_finite_mps_number_exits_two(tmp_path, capsys, text, number):
     assert not solution.exists()
 
 
-@pytest.mark.parametrize("bounds", [" UP BND       x         inf\n UP BND       y         3\n",
-                                    " LO BND       x         -Infinity\n UP BND       y         3\n"
-                                    " UP BND       x         3\n"],
-                         ids=["inf-upper", "minus-inf-lower"])
+@pytest.mark.parametrize("bounds", [
+    " UP BND       x         inf\n UP BND       y         3\n",
+    " LO BND       x         -Infinity\n UP BND       y         3\n UP BND       x         3\n",
+], ids=["inf-upper", "minus-inf-lower"])
 def test_infinite_mps_bound_means_no_bound(tmp_path, capsys, both_solve_paths, bounds):
     text = MAX_MPS.format(objsense="OBJSENSE MAX\n").replace(
         " UP BND       x         3\n UP BND       y         3\n", bounds)
@@ -383,9 +382,10 @@ def test_failed_solve_exits_one(tmp_path, capsys, monkeypatch, text, status, pat
     assert not solution.exists()
 
 
-@pytest.mark.parametrize("write", [write_mps, write_lp], ids=["mps", "lp"])
+@pytest.mark.parametrize("write, name", [(write_mps, "model.mps"), (write_lp, "model.lp")],
+                         ids=["mps", "lp"])
 @pytest.mark.parametrize("label", sorted(GOLDEN_INSTANCES))
-def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write):
+def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write, name):
     instance = GOLDEN_INSTANCES[label]()
     text = write(build_model(instance, thin_all(instance)))
     solutions = []
@@ -393,7 +393,7 @@ def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write)
         if path == "milp":
             monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
         (tmp_path / path).mkdir()
-        code, solution = run_shim(tmp_path / path, text, f"model.{write.__name__[-3:]}")
+        code, solution = run_shim(tmp_path / path, text, name)
         assert code == 0
         solutions.append(solution.read_bytes())
     assert solutions[0] == solutions[1]
