@@ -25,7 +25,8 @@ class UnknownFuelReference(DataError):
 
 class DuplicatePeriod(DataError):
     """Two rows of a table share their key: two period rows map to the same
-    period index, or two startup-cost rows have the same (j, k)."""
+    period index, two startup-cost rows have the same (j, k), or two lines
+    of the general config set the same key."""
 
 
 class MissingPeriod(DataError):

@@ -218,16 +218,22 @@ def _parse_int(raw: str, where: str) -> int:
 
 def _read_config(path, overrides=None) -> GeneralConfig:
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}  # key -> the line that sets it
     try:
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
                     raise MalformedNumber(f"{path}: expected KEY = VALUE, got {line!r}")
                 key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
+                key = key.strip()
+                if key in lines:
+                    raise DuplicatePeriod(f"{path}:{line_no}: {key} is already set "
+                                          f"on line {lines[key]}")
+                lines[key] = line_no
+                entries[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read config file {path}: {exc}") from exc
 

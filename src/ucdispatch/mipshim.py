@@ -433,23 +433,17 @@ def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
 
 
 def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
-    """The same solve through ``scipy.optimize.milp``."""
+    """The same solve through ``scipy.optimize.milp``, given the matrix
+    that :func:`_solve_highs` passes."""
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    constraints = []
-    if problem.rows:
-        data, rows_ix, cols_ix = [], [], []
-        for i, (coefs, _, _) in enumerate(problem.rows):
-            rows_ix += [i] * len(coefs)
-            cols_ix += coefs.keys()
-            data += coefs.values()
-        matrix = sparse.csr_matrix(
-            (data, (rows_ix, cols_ix)), shape=(len(problem.rows), len(c)))
-        constraints.append(LinearConstraint(matrix, row_lb, row_ub))
-
-    result = milp(c=c, constraints=constraints, integrality=integrality,
-                  bounds=Bounds(lb, ub), options={"mip_rel_gap": 0.0})
+    # without rows this is the empty constraint milp itself makes for none
+    start, index, value = _column_wise(problem)
+    matrix = sparse.csc_array((value, index, start), shape=(len(row_lb), len(c)))
+    result = milp(c=c, constraints=LinearConstraint(matrix, row_lb, row_ub),
+                  integrality=integrality, bounds=Bounds(lb, ub),
+                  options={"mip_rel_gap": 0.0})
     if result.status != 0 or result.x is None:
         return result.message or f"status {result.status}", None, None
     return "optimal", result.fun, result.x.tolist()
@@ -495,7 +489,7 @@ def solve_problem(problem: MipProblem):
     return "optimal", objective, dict(zip(problem.var_order, x))
 
 
-def detect_format(path: str, text: str) -> str:
+def _detect_format(path: str, text: str) -> str:
     lower = path.lower()
     if lower.endswith(".mps"):
         return "mps"
@@ -526,7 +520,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        problem = (parse_mps if detect_format(args.model, text) == "mps" else parse_lp)(text)
+        problem = (parse_mps if _detect_format(args.model, text) == "mps" else parse_lp)(text)
     except (ValueError, IndexError) as exc:
         print(f"ucdispatch-mip: cannot parse {args.model}: {exc}", file=sys.stderr)
         return 2

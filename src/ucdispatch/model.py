@@ -27,11 +27,10 @@ family code, made in one pass by :meth:`RowMatrix.from_blocks` from one
 :class:`RowBlock` per family and unit, its terms vectorised over periods.
 It stores its columns once, as ``MilpModel.columns``: each column's (kind,
 unit, period) key and name, the name -> column and key -> column maps and
-the binary columns.  Every consumer (exact engine, LP relaxation, residual
-check, MPS/LP writers, solution parser, reports) reads only ``rows`` and
-``columns``, so a built model is read-only.  ``MilpModel.constraints`` is a
-view that makes :class:`LinearConstraint` objects from ``rows`` on each
-access.
+the binary columns.  Every consumer (exact engine, residual check, MPS/LP
+writers, solution parser, reports) reads only ``rows`` and ``columns``, so
+a built model is read-only.  ``MilpModel.constraints`` is a view that makes
+:class:`LinearConstraint` objects from ``rows`` on each access.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class DispatchReport:
     objective: float
 
 
-def marginal_cost(instance: Instance, unit_id: int, k: int) -> float:
+def _marginal_cost(instance: Instance, unit_id: int, k: int) -> float:
     u = instance.unit(unit_id)
     fc = instance.periods.fuel_cost[u.fuel_type][k - 1]
     return u.var_fuel * fc + u.var_cost
@@ -86,7 +86,7 @@ def price_series(instance: Instance, model: MilpModel,
     for k in range(1, instance.num_periods + 1):
         committed = [u.unit_id for u in instance.units if v[u.unit_id][k - 1] >= 0.5]
         if committed:
-            prices.append(max(marginal_cost(instance, j, k) for j in committed))
+            prices.append(max(_marginal_cost(instance, j, k) for j in committed))
         else:
             prices.append(None)
     return prices

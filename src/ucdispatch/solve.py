@@ -379,31 +379,6 @@ def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = N
     return [tuple(int(b) for b in pattern) for pattern, _, _ in ties]
 
 
-def solve_lp_relaxation(model: MilpModel) -> Solution:
-    """Solve the LP relaxation (binaries relaxed to [0, 1]).  Raises
-    :class:`NumericalFailure` when the simplex reports an optimum whose point
-    breaks a row or a column bound by more than 1e-6, naming the worst."""
-    started = time.perf_counter()
-    n, rows, bin_cols = model.num_columns, model.rows, model.binary_columns()
-    c = np.zeros(n)
-    c[list(model.objective)] = list(model.objective.values())
-    A = np.vstack([rows.dense(n), np.eye(n)[bin_cols]])
-    senses = [SENSES[code] for code in rows.sense] + ["<="] * len(bin_cols)
-    b = np.concatenate([rows.rhs, np.ones(len(bin_cols))])
-    result = solve_dense_lp(c, A, senses, b)
-    elapsed = time.perf_counter() - started
-    if result.status != "optimal":
-        return Solution(np.empty(0), np.inf, result.status, "lp-relaxation", elapsed)
-    # the dense simplex has been seen to stop "optimal" far outside its rows
-    check = check_solution(model, result.x)
-    violations = {**check.family_residuals, "column bounds": check.bound_violation}
-    worst = max(violations, key=violations.get)
-    if violations[worst] > check.tolerance:
-        raise NumericalFailure(f"the LP relaxation's optimal point violates {worst} "
-                               f"by {violations[worst]:.6g}")
-    return Solution(result.x, result.objective, "optimal", "lp-relaxation", elapsed)
-
-
 # ---------------------------------------------------------------------------
 # solution checking and parsing
 
@@ -411,7 +386,9 @@ def solve_lp_relaxation(model: MilpModel) -> Solution:
 def check_solution(model: MilpModel, values: np.ndarray,
                    tolerance: float = 1e-6) -> ResidualReport:
     """Exact residuals of a candidate solution, one value per column,
-    grouped by constraint family; raises ValueError on any other shape."""
+    grouped by constraint family; raises ValueError on any other shape.
+    A value that is not finite is an infinite bound violation, also in a
+    column that no row reads."""
     if np.shape(values) != (model.num_columns,):
         raise ValueError(f"expected {model.num_columns} column values, "
                          f"got an array of shape {np.shape(values)}")
@@ -429,6 +406,8 @@ def check_solution(model: MilpModel, values: np.ndarray,
     integrality = float(np.max(np.minimum(np.abs(xb), np.abs(xb - 1.0)), initial=0.0))
     bound_violation = max(float(np.max(-x, initial=0.0)),
                           float(np.max(xb - 1.0, initial=0.0)))
+    if not np.isfinite(x).all():
+        bound_violation = np.inf
     return ResidualReport(family_residuals, float(residual.max(initial=0.0)),
                           integrality, bound_violation, tolerance)
 
@@ -505,7 +484,8 @@ def accept_solution(text: str, model: MilpModel) -> tuple[np.ndarray, float]:
     if not report.passed:
         raise ResidualCheckFailed(
             f"solution violates the model: max residual {report.max_residual:g}, "
-            f"integrality gap {report.integrality_gap:g}")
+            f"integrality gap {report.integrality_gap:g}, "
+            f"bound violation {report.bound_violation:g}")
     return values, model.objective_value(values)
 
 

@@ -145,6 +145,14 @@ class TestThinCommand:
         assert "50000" not in captured.out
         assert "units_cu.csv:3: unit 1 already has a row for k = 1, on line 2" in captured.err
 
+    def test_repeated_config_key_exits_two(self, fixture_files, capsys):
+        config = fixture_files[0]
+        config.write_text(config.read_text() + "UPP = 5\n")
+        assert main(["thin", *input_args(fixture_files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:8: UPP is already set on line 4\n"
+
     def test_out_of_range_tol_is_usage_error(self, fixture_files):
         with pytest.raises(SystemExit) as info:
             main(["thin", "--tol", "1.5", *input_args(fixture_files)])
@@ -366,6 +374,23 @@ class TestReportCommand:
                      *input_args(fixture_files)]) == 3
         assert capsys.readouterr().err.startswith(
             "solver error: solution violates the model: max residual ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solution_value_exits_three(self, fixture_files, tmp_path,
+                                                   capsys, value):
+        # no row reads cu_1_1: this printed "objective nan" (or inf) and exited 0
+        solution_file = tmp_path / "model.sol"
+        solution_file.write_text(
+            "v_1_1 1\nv_1_2 1\np_1_1 100\np_1_2 150\n"
+            f"pm_1_1 200\npm_1_2 200\ncp_1_1 1100\ncp_1_2 1600\ncu_1_1 {value}\n")
+        assert main(["report", "--solution", str(solution_file),
+                     "--out-dir", str(tmp_path / "rep"),
+                     *input_args(fixture_files)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("solver error: solution violates the model: max residual 0, "
+                                "integrality gap 0, bound violation inf\n")
+        assert not (tmp_path / "rep").exists()
 
     def test_non_utf8_solution_file_exits_two(self, fixture_files, tmp_path,
                                               capsys):

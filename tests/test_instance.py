@@ -158,6 +158,15 @@ class TestLoadInstance:
         with pytest.raises(UnknownFuelReference):
             load_instance(*paths)
 
+    def test_duplicate_config_key(self, tmp_path):
+        # the later line used to win: the model was built with UPP = 5
+        paths = write_instance_files(fixture_instance(), tmp_path)
+        config = paths[0]
+        config.write_text(config.read_text() + "UPP = 5\n")
+        with pytest.raises(DuplicatePeriod,
+                           match=r"config\.txt:8: UPP is already set on line 4"):
+            load_instance(*paths)
+
     def test_missing_file(self, tmp_path):
         paths = write_instance_files(fixture_instance(), tmp_path)
         with pytest.raises(IoFailure):

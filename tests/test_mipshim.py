@@ -125,6 +125,29 @@ def test_row_without_columns_must_hold_at_zero(tmp_path, capsys, rhs, code):
     assert ("solve failed" in capsys.readouterr().err) == (code == 1)
 
 
+# min 2x + y with x >= 1, y <= 4, z binary and no constraint row: the optimum is 2
+ROWLESS_MPS = """\
+NAME          rowless
+ROWS
+ N  obj
+COLUMNS
+    x         obj       2
+    y         obj       1
+BOUNDS
+ LO BND       x         1
+ UP BND       y         4
+ BV BND       z
+ENDATA
+"""
+
+
+def test_model_without_rows_solves(tmp_path, capsys, both_solve_paths):
+    code, solution = run_shim(tmp_path, ROWLESS_MPS)
+    assert code == 0
+    assert capsys.readouterr().out == "optimal objective 2\n"
+    assert solution.read_text().splitlines() == ["# objective 2", "x 1", "y 0", "z 0"]
+
+
 def test_non_utf8_model_file_exits_two(tmp_path, capsys):
     code, solution = run_shim(tmp_path, GOOD_MPS.encode("utf-8").replace(b"demo", b"d\xe9mo"))
     assert code == 2
