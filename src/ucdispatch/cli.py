@@ -175,7 +175,6 @@ def _solver_config(args, parser) -> SolverConfig:
 
 
 def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
-    breakdown = report.cost_breakdown.items()
     if as_json:
         print(json.dumps({
             "status": solution.status,
@@ -183,14 +182,14 @@ def _print_solution(solution: Solution, report, as_json: bool, out_dir) -> None:
             "objective": solution.objective,
             "wall_time": solution.wall_time,
             "out_dir": str(out_dir),
-            "cost_breakdown": dict(breakdown),
+            "cost_breakdown": report.cost_breakdown,
             "stats": solution.stats,
         }, indent=2))
         return
     print(f"status {solution.status} ({solution.backend}, "
           f"{solution.wall_time:.3f}s)")
     print(f"objective {solution.objective:.12g}")
-    for label, value in breakdown:
+    for label, value in report.cost_breakdown.items():
         print(f"  {label} {value:.12g}")
     print(f"reports written to {out_dir}")
 

@@ -403,33 +403,21 @@ class Violation:
         return f"[{self.severity}] {self.code}{scope}: {self.message}"
 
 
-class ValidationReport:
+class ValidationReport(list):
     """The list of violations found by :func:`validate`."""
 
-    def __init__(self, records: list[Violation]):
-        self.records = records
-
     def errors(self) -> list[Violation]:
-        return [r for r in self.records if r.severity == "error"]
+        return [r for r in self if r.severity == "error"]
 
     def warnings(self) -> list[Violation]:
-        return [r for r in self.records if r.severity == "warning"]
+        return [r for r in self if r.severity == "warning"]
 
     @property
     def ok(self) -> bool:
         return not self.errors()
 
     def codes(self) -> set[str]:
-        return {r.code for r in self.records}
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ValidationReport) and self.records == other.records
+        return {r.code for r in self}
 
 
 #: codes of the full input-data error catalog (capacity shortfall is a warning)

@@ -198,9 +198,11 @@ def parse_mps(text: str) -> MipProblem:
 _LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "="}
 _LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _LP_INFINITY = re.compile(r"^[+-]?inf(inity)?$", re.IGNORECASE)
+#: a column or row name; one that starts with "." and a digit is a number
+_LP_NAME = re.compile(
+    r"(?!\.\d)[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*")
 _LP_TOKEN = re.compile(
-    r"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*"
-)
+    rf"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|{_LP_NAME.pattern}")
 
 #: the keywords, of one or two words, that open a section, and the section;
 #: None for the CPLEX sections this reader does not support
@@ -291,14 +293,23 @@ def parse_lp(text: str) -> MipProblem:
         _parse_lp_bound(line, problem)
     for line in sections["binaries"]:
         for name in line.split():
-            col = problem.touch(name)
+            col = _lp_column(name, line, problem)
             problem.integers.add(col)
             problem.lower.setdefault(col, 0.0)
             problem.upper.setdefault(col, 1.0)
     for line in sections["generals"]:
         for name in line.split():
-            problem.integers.add(problem.touch(name))
+            problem.integers.add(_lp_column(name, line, problem))
     return problem
+
+
+def _lp_column(name: str, line: str, problem: MipProblem) -> int:
+    """The position of column ``name``, read from ``line`` of a Bounds,
+    Binaries or Generals section; text that is not one name is an error,
+    never a new column."""
+    if not _LP_NAME.fullmatch(name):
+        raise ValueError(f"{name!r} in line {line!r} is not a column name")
+    return problem.touch(name)
 
 
 def _parse_lp_terms(tokens: list[str], i: int, problem: MipProblem):
@@ -330,23 +341,24 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
     text = line.strip()
     free = re.match(r"^(\S+)\s+free$", text, re.IGNORECASE)
     if free:
-        col = problem.touch(free.group(1))
+        col = _lp_column(free.group(1), line, problem)
         problem.lower[col] = -np.inf
         problem.upper[col] = np.inf
         return
-    parts = re.split(r"(<=|>=|=)", text.replace(" ", ""))
-    parts = [p for p in parts if p]
+    parts = [part.strip() for part in re.split(r"(<=|>=|=)", text)]
+    # a number may have a space after its sign; a name is one word
+    numbers = [part.replace(" ", "") for part in parts]
     if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-        col = problem.touch(parts[2])
-        problem.lower[col] = _number(parts[0], -np.inf)
-        problem.upper[col] = _number(parts[4], np.inf)
+        col = _lp_column(parts[2], line, problem)
+        problem.lower[col] = _number(numbers[0], -np.inf)
+        problem.upper[col] = _number(numbers[4], np.inf)
     elif len(parts) == 3:
-        left, op, right = parts
-        if _LP_NUMBER.match(left) or _LP_INFINITY.match(left):
-            name, value, flip = right, left, True
+        op = parts[1]
+        if _LP_NUMBER.match(numbers[0]) or _LP_INFINITY.match(numbers[0]):
+            name, value, flip = parts[2], numbers[0], True
         else:
-            name, value, flip = left, right, False
-        col = problem.touch(name)
+            name, value, flip = parts[0], numbers[2], False
+        col = _lp_column(name, line, problem)
         if op == "=":
             problem.lower[col] = problem.upper[col] = _number(value)
         elif (op == "<=") != flip:

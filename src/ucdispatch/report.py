@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IoFailure
-from .instance import Instance
+from .instance import Instance, UnitSpec
 from .model import MilpModel
 from .solve import Solution
 
@@ -32,43 +32,13 @@ def _solved(instance: Instance, model: MilpModel, solution: Solution,
 
 
 @dataclass(frozen=True)
-class CostBreakdown:
-    production: float
-    startup: float
-    shutdown: float
-    under_production_penalty: float   # UPP * L * sum of p_under
-    under_reserve_penalty: float      # URP * L * sum of r_under
-    over_production_penalty: float    # OPP * L * sum of p_over
-
-    def items(self) -> list[tuple[str, float]]:
-        """(label, value) per component, under the labels that summary.csv,
-        ``solve --json`` and the text output of ``solve`` all use."""
-        return [
-            ("production_cost", self.production),
-            ("startup_cost", self.startup),
-            ("shutdown_cost", self.shutdown),
-            ("under_production_penalty", self.under_production_penalty),
-            ("under_reserve_penalty", self.under_reserve_penalty),
-            ("over_production_penalty", self.over_production_penalty),
-        ]
-
-    @property
-    def total(self) -> float:
-        return (self.production + self.startup + self.shutdown
-                + self.under_production_penalty + self.under_reserve_penalty
-                + self.over_production_penalty)
-
-
-@dataclass(frozen=True)
 class DispatchReport:
     price: list[float | None]              # per period; None = no committed unit
     exact_p_max: dict[int, list[float]]    # unit -> per-period MW
-    cost_breakdown: CostBreakdown
-    objective: float
+    cost_breakdown: dict[str, float]       # label -> cost, in summary.csv order
 
 
-def _marginal_cost(instance: Instance, unit_id: int, k: int) -> float:
-    u = instance.unit(unit_id)
+def _marginal_cost(instance: Instance, u: UnitSpec, k: int) -> float:
     fc = instance.periods.fuel_cost[u.fuel_type][k - 1]
     return u.var_fuel * fc + u.var_cost
 
@@ -82,14 +52,9 @@ def price_series(instance: Instance, model: MilpModel,
     """
     v = {u.unit_id: _solved(instance, model, solution, "v", u.unit_id)
          for u in instance.units}
-    prices: list[float | None] = []
-    for k in range(1, instance.num_periods + 1):
-        committed = [u.unit_id for u in instance.units if v[u.unit_id][k - 1] >= 0.5]
-        if committed:
-            prices.append(max(_marginal_cost(instance, j, k) for j in committed))
-        else:
-            prices.append(None)
-    return prices
+    return [max((_marginal_cost(instance, u, k) for u in instance.units
+                 if v[u.unit_id][k - 1] >= 0.5), default=None)
+            for k in range(1, instance.num_periods + 1)]
 
 
 def exact_max_possible(instance: Instance, model: MilpModel,
@@ -121,26 +86,27 @@ def exact_max_possible(instance: Instance, model: MilpModel,
 
 
 def cost_breakdown(instance: Instance, model: MilpModel,
-                   solution: Solution) -> CostBreakdown:
-    """Totals from the solved cost variables and slacks; sums to the objective."""
-    production = startup = shutdown = 0.0
-    for u in instance.units:
-        for cp, cu, cd in zip(*(_solved(instance, model, solution, kind, u.unit_id)
-                                for kind in ("cp", "cu", "cd"))):
-            production += cp
-            startup += cu
-            shutdown += cd
+                   solution: Solution) -> dict[str, float]:
+    """Totals from the solved cost variables and slacks, by the labels that
+    summary.csv, ``solve --json`` and the text output of ``solve`` all use;
+    they sum to the objective."""
+    production, startup, shutdown = (
+        sum((x for u in instance.units
+             for x in _solved(instance, model, solution, kind, u.unit_id)), 0.0)
+        for kind in ("cp", "cu", "cd"))
     under_prod, under_res, over_prod = (
         sum(_solved(instance, model, solution, kind))
         for kind in ("p_under", "r_under", "p_over"))
     g = instance.general
     L = g.period_length
-    return CostBreakdown(
-        production, startup, shutdown,
-        g.under_prod_penalty * L * under_prod,
-        g.under_reserve_penalty * L * under_res,
-        g.over_prod_penalty * L * over_prod,
-    )
+    return {
+        "production_cost": production,
+        "startup_cost": startup,
+        "shutdown_cost": shutdown,
+        "under_production_penalty": g.under_prod_penalty * L * under_prod,
+        "under_reserve_penalty": g.under_reserve_penalty * L * under_res,
+        "over_production_penalty": g.over_prod_penalty * L * over_prod,
+    }
 
 
 def build_report(instance: Instance, model: MilpModel,
@@ -149,7 +115,6 @@ def build_report(instance: Instance, model: MilpModel,
         price=price_series(instance, model, solution),
         exact_p_max=exact_max_possible(instance, model, solution),
         cost_breakdown=cost_breakdown(instance, model, solution),
-        objective=solution.objective,
     )
 
 
@@ -258,7 +223,7 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     emit("slacks.csv", lines)
 
     lines = ["component,value"]
-    for label, value in [*report.cost_breakdown.items(), ("objective", report.objective)]:
+    for label, value in [*report.cost_breakdown.items(), ("objective", solution.objective)]:
         lines.append(f"{label},{_fmt(value)}")
     emit("summary.csv", lines)
 

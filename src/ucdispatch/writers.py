@@ -160,9 +160,16 @@ def write_lp(model: MilpModel) -> str:
         chunks.append(_wrapped(f" {row}:", parts))
 
     binaries = [names[col] for col in model.columns.binaries]
-    if binaries:
+    # a column that no row, objective term or binary bound reads is declared
+    # by its default bound, as write_mps declares it by an OBJ 0 entry
+    read = np.bincount(rows.indices, minlength=model.num_columns)
+    read[[*model.objective, *model.columns.binaries]] += 1
+    unread = [names[col] for col in np.flatnonzero(read == 0).tolist()]
+    if binaries or unread:
         chunks.append("Bounds\n")
+        chunks += [f" {name} >= 0\n" for name in unread]
         chunks += [f" 0 <= {name} <= 1\n" for name in binaries]
+    if binaries:
         chunks.append("Binaries\n")
         chunks.append(_wrapped("", [f" {name}" for name in binaries]))
     chunks.append("End\n")

@@ -21,6 +21,7 @@ from helpers import (
 from ucdispatch import cli
 from ucdispatch.cli import main
 from ucdispatch.instance import StartupCostCurve
+from ucdispatch.model import build_model, model_stats
 
 
 def input_args(paths):
@@ -110,6 +111,39 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "cannot read" in err and "utf-8" in err
 
+    @pytest.mark.parametrize("which, pattern, line, message", [
+        (1, r",200\.0,", ",nan,", "P_max: NaN is not a valid value"),
+        (1, r"^1,1,", "1,1.5,", "UT: expected an integer, got '1.5'"),
+        (0, r"^T = .*$", "T 2", "expected KEY = VALUE, got 'T 2'"),
+        (0, r"^START = .*$", "START = 2009-05-11",
+         "START must be 'YYYY-MM-DD HH:MM:SS', got '2009-05-11'"),
+        (0, r"^T = .*$", "T = 0", "T must be at least 1"),
+        (0, r"^UPP = .*$", "UPP = -1", "penalties must be nonnegative"),
+        (3, r"^2009-05-11 01:00:00", "2009-05-11 1 o'clock",
+         "t: expected 'YYYY-MM-DD HH:MM:SS'"),
+    ], ids=["nan-cell", "fractional-uptime", "config-line-without-equals",
+            "start-without-time", "zero-periods", "negative-penalty", "bad-timestamp"])
+    def test_input_error_exits_two(self, fixture_files, capsys, which, pattern, line,
+                                   message):
+        path = fixture_files[which]
+        path.write_text(re.sub(pattern, line, path.read_text(), count=1, flags=re.M))
+        assert main(["validate", *input_args(fixture_files)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {path}") and message in err
+
+    @pytest.mark.parametrize("changes, code", [
+        (dict(units=[make_unit(fuel_type="a-b")]), "invalid-fuel-name"),
+        (dict(reserve=(0.0, -5.0)), "negative-reserve"),
+        (dict(fuel_cost={"gas": (1.0, -2.0)}), "negative-fuel-cost"),
+    ], ids=["fuel-name", "negative-reserve", "negative-fuel-cost"])
+    def test_period_and_fuel_errors_exit_one(self, tmp_path, capsys, changes, code):
+        instance = make_instance(**{"units": [make_unit()], "demand": (100.0, 150.0),
+                                    **changes})
+        paths = write_instance_files(instance, tmp_path / "bad")
+        assert main(["validate", "--json", *input_args(paths)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in payload["errors"]] == [code]
+
     def test_warnings_allowed(self, tmp_path, capsys):
         warn = make_instance([make_unit()], demand=(300.0, 100.0))
         paths = write_instance_files(warn, tmp_path / "warn")
@@ -181,6 +215,12 @@ class TestBuildCommand:
         assert main(["build", "--format", "lp", "--out", str(out),
                      *input_args(fixture_files)]) == 0
         assert out.read_text().startswith("Minimize")
+
+    def test_json_prints_model_stats(self, fixture_files, tmp_path, capsys):
+        out = tmp_path / "model.mps"
+        assert main(["build", "--json", "--out", str(out), *input_args(fixture_files)]) == 0
+        expected = model_stats(build_model(fixture_instance()))
+        assert json.loads(capsys.readouterr().out) == expected
 
     def test_invalid_instance_writes_nothing(self, broken_files, tmp_path):
         out = tmp_path / "model.mps"
@@ -340,6 +380,15 @@ class TestSolveCommand:
                   *input_args(fixture_files)])
         assert info.value.code == 2
         assert f"unknown config key {pair.split('=')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_override_without_equals_is_usage_error(self, fixture_files, tmp_path,
+                                                           capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--set", "UPP", "--out-dir", str(tmp_path / "o"),
+                  *input_args(fixture_files)])
+        assert info.value.code == 2
+        assert "--set expects KEY=VALUE, got 'UPP'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_solve_reproducible_outputs(self, fixture_files, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from helpers import fixture_instance, multi_unit_instance, storage_instance
 from test_writers import GOLDEN_INSTANCES, empty_model
 from ucdispatch import mipshim
-from ucdispatch.model import SENSES, build_model
+from ucdispatch.model import SENSES, ColumnIndex, MilpModel, RowBlock, RowMatrix, build_model
 from ucdispatch.thinning import thin_all
 from ucdispatch.writers import write_lp, write_mps
 
@@ -245,6 +245,40 @@ def test_infinite_mps_bound_means_no_bound(tmp_path, capsys, both_solve_paths, b
     assert capsys.readouterr().out == "optimal objective 4\n"
 
 
+# min {sign}x  s.t.  -5 <= x <= 5, as two rows
+BOUNDS_MPS = """\
+NAME demo
+ROWS
+ N  obj
+ G  c1
+ L  c2
+COLUMNS
+    x  obj  {sign}1  c1  1  c2  1
+RHS
+    rhs  c1  -5  c2  5
+BOUNDS
+{bounds}ENDATA
+"""
+
+
+@pytest.mark.parametrize("sign, bounds, optimum", [
+    ("", "", 0), ("", " MI BND x\n", -5), ("", " FR BND x\n", -5),
+    ("-", " UP BND x 3\n", -3), ("-", " UP BND x 3\n PL BND x\n", -5),
+    ("-", " UP BND x 3\n FR BND x\n", -5),
+], ids=["default", "minus-infinity", "free", "upper", "plus-infinity", "free-after-upper"])
+def test_mps_bound_types(tmp_path, capsys, both_solve_paths, sign, bounds, optimum):
+    code, _ = run_shim(tmp_path, BOUNDS_MPS.format(sign=sign, bounds=bounds))
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
+
+
+def test_unsupported_mps_bound_type_exits_two(tmp_path, capsys):
+    code, solution = run_shim(tmp_path, BOUNDS_MPS.format(sign="", bounds=" LI BND x 1\n"))
+    assert code == 2
+    assert "unsupported bound type LI" in capsys.readouterr().err
+    assert not solution.exists()
+
+
 # min x + y  s.t.  x + y >= 2: the optimum is 2
 GOOD_LP = """\
 Minimize
@@ -333,6 +367,49 @@ def test_lp_headers(tmp_path, capsys, both_solve_paths, text, optimum):
     assert capsys.readouterr().out == f"optimal objective {optimum}\n"
 
 
+@pytest.mark.parametrize("row, section, optimum", [
+    ("2 x >= 3", "Generals\n x", 2), ("x >= -5", "Bounds\n x free", -5),
+    ("2 x >= -11", "Bounds\n x FREE\nGenerals\n x", -5),
+], ids=["generals", "free", "free-general"])
+def test_lp_generals_and_free(tmp_path, capsys, both_solve_paths, row, section, optimum):
+    text = f"Minimize\n obj: x\nSubject To\n c1: {row}\n{section}\nEnd\n"
+    code, _ = run_shim(tmp_path, text, "model.lp")
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
+
+
+@pytest.mark.parametrize("section, line, name", [
+    # both solved another model, exit 0: one with a column "-x" at -4 and
+    # objective -10, one with a column "2x"
+    ("Bounds\n -x >= -4", "-x >= -4", "-x"),
+    ("Bounds\n 2 x <= 4", "2 x <= 4", "2 x"),
+    # read as a column "xy"
+    ("Bounds\n 0 <= x y <= 4", "0 <= x y <= 4", "x y"),
+    ("Bounds\n -x free", "-x free", "-x"),
+    ("Binaries\n x +y", "x +y", "+y"),
+    ("Generals\n 3x", "3x", "3x"),
+], ids=["negated-name", "coefficient", "two-words", "negated-free", "signed-binary",
+        "numbered-general"])
+def test_lp_entry_that_is_no_name_exits_two(tmp_path, capsys, section, line, name):
+    text = f"Minimize\n obj: - x\nSubject To\n c1: x + y <= 10\n{section}\nEnd\n"
+    code, solution = run_shim(tmp_path, text, "model.lp")
+    assert code == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "cannot parse" in err and f"{name!r} in line {line!r} is not a column name" in err
+    assert not solution.exists()
+
+
+@pytest.mark.parametrize("text", [
+    GOOD_MPS, GOOD_MPS.replace("NAME          demo\n", ""), GOOD_LP,
+], ids=["name-first", "rows-first", "lp"])
+def test_format_of_a_file_without_extension(tmp_path, capsys, both_solve_paths, text):
+    # MPS when the first word is NAME or ROWS, LP otherwise; each text is a
+    # parse error in the other format
+    code, _ = run_shim(tmp_path, text, "model")
+    assert code == 0
+    assert capsys.readouterr().out == "optimal objective 2\n"
+
+
 @pytest.mark.parametrize("text, message", [
     # "Semi-continuous" was read as a column of Generals
     (GOOD_LP.replace("End", "Generals\n y\nSemi-continuous\n x\nEnd"),
@@ -371,6 +448,29 @@ def test_reads_back_the_emitted_model(make):
         assert named(problem.objective, read_names) == named(model.objective, names)
         assert not problem.maximize
         assert {read_names[col] for col in problem.integers} == v_columns
+
+
+def unread_column_model():
+    """min cp_1_1 s.t. cp_1_1 >= 10 v_1_1 and v_1_1 >= 0.5 with v_1_1
+    binary, the last column: the optimum is 10.  No row and no objective
+    term reads p_1_1."""
+    columns = ColumnIndex.from_keys([("p", 1, 1), ("cp", 1, 1), ("v", 1, 1)])
+    rows = RowMatrix.from_blocks([
+        RowBlock("cost", [1], ">=", 0.0, [([1], 1.0), ([2], -10.0)]),
+        RowBlock("on", [1], ">=", 0.5, [([2], 1.0)]),
+    ])
+    return MilpModel(columns, rows, {1: 1.0})
+
+
+@pytest.mark.parametrize("write, name", [(write_mps, "model.mps"), (write_lp, "model.lp")],
+                         ids=["mps", "lp"])
+def test_unread_column_reads_back(tmp_path, capsys, both_solve_paths, write, name):
+    # the LP file dropped p_1_1: its read-back had two columns, the MPS one three
+    code, solution = run_shim(tmp_path, write(unread_column_model()), name)
+    assert code == 0
+    assert capsys.readouterr().out == "optimal objective 10\n"
+    values = dict(line.split() for line in solution.read_text().splitlines()[1:])
+    assert values == {"p_1_1": "0", "cp_1_1": "10", "v_1_1": "1"}
 
 
 def test_shim_imports_nothing_from_the_package():

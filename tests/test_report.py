@@ -123,7 +123,7 @@ class TestBalances:
         model, solution = solved(storage_inst)
         breakdown = cost_breakdown(storage_inst, model, solution)
         scale = 1.0 + abs(solution.objective)
-        assert abs(breakdown.total - solution.objective) <= 1e-6 * scale
+        assert abs(sum(breakdown.values()) - solution.objective) <= 1e-6 * scale
 
     def test_random_instances_balance(self):
         rng = np.random.default_rng(23)
