@@ -262,7 +262,7 @@ def parse_lp(text: str) -> MipProblem:
             raise ValueError(f"line {line!r} comes before the first section")
         sections[current].append(line)
 
-    tokens = _LP_TOKEN.findall(" ".join(sections["objective"]))
+    tokens = _lp_tokens(sections["objective"])
     i = 2 if len(tokens) > 1 and tokens[1] == ":" else 0
     # "obj: 0" is how an empty objective is written
     if tokens[i:] != ["0"]:
@@ -270,7 +270,7 @@ def parse_lp(text: str) -> MipProblem:
         if i < len(tokens):
             raise ValueError(f"unexpected {tokens[i]!r} in the objective")
 
-    tokens = _LP_TOKEN.findall(" ".join(sections["constraints"]))
+    tokens = _lp_tokens(sections["constraints"])
     i = 0
     while i < len(tokens):
         # optional "name :" prefix
@@ -301,6 +301,16 @@ def parse_lp(text: str) -> MipProblem:
         for name in line.split():
             problem.integers.add(_lp_column(name, line, problem))
     return problem
+
+
+def _lp_tokens(lines: list[str]) -> list[str]:
+    """The tokens of a section's lines; a character that is neither blank
+    nor part of a token is an error, never skipped."""
+    for line in lines:
+        stray = _LP_TOKEN.sub(" ", line).split()
+        if stray:
+            raise ValueError(f"unexpected character {stray[0][0]!r} in line {line!r}")
+    return _LP_TOKEN.findall(" ".join(lines))
 
 
 def _lp_column(name: str, line: str, problem: MipProblem) -> int:
@@ -345,7 +355,9 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
         problem.lower[col] = -np.inf
         problem.upper[col] = np.inf
         return
-    parts = [part.strip() for part in re.split(r"(<=|>=|=)", text)]
+    # _LP_SENSE lists "=" last, so "=<" and "=>" are never split after "="
+    parts = [part.strip() for part in re.split(f"({'|'.join(_LP_SENSE)})", text)]
+    parts[1::2] = [_LP_SENSE[op] for op in parts[1::2]]
     # a number may have a space after its sign; a name is one word
     numbers = [part.replace(" ", "") for part in parts]
     if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":

@@ -6,7 +6,10 @@ prunes them with the purely-binary constraint rows (initial-state fixing,
 minimal up/downtime), folds single-variable rows into each pattern's bounds
 and drops the patterns whose bounds cross; then it solves the remaining LP of
 each surviving pattern with the bundled dense simplex.  It is meant as a
-desk-scale oracle, not a production MIP solver.
+desk-scale oracle, not a production MIP solver.  The pattern with every
+free bit on, the walk's last, is screened and solved cold first: it is
+often the best, so the running best and the dual pool prune from the first
+pattern on, and the walk reuses its result when it gets there.
 
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
@@ -202,35 +205,43 @@ class _ExactEngine:
             codes = np.arange(start, stop, dtype=np.int64)
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-            # the residual of each binary row, chosen by its sense code
-            gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
-            residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
-            block = block[(residual <= 1e-9).all(axis=1)]
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
-                lower = np.zeros((len(block), self.nc))
-                upper = np.full((len(block), self.nc), np.inf)
-                upper[:, self.fin_vars] = np.minimum.reduceat(
-                    vals[:, self.ub_rows], self.ub_starts, axis=1)
-                lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
-                    vals[:, self.lb_rows], self.lb_starts, axis=1))
-                finite = np.isfinite(vals).all(axis=1)
-                crossed = finite & (lower > upper + 1e-9).any(axis=1)
-                self.stats["patterns"] += len(block)
-                self.stats["bound_infeasible"] += int(crossed.sum())
-                kept = ~crossed
-                block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
-                b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
-                                          (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
-                               upper[:, self.fin_vars] - lower[:, self.fin_vars]])
-                finite &= np.isfinite(b).all(axis=1)
+            block, lower, b, finite, crossed = self.screen(block)
+            self.stats["patterns"] += len(block) + crossed
+            self.stats["bound_infeasible"] += crossed
             for i in range(len(block)):
                 if not finite[i]:
                     raise NumericalFailure(
                         "exact solver arithmetic failed: overflow in the LP bounds "
                         f"of pattern {''.join(map(str, block[i]))}")
                 yield block[i], lower[i], b[i]
+
+    def screen(self, block):
+        """The patterns of ``block`` that the binary rows and their own
+        bounds allow, with ``lower``, ``b`` and whether both are finite for
+        each, and how many of the rest their bounds ruled out.  Each row of
+        the result has the same bits whatever rows share its block."""
+        # the residual of each binary row, chosen by its sense code
+        gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
+        residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
+        block = block[(residual <= 1e-9).all(axis=1)]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
+            lower = np.zeros((len(block), self.nc))
+            upper = np.full((len(block), self.nc), np.inf)
+            upper[:, self.fin_vars] = np.minimum.reduceat(
+                vals[:, self.ub_rows], self.ub_starts, axis=1)
+            lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
+                vals[:, self.lb_rows], self.lb_starts, axis=1))
+            finite = np.isfinite(vals).all(axis=1)
+            crossed = finite & (lower > upper + 1e-9).any(axis=1)
+            kept = ~crossed
+            block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
+            b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
+                                      (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
+                           upper[:, self.fin_vars] - lower[:, self.fin_vars]])
+            finite &= np.isfinite(b).all(axis=1)
+        return block, lower, b, finite, int(crossed.sum())
 
     def feasible_dual(self, dual):
         """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
@@ -245,15 +256,17 @@ class _ExactEngine:
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded.  Each LP with rows starts warm from the last optimal
-        basis (a warm "infeasible" is certified by its ray).  The running
-        best only prunes the walk, by the skip cut of its dual bounds and
-        optima.  The candidates, the optima within the skip cut of the final
-        best, are solved cold where warm, and the ties are the cold results
-        within the tie cut of their own best; both cuts rise with the best,
-        so the walk need not filter.  A candidate keeps only its cold
-        values, not the tableau.  ``self.stats`` counts what became of each
-        pattern."""
+        unbounded.  The all-on pattern's LP, if its bounds and ``b`` are
+        finite, is solved cold before the walk and seeds it; the walk takes
+        that result when it reaches the pattern.  Each other LP with rows
+        starts warm from the last optimal basis (a warm "infeasible" is
+        certified by its ray).  The running best only prunes the walk, by
+        the skip cut of its dual bounds and optima.  The candidates, the
+        optima within the skip cut of the final best, are solved cold where
+        warm, and the ties are the cold results within the tie cut of their
+        own best; both cuts rise with the best, so the walk need not filter.
+        A candidate keeps only its cold values, not the tableau.
+        ``self.stats`` counts what became of each pattern."""
         stats = self.stats
 
         def lp(b, start=None):
@@ -264,14 +277,37 @@ class _ExactEngine:
 
         duals = np.empty((0, len(self.lp_senses)))
         best, candidates, start = np.inf, [], None
+
+        def steer(pattern, lower, b, result):
+            """Hand an optimal result on as the warm start and to the dual
+            pool, and return its objective."""
+            nonlocal start, duals
+            # a row-less LP is optimal at x = 0 cold, with no pivot
+            start = result if len(b) else None
+            y = self.feasible_dual(result.dual)
+            if y is not None:
+                duals = np.vstack([duals, y])[-DUAL_POOL:]
+            return float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
+
+        probe, lower, b, finite, _ = self.screen(
+            np.where(self.fixed < 0, 1, self.fixed).astype(np.int8)[None, :])
+        probe_key = kept = None
+        if len(probe) and finite[0]:
+            probe_key, kept = probe[0].tobytes(), lp(b[0])
+            if kept.status == "optimal":
+                best = steer(probe[0], lower[0], b[0], kept)
+
         for pattern, lower, b in self.patterns():
             cut = _skip_cut(best)
-            if len(duals):
-                bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
-                if bound > cut:
-                    stats["dual_pruned"] += 1
-                    continue
-            result = lp(b, start)
+            if pattern.tobytes() == probe_key:
+                result = kept
+            else:
+                if len(duals):
+                    bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
+                    if bound > cut:
+                        stats["dual_pruned"] += 1
+                        continue
+                result = lp(b, start)
             stats["lps"] += 1
             stats["warm"] += result.warm
             stats["rejected"] += result.rejected
@@ -279,12 +315,7 @@ class _ExactEngine:
                 return None
             if result.status != "optimal":
                 continue
-            # a row-less LP is optimal at x = 0 cold, with no pivot
-            start = result if len(b) else None
-            y = self.feasible_dual(result.dual)
-            if y is not None:
-                duals = np.vstack([duals, y])[-DUAL_POOL:]
-            objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
+            objective = steer(pattern, lower, b, result)
             if objective <= cut:
                 best = min(best, objective)
                 candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),

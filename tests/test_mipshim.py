@@ -350,6 +350,37 @@ def test_lp_bounds(tmp_path, capsys, both_solve_paths, objective, bound, optimum
     assert capsys.readouterr().out == f"optimal objective {optimum}\n"
 
 
+@pytest.mark.parametrize("objective, bound, optimum", [
+    # each exited 2: "could not convert string to float: '<4'" (or '>1'),
+    # or "'< x' ... is not a column name"
+    ("- x", "x =< 4", -4), ("x", "x => 1", 1), ("x", "1 =< x", 1), ("- x", "4 => x", -4),
+    ("x", "1 =< x =< 4", 1), ("- x", "1 =< x =< 4", -4),
+], ids=["upper", "lower", "flipped-lower", "flipped-upper", "range-low", "range-high"])
+def test_lp_bounds_with_equals_first(tmp_path, capsys, both_solve_paths, objective, bound,
+                                     optimum):
+    text = f"Minimize\n obj: {objective}\nSubject To\n c1: x + y <= 10\nBounds\n {bound}\nEnd\n"
+    code, _ = run_shim(tmp_path, text, "model.lp")
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
+
+
+@pytest.mark.parametrize("old, new, char", [
+    # read as "3 x + y >= 2": it solved to 2, exit 0
+    ("c1: x + y >= 2", "c1: 3 * x + y >= 2", "*"),
+    ("c1: x + y >= 2", "c1: x + y[1] >= 2", "["),
+    ("c1: x + y >= 2", "c1: x + y] >= 2", "]"),
+    ("obj: x + y", "obj: x ^ 2 + y", "^"),
+    ("obj: x + y", "obj: x / 2 + y", "/"),
+], ids=["times", "open-bracket", "close-bracket", "power", "divide"])
+def test_lp_character_outside_every_token_exits_two(tmp_path, capsys, old, new, char):
+    code, solution = run_shim(tmp_path, GOOD_LP.replace(old, new), "model.lp")
+    assert code == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "cannot parse" in err
+    assert f"unexpected character {char!r} in line {new.strip()!r}" in err
+    assert not solution.exists()
+
+
 @pytest.mark.parametrize("text, optimum", [
     # the objective after the keyword was dropped: optimum 0
     ("Minimize obj: x + 2 y\nSubject To\n c1: x + y >= 2\nEnd\n", 2),

@@ -271,7 +271,7 @@ def test_exact_answers_are_pinned():
 #: SHA-256 over every counter of ``Solution.stats`` and the optimal
 #: patterns of the exact engine on ``pinned_instances``: a change that only
 #: simplifies the engine must leave each of them as it was
-PINNED_COUNTERS = "83cb772b45261a6ed2a15efd24d2879c437801171ecd6ee64e2998e22dfb49c9"
+PINNED_COUNTERS = "6809b0f49039f6348e80cee9946259f621171bac2ea4e9880e9382dba0423737"
 
 
 def test_exact_counters_are_pinned():
@@ -407,8 +407,9 @@ class TestDualSkip:
 
     def test_unpruned_enumeration_solves_few_lps(self, monkeypatch):
         # 1024 patterns and no commitment rule: the full enumeration solves
-        # 1024 LPs, the pooled dual bounds skip all but about a hundred; the
-        # cold re-solves of warm results are counted apart
+        # 1024 LPs; the all-on pattern, solved first, is optimal, and the
+        # pooled dual bounds skip all but a few of the rest; the cold
+        # re-solves of warm results are counted apart
         calls = []
         lp = solve_module.solve_dense_lp
         monkeypatch.setattr(solve_module, "solve_dense_lp",
@@ -419,17 +420,18 @@ class TestDualSkip:
         assert solution.stats["patterns"] == 1024
         stats = solution.stats
         assert stats["lps"] + stats["resolved"] == len(calls)
-        assert stats["lps"] <= 150
+        assert stats["lps"] <= 10
 
     @pytest.mark.parametrize("fault", ["infeasible", "lower", "higher"])
     @pytest.mark.parametrize("make", [lambda: twin_unit_instance(164),
                                       lambda: twin_unit_instance(187),
-                                      lambda: random_instance(np.random.default_rng(3), 2, 4,
+                                      lambda: random_instance(np.random.default_rng(19), 2, 4,
                                                               with_storage=True)])
     def test_cold_solves_overrule_a_wrong_warm_result(self, make, fault, monkeypatch):
         # each dual simplex on the winning pattern's LP says "infeasible"
         # with a ray that proves nothing, or each warm solve of it moves its
-        # optimum by half the skip margin: the answer is unchanged
+        # optimum by half the skip margin: the answer is unchanged; no winner
+        # here is the all-on pattern, whose LP is always solved cold
         model = build(make())
         engine = _ExactEngine(model, SolverConfig())
         expected = unpruned_ties(engine)
@@ -479,6 +481,118 @@ class TestDualSkip:
         assert f"lps {stats['lps']}," in record.getMessage()
         assert f"rejected {stats['rejected']}," in record.getMessage()
         assert stats["warm"] + stats["rejected"] <= stats["lps"]
+
+
+def two_unit_model(*blocks, objective):
+    """Binary columns v1 and v2, continuous p1 and p2, and the given rows."""
+    return MilpModel(
+        ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("p", 1, 1), ("p", 2, 1)]),
+        RowMatrix.from_blocks(list(blocks)), objective)
+
+
+#: p1 + p2 >= 1 on every pattern
+DEMAND = RowBlock("demand", [1], ">=", 1.0, [([0, 0], [2, 3], [1.0, 1.0])])
+
+
+def desk_slot_r00_seed5():
+    """exact-desk seed 5's r00-2x5, on whose optimum a unit is off twice."""
+    instance = random_instance(np.random.default_rng(5), 2, 5)
+    return dataclasses.replace(instance, units=tuple(
+        dataclasses.replace(unit, min_uptime=2, min_downtime=1) for unit in instance.units))
+
+
+class TestAllOnProbe:
+    """The pattern with every free bit on is solved cold before the walk,
+    and only once; the answer is that of a full cold enumeration."""
+
+    def probe(self, model, monkeypatch):
+        """The engine's ties, its stats and each LP it solved: ``(b, start,
+        result)``; and the all-on pattern with its ``b``, or None where the
+        binary rows or its bounds rule it out.  Checks the ties against a
+        full cold enumeration and that no LP goes uncounted."""
+        calls, lp = [], solve_module.solve_dense_lp
+
+        def spy(c, A, senses, b, start=None):
+            calls.append((b.copy(), start, lp(c, A, senses, b, start=start)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solve_module, "solve_dense_lp", spy)
+        engine = _ExactEngine(model, SolverConfig())
+        ties, stats = engine.optimal(), dict(engine.stats)
+        monkeypatch.undo()
+        on = np.where(engine.fixed < 0, 1, engine.fixed)
+        walked = [(p, b) for p, _, b in engine.patterns() if p.tobytes() == on.tobytes()]
+        same_as_full_enumeration(model)
+        assert len(calls) == stats["lps"] + stats["resolved"]
+        return ties, stats, calls, (walked[0] if walked else None)
+
+    def assert_probed_first(self, calls, all_on):
+        _, b = all_on
+        assert calls[0][0].tobytes() == b.tobytes() and calls[0][1] is None
+        assert [c[0].tobytes() for c in calls].count(b.tobytes()) == 1
+
+    @pytest.mark.parametrize("make", [fixture_instance, enumeration_instance])
+    def test_all_on_wins(self, make, monkeypatch):
+        ties, stats, calls, all_on = self.probe(build(make()), monkeypatch)
+        self.assert_probed_first(calls, all_on)
+        assert ties[0][0].tobytes() == all_on[0].tobytes()
+        assert stats["resolved"] == 0
+
+    def test_all_on_loses(self, monkeypatch):
+        # the all-on optimum is 80 % above the best
+        ties, stats, calls, all_on = self.probe(build(desk_slot_r00_seed5()), monkeypatch)
+        self.assert_probed_first(calls, all_on)
+        assert calls[0][2].status == "optimal"
+        assert ties[0][0].tobytes() != all_on[0].tobytes()
+        assert stats["patterns"] == stats["bound_infeasible"] + stats["dual_pruned"] + stats["lps"]
+
+    def test_binary_row_rules_out_all_on(self, monkeypatch):
+        # v1 + v2 <= 1; p1 and p2 are capped at 10 by their units' bits
+        model = two_unit_model(
+            RowBlock("pick", [1], "<=", 1.0, [([0, 0], [0, 1], [1.0, 1.0])]), DEMAND,
+            RowBlock("cap", [1, 2], "<=", 0.0, [([0, 1], [2, 3], [1.0, 1.0]),
+                                                ([0, 1], [0, 1], [-10.0, -10.0])]),
+            objective={0: 3.0, 1: 1.0, 2: 1.0, 3: 2.0})
+        ties, stats, calls, all_on = self.probe(model, monkeypatch)
+        assert all_on is None
+        assert [(tuple(p), o) for p, o, _ in ties] == [((0, 1), 3.0)]
+        assert stats["patterns"] == 3
+
+    def test_all_on_lp_is_infeasible(self, monkeypatch):
+        # p1 + p2 <= 6 - 5 v1 - 5 v2: no room for demand when both are on
+        model = two_unit_model(
+            DEMAND, RowBlock("room", [1], "<=", 6.0, [([0] * 4, [0, 1, 2, 3], [5.0, 5.0, 1.0, 1.0])]),
+            objective={0: 1.0, 1: 1.0, 2: 1.0, 3: 2.0})
+        ties, stats, calls, all_on = self.probe(model, monkeypatch)
+        self.assert_probed_first(calls, all_on)
+        assert calls[0][2].status == "infeasible"
+        assert [(tuple(p), o) for p, o, _ in ties] == [((0, 0), 1.0)]
+        assert stats["patterns"] == stats["dual_pruned"] + stats["lps"] == 4
+
+    def test_no_free_bit(self, monkeypatch):
+        # both bits fixed on: the all-on pattern is the only one
+        model = two_unit_model(
+            RowBlock("initial-on", [1, 2], "=", 1.0, [([0, 1], [1.0, 1.0])]), DEMAND,
+            objective={0: 5.0, 1: 5.0, 2: 1.0, 3: 2.0})
+        ties, stats, calls, all_on = self.probe(model, monkeypatch)
+        self.assert_probed_first(calls, all_on)
+        assert [(tuple(p), o) for p, o, _ in ties] == [((1, 1), 11.0)]
+        assert (stats["patterns"], stats["lps"], len(calls)) == (1, 1, 1)
+
+    def test_overflowing_all_on_is_reported_where_the_walk_reaches_it(self):
+        # the probe skips the pattern whose bound overflows; the walk rules
+        # out the other three and then names it
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("cu", 1, 2)]),
+            RowMatrix.from_blocks([RowBlock("r", [1], "<=", 1.0,
+                                            [([0, 0, 0], [0, 1, 2], [1e308, 1e308, 1.0])])]),
+            {2: 1.0})
+        engine = _ExactEngine(model, SolverConfig())
+        with pytest.raises(NumericalFailure, match="LP bounds of pattern 11$"):
+            engine.optimal()
+        stats = engine.stats
+        assert (stats["patterns"], stats["bound_infeasible"] + stats["dual_pruned"]
+                + stats["lps"]) == (4, 3)
 
 
 class TestCheckSolution:
