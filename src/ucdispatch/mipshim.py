@@ -195,14 +195,16 @@ def parse_mps(text: str) -> MipProblem:
 # ---------------------------------------------------------------------------
 # CPLEX LP
 
-_LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "="}
+#: the relational operators; each two-character one comes before the
+#: one-character ones, so that a regex alternation tries it first
+_LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "=", "<": "<=", ">": ">="}
 _LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _LP_INFINITY = re.compile(r"^[+-]?inf(inity)?$", re.IGNORECASE)
 #: a column or row name; one that starts with "." and a digit is a number
 _LP_NAME = re.compile(
     r"(?!\.\d)[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*")
 _LP_TOKEN = re.compile(
-    rf"<=|>=|=<|=>|=|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|{_LP_NAME.pattern}")
+    rf"{'|'.join(_LP_SENSE)}|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|{_LP_NAME.pattern}")
 
 #: the keywords, of one or two words, that open a section, and the section;
 #: None for the CPLEX sections this reader does not support
@@ -355,7 +357,6 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
         problem.lower[col] = -np.inf
         problem.upper[col] = np.inf
         return
-    # _LP_SENSE lists "=" last, so "=<" and "=>" are never split after "="
     parts = [part.strip() for part in re.split(f"({'|'.join(_LP_SENSE)})", text)]
     parts[1::2] = [_LP_SENSE[op] for op in parts[1::2]]
     # a number may have a space after its sign; a name is one word

@@ -29,6 +29,12 @@ MAX_ITERATIONS = 100_000
 #: pivot tolerance: reduced costs, ratio-test entries and drive-out entries
 #: within it of zero count as zero
 TOL = 1e-9
+#: a warm answer's check lets each side of a row, reduced cost or duality
+#: gap miss by this times one plus its magnitude: rounding, not a wrong basis
+CHECK_REL_TOL = 1e-9
+#: phase 1 calls an LP infeasible above this times one plus the largest |b|:
+#: its optimum sums every artificial after many pivots, so it rounds more
+PHASE1_REL_TOL = 1e-7
 
 
 def kernel_name() -> str:
@@ -175,20 +181,21 @@ def _optimum(c, tableau, basis, identity, flipped):
 
 def _holds(c, A, b, le, ge, result):
     """Whether a warm answer holds on the original rows, each side within
-    1e-9 times one plus its own magnitude.  An optimum is certified by its
-    point ``x`` and its duals ``y``: ``x`` meets each row of ``A x (senses)
-    b``, ``c - A'y >= 0`` and ``c.x = b.y`` (the signs of ``y`` are those of
-    the final reduced costs).  An infeasible verdict is certified by its ray
-    ``y``: ``y'A >= 0 > y'b``."""
+    CHECK_REL_TOL times one plus its own magnitude.  An optimum is certified
+    by its point ``x`` and its duals ``y``: ``x`` meets each row of ``A x
+    (senses) b``, ``c - A'y >= 0`` and ``c.x = b.y`` (the signs of ``y`` are
+    those of the final reduced costs).  An infeasible verdict is certified
+    by its ray ``y``: ``y'A >= 0 > y'b``."""
     y = result.dual
     if result.x is None:
-        return bool(np.all(y @ A >= -1e-9 * (1.0 + np.abs(y) @ np.abs(A)))
-                    and y @ b < -1e-9 * (1.0 + np.abs(y) @ np.abs(b)))
+        return bool(np.all(y @ A >= -CHECK_REL_TOL * (1.0 + np.abs(y) @ np.abs(A)))
+                    and y @ b < -CHECK_REL_TOL * (1.0 + np.abs(y) @ np.abs(b)))
     gap = A @ result.x - b
     residual = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
-    return bool(np.all(residual <= 1e-9 * (1.0 + np.abs(b)))
-                and np.all(c - y @ A >= -1e-9 * (1.0 + np.abs(c)))
-                and abs(result.objective - b @ y) <= 1e-9 * (1.0 + abs(result.objective)))
+    return bool(np.all(residual <= CHECK_REL_TOL * (1.0 + np.abs(b)))
+                and np.all(c - y @ A >= -CHECK_REL_TOL * (1.0 + np.abs(c)))
+                and abs(result.objective - b @ y)
+                <= CHECK_REL_TOL * (1.0 + abs(result.objective)))
 
 
 def _dual_simplex(c, b, start):
@@ -269,7 +276,7 @@ def _two_phase(c, A, b, le, ge):
         if status == "limit":
             raise NumericalFailure(f"simplex phase 1 exceeded {MAX_ITERATIONS} pivots")
         infeasibility = -tableau[m, -1]
-        if infeasibility > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
+        if infeasibility > PHASE1_REL_TOL * (1.0 + float(np.max(np.abs(b)))):
             return LpResult("infeasible", None, np.inf, iterations)
 
         # drive leftover artificials out of the basis; drop redundant rows

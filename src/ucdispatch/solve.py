@@ -6,10 +6,10 @@ prunes them with the purely-binary constraint rows (initial-state fixing,
 minimal up/downtime), folds single-variable rows into each pattern's bounds
 and drops the patterns whose bounds cross; then it solves the remaining LP of
 each surviving pattern with the bundled dense simplex.  It is meant as a
-desk-scale oracle, not a production MIP solver.  The pattern with every
-free bit on, the walk's last, is screened and solved cold first: it is
-often the best, so the running best and the dual pool prune from the first
-pattern on, and the walk reuses its result when it gets there.
+desk-scale oracle, not a production MIP solver.  The walk starts at the
+pattern with every free bit on, the lexicographic last, and then goes on
+from the all-off one: the all-on pattern is often the best, so the running
+best and the dual pool prune from the first pattern on.
 
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
@@ -191,57 +191,59 @@ class _ExactEngine:
 
     def patterns(self):
         """``(pattern, lower, b)`` of each pattern that the binary rows and
-        its own bounds allow, in lexicographic order: ``lower`` is the shift
-        and ``b`` the right-hand side of its LP over ``x - lower``.  Checks
-        and counts PATTERN_BLOCK patterns at a time; one whose bounds or ``b``
-        overflow raises :class:`NumericalFailure` when the walk reaches it,
-        so that an earlier pattern's LP fails first."""
+        its own bounds allow: ``lower`` is the shift and ``b`` the
+        right-hand side of its LP over ``x - lower``.  The all-on pattern
+        (every free bit on) comes first, the rest follow in lexicographic
+        order.  Checks and counts PATTERN_BLOCK patterns at a time; one whose
+        bounds or ``b`` overflow raises :class:`NumericalFailure` at its
+        lexicographic place, the all-on one after the last block, so that an
+        earlier pattern's LP fails first."""
         free = np.flatnonzero(self.fixed < 0)
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
         n_free = len(free)
         shifts = np.arange(n_free - 1, -1, -1, dtype=np.int64)
+        overflow = None
         for start in range(0, 1 << n_free, PATTERN_BLOCK):
             stop = min(start + PATTERN_BLOCK, 1 << n_free)
-            codes = np.arange(start, stop, dtype=np.int64)
+            codes = (np.arange(start, stop, dtype=np.int64) - 1) % (1 << n_free)
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-            block, lower, b, finite, crossed = self.screen(block)
-            self.stats["patterns"] += len(block) + crossed
-            self.stats["bound_infeasible"] += crossed
+            # the residual of each binary row, chosen by its sense code; each
+            # row of the screen has the same bits whatever rows share its block
+            gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
+            residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
+            block = block[(residual <= 1e-9).all(axis=1)]
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
+                lower = np.zeros((len(block), self.nc))
+                upper = np.full((len(block), self.nc), np.inf)
+                upper[:, self.fin_vars] = np.minimum.reduceat(
+                    vals[:, self.ub_rows], self.ub_starts, axis=1)
+                lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
+                    vals[:, self.lb_rows], self.lb_starts, axis=1))
+                finite = np.isfinite(vals).all(axis=1)
+                crossed = finite & (lower > upper + 1e-9).any(axis=1)
+                self.stats["patterns"] += len(block)
+                self.stats["bound_infeasible"] += int(crossed.sum())
+                kept = ~crossed
+                block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
+                b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
+                                          (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
+                               upper[:, self.fin_vars] - lower[:, self.fin_vars]])
+                finite &= np.isfinite(b).all(axis=1)
             for i in range(len(block)):
                 if not finite[i]:
-                    raise NumericalFailure(
+                    failure = NumericalFailure(
                         "exact solver arithmetic failed: overflow in the LP bounds "
                         f"of pattern {''.join(map(str, block[i]))}")
+                    if start == 0 and i == 0 and block[i, free].all():
+                        overflow = failure
+                        continue
+                    raise failure
                 yield block[i], lower[i], b[i]
-
-    def screen(self, block):
-        """The patterns of ``block`` that the binary rows and their own
-        bounds allow, with ``lower``, ``b`` and whether both are finite for
-        each, and how many of the rest their bounds ruled out.  Each row of
-        the result has the same bits whatever rows share its block."""
-        # the residual of each binary row, chosen by its sense code
-        gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
-        residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
-        block = block[(residual <= 1e-9).all(axis=1)]
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
-            lower = np.zeros((len(block), self.nc))
-            upper = np.full((len(block), self.nc), np.inf)
-            upper[:, self.fin_vars] = np.minimum.reduceat(
-                vals[:, self.ub_rows], self.ub_starts, axis=1)
-            lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
-                vals[:, self.lb_rows], self.lb_starts, axis=1))
-            finite = np.isfinite(vals).all(axis=1)
-            crossed = finite & (lower > upper + 1e-9).any(axis=1)
-            kept = ~crossed
-            block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
-            b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
-                                      (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
-                           upper[:, self.fin_vars] - lower[:, self.fin_vars]])
-            finite &= np.isfinite(b).all(axis=1)
-        return block, lower, b, finite, int(crossed.sum())
+        if overflow is not None:
+            raise overflow
 
     def feasible_dual(self, dual):
         """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
@@ -256,12 +258,12 @@ class _ExactEngine:
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded.  The all-on pattern's LP, if its bounds and ``b`` are
-        finite, is solved cold before the walk and seeds it; the walk takes
-        that result when it reaches the pattern.  Each other LP with rows
-        starts warm from the last optimal basis (a warm "infeasible" is
-        certified by its ray).  The running best only prunes the walk, by
-        the skip cut of its dual bounds and optima.  The candidates, the
+        unbounded.  The walk takes the patterns in the order of
+        ``patterns()``, so the all-on pattern, often the best, seeds the
+        running best, the warm start and the dual pool.  Each later LP with
+        rows starts warm from the last optimal basis (a warm "infeasible"
+        is certified by its ray).  The running best only prunes the walk,
+        by the skip cut of its dual bounds and optima.  The candidates, the
         optima within the skip cut of the final best, are solved cold where
         warm, and the ties are the cold results within the tie cut of their
         own best; both cuts rise with the best, so the walk need not filter.
@@ -277,37 +279,14 @@ class _ExactEngine:
 
         duals = np.empty((0, len(self.lp_senses)))
         best, candidates, start = np.inf, [], None
-
-        def steer(pattern, lower, b, result):
-            """Hand an optimal result on as the warm start and to the dual
-            pool, and return its objective."""
-            nonlocal start, duals
-            # a row-less LP is optimal at x = 0 cold, with no pivot
-            start = result if len(b) else None
-            y = self.feasible_dual(result.dual)
-            if y is not None:
-                duals = np.vstack([duals, y])[-DUAL_POOL:]
-            return float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
-
-        probe, lower, b, finite, _ = self.screen(
-            np.where(self.fixed < 0, 1, self.fixed).astype(np.int8)[None, :])
-        probe_key = kept = None
-        if len(probe) and finite[0]:
-            probe_key, kept = probe[0].tobytes(), lp(b[0])
-            if kept.status == "optimal":
-                best = steer(probe[0], lower[0], b[0], kept)
-
         for pattern, lower, b in self.patterns():
             cut = _skip_cut(best)
-            if pattern.tobytes() == probe_key:
-                result = kept
-            else:
-                if len(duals):
-                    bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
-                    if bound > cut:
-                        stats["dual_pruned"] += 1
-                        continue
-                result = lp(b, start)
+            if len(duals):
+                bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
+                if bound > cut:
+                    stats["dual_pruned"] += 1
+                    continue
+            result = lp(b, start)
             stats["lps"] += 1
             stats["warm"] += result.warm
             stats["rejected"] += result.rejected
@@ -315,12 +294,18 @@ class _ExactEngine:
                 return None
             if result.status != "optimal":
                 continue
-            objective = steer(pattern, lower, b, result)
+            # a row-less LP is optimal at x = 0 cold, with no pivot
+            start = result if len(b) else None
+            y = self.feasible_dual(result.dual)
+            if y is not None:
+                duals = np.vstack([duals, y])[-DUAL_POOL:]
+            objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
             if objective <= cut:
                 best = min(best, objective)
                 candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
                                    None if result.warm else result.x))
 
+        candidates.sort(key=lambda candidate: candidate[0].tobytes())
         cut, cold = _skip_cut(best), []
         for pattern, objective, lower, b, x in candidates:
             if objective > cut:

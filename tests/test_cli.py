@@ -5,9 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SHIM_TEMPLATE
 from helpers import (
@@ -500,3 +504,45 @@ def test_imports_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.strip() == "['ucdispatch', 'ucdispatch.mipshim']"
+
+
+#: what a fuzzed config value or CSV cell becomes: numbers of every kind,
+#: timestamps, separators and short text
+FUZZ_CELLS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1",
+                     "1.5", "x", "2024-01-01 00:00:00", "2024-13-01 00:00:00", " ", ",",
+                     "=", '"']),
+    st.integers(-10**6, 10**6).map(str), st.floats().map(repr), st.text(max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(make=st.sampled_from([fixture_instance, storage_instance]),
+       which=st.integers(0, 3), line=st.integers(0, 10**6), cell=st.integers(0, 30),
+       value=FUZZ_CELLS,
+       command=st.sampled_from([["validate"], ["thin"], ["build", "--format", "mps"],
+                                ["build", "--format", "lp"], ["solve"]]))
+def test_fuzzed_input_cell_exits_with_a_documented_code(make, which, line, cell, value,
+                                                        command):
+    # one config value or CSV cell replaced: every command ends in 0-3,
+    # argparse's usage exit included, and raises nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_instance_files(make(), Path(tmp) / "data")
+        lines = paths[which].read_text(encoding="utf-8").splitlines()
+        i = line % len(lines)
+        if which == 0:
+            lines[i] = f"{lines[i].partition('=')[0]}= {value}"
+        else:
+            cells = lines[i].split(",")
+            cells[cell % len(cells)] = value
+            lines[i] = ",".join(cells)
+        paths[which].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [*command, *input_args(paths)]
+        if command[0] == "build":
+            args += ["--out", str(Path(tmp) / "model")]
+        elif command[0] == "solve":
+            args += ["--out-dir", str(Path(tmp) / "results")]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3)

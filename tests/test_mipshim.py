@@ -5,9 +5,12 @@ import inspect
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fixture_instance, multi_unit_instance, storage_instance
+from helpers import fixture_instance, multi_unit_instance, random_instance, storage_instance
 from test_writers import GOLDEN_INSTANCES, empty_model
 from ucdispatch import mipshim
 from ucdispatch.model import SENSES, ColumnIndex, MilpModel, RowBlock, RowMatrix, build_model
@@ -364,6 +367,21 @@ def test_lp_bounds_with_equals_first(tmp_path, capsys, both_solve_paths, objecti
     assert capsys.readouterr().out == f"optimal objective {optimum}\n"
 
 
+@pytest.mark.parametrize("objective, row, bound, optimum", [
+    # each exited 2: "unexpected character '<'" (or '>') in a row, or
+    # "cannot parse bound line" in a bound
+    ("- x - y", "x + y < 2", "", -2), ("x + y", "x + y > 2", "", 2),
+    ("- x", "x + y <= 10", "x < 4", -4), ("x", "x + y <= 10", "x > 1", 1),
+    ("x", "x + y <= 10", "1 < x < 4", 1), ("- x", "x + y <= 10", "4 > x", -4),
+], ids=["row-less", "row-greater", "upper", "lower", "range", "flipped-upper"])
+def test_lp_strict_operators_read_as_weak(tmp_path, capsys, both_solve_paths, objective,
+                                          row, bound, optimum):
+    text = f"Minimize\n obj: {objective}\nSubject To\n c1: {row}\nBounds\n {bound}\nEnd\n"
+    code, _ = run_shim(tmp_path, text, "model.lp")
+    assert code == 0
+    assert capsys.readouterr().out == f"optimal objective {optimum}\n"
+
+
 @pytest.mark.parametrize("old, new, char", [
     # read as "3 x + y >= 2": it solved to 2, exit 0
     ("c1: x + y >= 2", "c1: 3 * x + y >= 2", "*"),
@@ -479,6 +497,23 @@ def test_reads_back_the_emitted_model(make):
         assert named(problem.objective, read_names) == named(model.objective, names)
         assert not problem.maximize
         assert {read_names[col] for col in problem.integers} == v_columns
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_units=st.integers(1, 2), T=st.integers(1, 4),
+       storage=st.booleans())
+def test_both_formats_solve_to_the_same_objective(seed, n_units, T, storage):
+    instance = random_instance(np.random.default_rng(seed), n_units, T, with_storage=storage)
+    model = build_model(instance, thin_all(instance))
+    problems = mipshim.parse_mps(write_mps(model)), mipshim.parse_lp(write_lp(model))
+    assert by_name(problems[0]) == by_name(problems[1])
+    mps, lp = (mipshim.solve_problem(problem) for problem in problems)
+    assert mps[0] == lp[0] == "optimal"
+    # the readers number the columns in another order, so HiGHS takes
+    # another path, and its MIP feasibility tolerance of 1e-6 lets the
+    # objectives differ by about that much: 2 of 300 seeded instances
+    # were 1e-6 apart, 1.1e-10 relative
+    assert lp[1] == pytest.approx(mps[1], rel=1e-9)
 
 
 def unread_column_model():

@@ -284,7 +284,8 @@ def test_exact_counters_are_pinned():
 
 
 def unpruned_ties(engine):
-    """The tie list of a full enumeration: every pattern cold-solved."""
+    """The tie list of a full enumeration, in lexicographic order: every
+    pattern cold-solved."""
     best, ties = np.inf, []
     for pattern, lower, b in engine.patterns():
         result = solve_module.solve_dense_lp(engine.c_cont, engine.lp_matrix,
@@ -301,7 +302,7 @@ def unpruned_ties(engine):
             best = objective
             ties = [tie for tie in ties if tie[1] <= _tie_cut(best)]
         ties.append((pattern.copy(), objective, x))
-    return ties
+    return sorted(ties, key=lambda tie: tie[0].tobytes())
 
 
 def pattern_lp(engine, pattern):
@@ -397,6 +398,9 @@ class TestDualSkip:
         engine = _ExactEngine(build(instance), SolverConfig())
         reference = list(reference_patterns(engine))
         kept = [(pattern, *shifted) for pattern, shifted in reference if shifted]
+        # the walk takes the all-on pattern, the reference's last, first
+        on = np.where(engine.fixed < 0, 1, engine.fixed).astype(np.int8).tobytes()
+        kept.sort(key=lambda entry: entry[0].tobytes() != on)
         got = list(engine.patterns())
         assert [p.tobytes() for p, _, _ in got] == [p.tobytes() for p, _, _ in kept]
         for (_, lower, b), (_, ref_lower, ref_b) in zip(got, kept):
@@ -502,8 +506,9 @@ def desk_slot_r00_seed5():
 
 
 class TestAllOnProbe:
-    """The pattern with every free bit on is solved cold before the walk,
-    and only once; the answer is that of a full cold enumeration."""
+    """The pattern with every free bit on is the walk's first, so its LP is
+    solved cold before any other, and only once; the answer is that of a
+    full cold enumeration."""
 
     def probe(self, model, monkeypatch):
         """The engine's ties, its stats and each LP it solved: ``(b, start,
