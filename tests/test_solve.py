@@ -574,6 +574,18 @@ class TestAllOnProbe:
         assert [(tuple(p), o) for p, o, _ in ties] == [((0, 0), 1.0)]
         assert stats["patterns"] == stats["dual_pruned"] + stats["lps"] == 4
 
+    def test_all_on_lp_is_unbounded(self):
+        # p1 earns 1 per unit and nothing caps it: the first LP, the all-on
+        # pattern's, is unbounded and ends the walk; its block, all four
+        # patterns, is counted whole
+        model = two_unit_model(DEMAND, objective={0: 1.0, 1: 1.0, 2: -1.0, 3: 2.0})
+        solution = solve_exact(model)
+        assert (solution.status, solution.objective) == ("unbounded", -np.inf)
+        assert solution.stats == {"patterns": 4, "bound_infeasible": 0, "dual_pruned": 0,
+                                  "lps": 1, "warm": 0, "rejected": 0, "resolved": 0,
+                                  "pivots": 1}
+        assert enumerate_optimal_patterns(model) == []
+
     def test_no_free_bit(self, monkeypatch):
         # both bits fixed on: the all-on pattern is the only one
         model = two_unit_model(
