@@ -11,6 +11,15 @@ pattern with every free bit on, the lexicographic last, and then goes on
 from the all-off one: the all-on pattern is often the best, so the running
 best and the dual pool prune from the first pattern on.
 
+A block's row sums ``rhs - w . pattern`` are built on shared prefixes: the
+binary columns are subtracted in order, and each free one doubles the sums
+of every prefix of free bits into those of its two extensions.  That is
+about two sweeps over a block's rows instead of one per binary column, and
+each sum has the same bits as the sum taken alone for its pattern.  The
+binary rows are summed for the whole block, the bound rows only for the
+patterns that pass them and the LP rows only for those whose bounds do not
+cross.
+
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
 change.  So the optimal dual ``y`` of one pattern's LP, once checked
@@ -20,7 +29,10 @@ duality, as in Benders' cuts).  The engine keeps the last DUAL_POOL such
 duals and skips a pattern's LP when the best bound exceeds the tie cut by
 more than DUAL_SKIP_REL * (1 + |best|), a thousand times TIE_REL_TOL.  A
 skipped pattern lies above the tie cut, so it could neither lower the best
-optimum nor join the ties.
+optimum nor join the ties.  The bounds are taken a window of patterns at a
+time, in one product: the window restarts at one pattern after each LP and
+doubles while every bound in it prunes, so a run of k skipped patterns
+costs about log2(k) products.
 
 For the same reason a new ``b`` leaves the last optimal basis dual
 feasible, so each LP starts warm from it and from the final tableau that
@@ -74,6 +86,15 @@ DUAL_POOL = 8
 DUAL_SKIP_REL = 1e-6
 #: patterns whose binary rows and bounds are checked at once
 PATTERN_BLOCK = 1 << 12
+#: slack of a pattern's binary-row residuals and of its bound crossing:
+#: room for the rounding of a short sum of input coefficients, no more
+PATTERN_TOL = 1e-9
+#: how far a fixing row's value may lie from 0 or 1 and still fix its bit;
+#: the rounding of one quotient of two inputs lies far inside it
+FIXING_TOL = 1e-6
+#: check_solution's default: an external MILP solver meets the rows only
+#: to its own feasibility tolerance, 1e-6 in HiGHS
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -159,6 +180,19 @@ class _ExactEngine:
         self.lb_rows, self.lb_vars, self.lb_starts = _runs(self.s_var, self.s_is_lb)
 
         self.m_bin, self.m_cont, self.m_rhs = brows[lp], crows[lp], rows.rhs[lp]
+        # the lower bounds enter b only through the LP rows that hold their
+        # variables: a zero term elsewhere could change only the sign of a
+        # zero, and only a row whose rhs is -0.0 ever sums to one.  Round k
+        # subtracts the k-th such term of each row, so each row takes its
+        # terms in variable order
+        neg_zero = (self.m_rhs == 0.0) & np.signbit(self.m_rhs)
+        touched = (self.m_cont[:, self.lb_vars] != 0.0) | neg_zero[:, None]
+        rank = np.cumsum(touched, axis=1) - 1
+        self.lower_rounds = []
+        for k in range(touched.sum(axis=1).max(initial=0)):
+            lp_rows, terms = np.nonzero(touched & (rank == k))
+            var = self.lb_vars[terms]
+            self.lower_rounds.append((lp_rows, var, self.m_cont[lp_rows, var]))
 
         # variables with a structurally finite upper bound get an explicit row
         n_fin = len(self.fin_vars)
@@ -186,64 +220,102 @@ class _ExactEngine:
             if sense == _SENSE_EQ and len(nz) == 1 and self.fixed[nz[0]] < 0:
                 value = rhs / w[nz[0]]
                 bit = int(round(value))
-                if abs(value - bit) <= 1e-6 and bit in (0, 1):
+                if abs(value - bit) <= FIXING_TOL and bit in (0, 1):
                     self.fixed[nz[0]] = bit
+        self.free = np.flatnonzero(self.fixed < 0)
 
     def patterns(self):
-        """``(pattern, lower, b)`` of each pattern that the binary rows and
-        its own bounds allow: ``lower`` is the shift and ``b`` the
-        right-hand side of its LP over ``x - lower``.  The all-on pattern
-        (every free bit on) comes first, the rest follow in lexicographic
-        order.  Checks and counts PATTERN_BLOCK patterns at a time; one whose
-        bounds or ``b`` overflow raises :class:`NumericalFailure` at its
-        lexicographic place, the all-on one after the last block, so that an
-        earlier pattern's LP fails first."""
-        free = np.flatnonzero(self.fixed < 0)
+        """``(patterns, lower, b)`` of the patterns that the binary rows and
+        their own bounds allow, a batch of rows at a time: ``lower`` is each
+        pattern's shift and ``b`` the right-hand side of its LP over
+        ``x - lower``.  The all-on pattern (every free bit on) comes first,
+        in a batch of its own, the rest follow in lexicographic order, a
+        block at a time.  Checks and counts PATTERN_BLOCK patterns at a
+        time; one whose bounds or ``b`` overflow raises
+        :class:`NumericalFailure` at its lexicographic place, after the
+        batch of the patterns before it, the all-on one after the last
+        block, so that an earlier pattern's LP fails first."""
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
-        n_free = len(free)
-        shifts = np.arange(n_free - 1, -1, -1, dtype=np.int64)
+        n_codes = 1 << len(self.free)
+        shifts = np.arange(len(self.free) - 1, -1, -1, dtype=np.int64)
         overflow = None
-        for start in range(0, 1 << n_free, PATTERN_BLOCK):
-            stop = min(start + PATTERN_BLOCK, 1 << n_free)
-            codes = (np.arange(start, stop, dtype=np.int64) - 1) % (1 << n_free)
-            block = np.repeat(template[None, :], len(codes), axis=0)
-            block[:, free] = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-            # the residual of each binary row, chosen by its sense code; each
-            # row of the screen has the same bits whatever rows share its block
-            gap = -_rhs_minus(self.pure_rhs, (block, self.pure_w))
+        for start in range(0, n_codes, PATTERN_BLOCK):
+            stop = min(start + PATTERN_BLOCK, n_codes)
+            # the block's codes ascending: the all-on one, which leads block
+            # 0 in the walk, is its last
+            codes = np.sort((np.arange(start, stop, dtype=np.int64) - 1) % n_codes)
+            # the residual of each binary row, chosen by its sense code
+            gap = -self.row_sums(self.pure_rhs, self.pure_w, codes)
             residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
-            block = block[(residual <= 1e-9).all(axis=1)]
+            codes = codes[(residual <= PATTERN_TOL).all(axis=1)]
 
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = _rhs_minus(self.s_rhs, (block, self.s_bin)) * self.s_inv
-                lower = np.zeros((len(block), self.nc))
-                upper = np.full((len(block), self.nc), np.inf)
-                upper[:, self.fin_vars] = np.minimum.reduceat(
-                    vals[:, self.ub_rows], self.ub_starts, axis=1)
+                vals = self.row_sums(self.s_rhs, self.s_bin, codes) * self.s_inv
+                # the upper bounds of fin_vars, the only variables that
+                # can cross one
+                upper = np.minimum.reduceat(vals[:, self.ub_rows], self.ub_starts, axis=1)
+                lower = np.zeros((len(codes), self.nc))
                 lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
                     vals[:, self.lb_rows], self.lb_starts, axis=1))
                 finite = np.isfinite(vals).all(axis=1)
-                crossed = finite & (lower > upper + 1e-9).any(axis=1)
-                self.stats["patterns"] += len(block)
+                crossed = finite & (lower[:, self.fin_vars] > upper + PATTERN_TOL).any(axis=1)
+                self.stats["patterns"] += len(codes)
                 self.stats["bound_infeasible"] += int(crossed.sum())
                 kept = ~crossed
-                block, lower, upper, finite = block[kept], lower[kept], upper[kept], finite[kept]
-                b = np.hstack([_rhs_minus(self.m_rhs, (block, self.m_bin),
-                                          (lower[:, self.lb_vars], self.m_cont[:, self.lb_vars])),
-                               upper[:, self.fin_vars] - lower[:, self.fin_vars]])
+                codes, lower, upper, finite = codes[kept], lower[kept], upper[kept], finite[kept]
+                b = self.row_sums(self.m_rhs, self.m_bin, codes)
+                for lp_rows, var, coef in self.lower_rounds:
+                    b[:, lp_rows] -= lower[:, var] * coef
+                b = np.hstack([b, upper - lower[:, self.fin_vars]])
                 finite &= np.isfinite(b).all(axis=1)
-            for i in range(len(block)):
-                if not finite[i]:
-                    failure = NumericalFailure(
-                        "exact solver arithmetic failed: overflow in the LP bounds "
-                        f"of pattern {''.join(map(str, block[i]))}")
-                    if start == 0 and i == 0 and block[i, free].all():
-                        overflow = failure
-                        continue
-                    raise failure
-                yield block[i], lower[i], b[i]
+            block = np.repeat(template[None, :], len(codes), axis=0)
+            block[:, self.free] = (codes[:, None] >> shifts) & 1
+            if start == 0 and len(codes) and codes[-1] == n_codes - 1:
+                if finite[-1]:
+                    yield block[-1:], lower[-1:], b[-1:]
+                else:
+                    overflow = _overflow(block[-1])
+                block, lower, b, finite = block[:-1], lower[:-1], b[:-1], finite[:-1]
+            bad = np.flatnonzero(~finite)
+            if len(bad):
+                yield block[:bad[0]], lower[:bad[0]], b[:bad[0]]
+                raise _overflow(block[bad[0]])
+            yield block, lower, b
         if overflow is not None:
             raise overflow
+
+    def row_sums(self, rhs, w, codes):
+        """``rhs - w @ pattern`` for the pattern of each of the ascending
+        ``codes``, as rows.  The binary columns are subtracted one at a
+        time, in order, each as ``bit * w[:, j]``; a free column doubles
+        the partial sums of each prefix of free bits into those of its two
+        extensions, ``- 0.0 * w[:, j]`` first, and drops the extensions no
+        code has.  Patterns that share a prefix so share its sums, and each
+        row has the bits of its pattern's sum taken alone, whatever
+        patterns share its block, which a BLAS product does not promise
+        (it takes another path for a block of one row)."""
+        # the distinct prefixes of the codes, longest first: the last is
+        # the empty prefix, 0, unless there are no codes
+        prefixes = [codes]
+        for _ in self.free:
+            shorter = prefixes[-1] >> 1
+            first = np.ones(len(shorter), dtype=bool)
+            np.not_equal(shorter[1:], shorter[:-1], out=first[1:])
+            prefixes.append(shorter[first])
+        heads = prefixes.pop()
+        sums = np.repeat(rhs[None, :], len(heads), axis=0)
+        # bit * w[:, j] for bit 0 and 1, per column, each pair contiguous
+        steps = np.ascontiguousarray(np.stack([0.0 * w.T, w.T], axis=1))
+        for bit, step in zip(self.fixed, steps):
+            if bit >= 0:
+                sums -= step[bit]
+                continue
+            tails = prefixes.pop()
+            sums = (sums[:, None, :] - step).reshape(2 * len(sums), len(rhs))
+            if len(tails) < len(sums):
+                sums = sums[2 * np.searchsorted(heads, tails >> 1) + (tails & 1)]
+            heads = tails
+        return sums
 
     def feasible_dual(self, dual):
         """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
@@ -278,32 +350,55 @@ class _ExactEngine:
             return result
 
         duals = np.empty((0, len(self.lp_senses)))
-        best, candidates, start = np.inf, [], None
-        for pattern, lower, b in self.patterns():
-            cut = _skip_cut(best)
-            if len(duals):
-                bound = float(np.max(duals @ b)) + self.c_cont @ lower + self.c_bin @ pattern
-                if bound > cut:
-                    stats["dual_pruned"] += 1
+        best, candidates, start, window = np.inf, [], None, 1
+        for patterns, lowers, bs in self.patterns():
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower_cost, bit_cost = lowers @ self.c_cont, patterns @ self.c_bin
+            i = 0
+            while i < len(bs):
+                cut = _skip_cut(best)
+                if len(duals):
+                    # the pooled dual bounds of a window of patterns at once:
+                    # the window doubles while every bound in it prunes
+                    stop = min(i + window, len(bs))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        bounds = ((bs[i:stop] @ duals.T).max(axis=1)
+                                  + lower_cost[i:stop]) + bit_cost[i:stop]
+                    held = ~(np.isfinite(bounds) & (bounds > cut))
+                    skipped = int(np.argmax(held)) if held.any() else stop - i
+                    stats["dual_pruned"] += skipped
+                    i += skipped
+                    if i == stop:
+                        window *= 2
+                        continue
+                    # a bound that overflowed is taken again alone, so that
+                    # it raises where the walk reaches its pattern
+                    if not np.isfinite(bounds[skipped]) and (
+                            float(np.max(duals @ bs[i])) + self.c_cont @ lowers[i]
+                            + self.c_bin @ patterns[i] > cut):
+                        stats["dual_pruned"] += 1
+                        i += 1
+                        continue
+                pattern, lower, b = patterns[i], lowers[i], bs[i]
+                i, window = i + 1, 1
+                result = lp(b, start)
+                stats["lps"] += 1
+                stats["warm"] += result.warm
+                stats["rejected"] += result.rejected
+                if result.status == "unbounded":
+                    return None
+                if result.status != "optimal":
                     continue
-            result = lp(b, start)
-            stats["lps"] += 1
-            stats["warm"] += result.warm
-            stats["rejected"] += result.rejected
-            if result.status == "unbounded":
-                return None
-            if result.status != "optimal":
-                continue
-            # a row-less LP is optimal at x = 0 cold, with no pivot
-            start = result if len(b) else None
-            y = self.feasible_dual(result.dual)
-            if y is not None:
-                duals = np.vstack([duals, y])[-DUAL_POOL:]
-            objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
-            if objective <= cut:
-                best = min(best, objective)
-                candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
-                                   None if result.warm else result.x))
+                # a row-less LP is optimal at x = 0 cold, with no pivot
+                start = result if len(b) else None
+                y = self.feasible_dual(result.dual)
+                if y is not None:
+                    duals = np.vstack([duals, y])[-DUAL_POOL:]
+                objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
+                if objective <= cut:
+                    best = min(best, objective)
+                    candidates.append((pattern.copy(), objective, lower.copy(), b.copy(),
+                                       None if result.warm else result.x))
 
         candidates.sort(key=lambda candidate: candidate[0].tobytes())
         cut, cold = _skip_cut(best), []
@@ -324,16 +419,9 @@ class _ExactEngine:
         return [tie for tie in cold if tie[1] <= cut]
 
 
-def _rhs_minus(rhs, *terms):
-    """``rhs - left @ right.T`` summed over the ``(left, right)`` terms, one
-    column of ``left`` at a time, in order: each row of the result then has
-    the same bits whatever rows share its block, which a BLAS product does
-    not promise (it takes another path for a block of one row)."""
-    out = np.repeat(rhs[None, :], len(terms[0][0]), axis=0)
-    for left, right in terms:
-        for j in range(left.shape[1]):
-            out -= left[:, j, None] * right[:, j]
-    return out
+def _overflow(pattern) -> NumericalFailure:
+    return NumericalFailure("exact solver arithmetic failed: overflow in the LP bounds "
+                            f"of pattern {''.join(map(str, pattern))}")
 
 
 def _runs(var, mask):
@@ -400,17 +488,19 @@ def enumerate_optimal_patterns(model: MilpModel, config: SolverConfig | None = N
 
 
 def check_solution(model: MilpModel, values: np.ndarray,
-                   tolerance: float = 1e-6) -> ResidualReport:
+                   tolerance: float = RESIDUAL_TOL) -> ResidualReport:
     """Exact residuals of a candidate solution, one value per column,
     grouped by constraint family; raises ValueError on any other shape.
     A value that is not finite is an infinite bound violation, also in a
-    column that no row reads."""
+    column that no row reads.  A row whose activity overflows has an
+    infinite or NaN residual, which fails the check too."""
     if np.shape(values) != (model.num_columns,):
         raise ValueError(f"expected {model.num_columns} column values, "
                          f"got an array of shape {np.shape(values)}")
     x = np.asarray(values, dtype=float)
     rows = model.rows
-    gap = rows.activities(x) - rows.rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = rows.activities(x) - rows.rhs
     # choices in the order of SENSES: <=, =, >=
     residual = np.maximum(np.choose(rows.sense, (gap, np.abs(gap), -gap)), 0.0)
     worst = np.zeros(len(rows.families))
@@ -437,11 +527,12 @@ def parse_solution_file(text: str, model: MilpModel) -> np.ndarray:
     the file default to 0.  Each of the three logs at most one warning,
     with a count and the first five entries.  Raises
     :class:`UnparsableSolution` when a line mentions a known column but its
-    value cannot be read.
+    value cannot be read, or names a column that an earlier line gave.
     """
     known = model.columns.by_name
     values = np.zeros(model.num_columns)
-    found = np.zeros(model.num_columns, dtype=bool)
+    given_on = np.zeros(model.num_columns, dtype=np.int64)   # line number, 0 if none
+    lines = text.splitlines()
     unknown, unrecognized = [], []
 
     def read_value(name: str, raw: str, line: str):
@@ -451,10 +542,16 @@ def parse_solution_file(text: str, model: MilpModel) -> np.ndarray:
             raise UnparsableSolution(
                 f"cannot parse value {raw!r} for column {name!r} in line {line!r}"
             ) from None
-        values[known[name]] = value
-        found[known[name]] = True
+        col = known[name]
+        if given_on[col]:
+            first = given_on[col]
+            raise UnparsableSolution(
+                f"column {name!r} is given twice: in line {first} "
+                f"{lines[first - 1].strip()!r} and in line {number} {line!r}")
+        values[col] = value
+        given_on[col] = number
 
-    for raw_line in text.splitlines():
+    for number, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line[0] in "#*\\" or line.startswith("//") or line.startswith("="):
             continue
@@ -479,7 +576,7 @@ def parse_solution_file(text: str, model: MilpModel) -> np.ndarray:
     _warn_some("unknown entries ignored", unknown)
     _warn_some("unrecognized lines skipped", unrecognized)
     _warn_some("columns missing, defaulting to 0",
-               [model.columns.names[col] for col in np.flatnonzero(~found)])
+               [model.columns.names[col] for col in np.flatnonzero(given_on == 0)])
     return values
 
 

@@ -26,6 +26,8 @@ from ucdispatch import cli
 from ucdispatch.cli import main
 from ucdispatch.instance import StartupCostCurve
 from ucdispatch.model import build_model, model_stats
+from ucdispatch.solve import solve_exact
+from ucdispatch.thinning import thin_all
 
 
 def input_args(paths):
@@ -445,6 +447,21 @@ class TestReportCommand:
                                 "integrality gap 0, bound violation inf\n")
         assert not (tmp_path / "rep").exists()
 
+    def test_column_given_twice_exits_three(self, fixture_files, tmp_path, capsys):
+        # the second cu_1_1 line overwrote the first without a word: this
+        # wrote the reports of an objective of 2701
+        solution_file = tmp_path / "model.sol"
+        solution_file.write_text(
+            "v_1_1 1\nv_1_2 1\np_1_1 100\np_1_2 150\n"
+            "pm_1_1 200\npm_1_2 200\ncp_1_1 1100\ncp_1_2 1600\ncu_1_1 0\ncu_1_1 1\n")
+        assert main(["report", "--solution", str(solution_file),
+                     "--out-dir", str(tmp_path / "rep"),
+                     *input_args(fixture_files)]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: column 'cu_1_1' is given twice: in line 9 'cu_1_1 0' "
+            "and in line 10 'cu_1_1 1'\n")
+        assert not (tmp_path / "rep").exists()
+
     def test_non_utf8_solution_file_exits_two(self, fixture_files, tmp_path,
                                               capsys):
         solution_file = tmp_path / "model.sol"
@@ -543,6 +560,38 @@ def test_fuzzed_input_cell_exits_with_a_documented_code(make, which, line, cell,
             args += ["--out-dir", str(Path(tmp) / "results")]
         try:
             code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(action=st.sampled_from(["value", "line", "delete", "repeat"]),
+       line=st.integers(0, 10**6), text=FUZZ_CELLS)
+def test_fuzzed_solution_line_exits_with_a_documented_code(action, line, text):
+    # one line of the fixture's exact solution file has its value or the
+    # whole line replaced, is deleted or is repeated: report ends in 0-3
+    # and raises nothing else
+    instance = fixture_instance()
+    model = build_model(instance, thin_all(instance))
+    values = solve_exact(model).values
+    lines = [f"{name} {float(values[col])!r}" for col, name in enumerate(model.columns.names)]
+    i = line % len(lines)
+    if action == "value":
+        lines[i] = f"{lines[i].split()[0]} {text}"
+    elif action == "line":
+        lines[i] = text
+    elif action == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_instance_files(instance, Path(tmp) / "data")
+        solution_file = Path(tmp) / "model.sol"
+        solution_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            code = main(["report", "--solution", str(solution_file),
+                         "--out-dir", str(Path(tmp) / "rep"), *input_args(paths)])
         except SystemExit as exc:
             code = exc.code
         assert code in (0, 1, 2, 3)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import sys
 from unittest import mock
 
@@ -183,6 +184,19 @@ class TestSolveExact:
         with pytest.raises(NumericalFailure, match="overflow in the LP bounds of pattern 0"):
             solve_exact(model)
 
+    def test_overflowing_dual_bound_is_a_numerical_failure(self):
+        # p1 + p2 + 1e307 v1 >= 1.0000001e307: the all-on LP's dual, 20,
+        # times the next pattern's b, 1.0000001e307, overflows
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("p", 1, 1), ("p", 2, 1)]),
+            RowMatrix.from_blocks([RowBlock("d", [1], ">=", 1.0000001e307,
+                                            [([0, 0, 0], [0, 2, 3], [1e307, 1.0, 1.0])])]),
+            {0: 1.0, 1: 1.0, 2: 20.0, 3: 30.0})
+        engine = _ExactEngine(model, SolverConfig())
+        with pytest.raises(NumericalFailure, match="overflow encountered in matmul"):
+            engine.optimal()
+        assert (engine.stats["lps"], engine.stats["dual_pruned"]) == (1, 0)
+
     @pytest.mark.parametrize("rows", [
         # v = 1 and v = 0 on the same column
         [RowBlock("initial-on", [1], "=", 1.0, [([0], [1.0])]),
@@ -283,11 +297,18 @@ def test_exact_counters_are_pinned():
     assert digest.hexdigest() == PINNED_COUNTERS
 
 
+def walked(engine):
+    """``(pattern, lower, b)`` of each pattern of ``engine.patterns()``, in
+    the walk's order."""
+    for batch in engine.patterns():
+        yield from zip(*batch)
+
+
 def unpruned_ties(engine):
     """The tie list of a full enumeration, in lexicographic order: every
     pattern cold-solved."""
     best, ties = np.inf, []
-    for pattern, lower, b in engine.patterns():
+    for pattern, lower, b in walked(engine):
         result = solve_module.solve_dense_lp(engine.c_cont, engine.lp_matrix,
                                              engine.lp_senses, b)
         if result.status == "unbounded":
@@ -379,14 +400,16 @@ class TestDualSkip:
     def test_same_answer_as_full_enumeration(self, instance):
         same_as_full_enumeration(build(instance))
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
     @given(desk_instances())
-    def test_block_seams_change_nothing(self, instance):
-        # blocks of 3: several per instance, a partial last one and some
-        # that the binary rows or the bounds empty
+    def test_block_seams_change_nothing(self, block, instance):
+        # blocks of one pattern (no prefix shared), of a power of two and of
+        # three: several per instance, a partial last one and some that the
+        # binary rows or the bounds empty
         model = build(instance)
         ties, stats = same_as_full_enumeration(model)
-        with mock.patch.object(solve_module, "PATTERN_BLOCK", 3):
+        with mock.patch.object(solve_module, "PATTERN_BLOCK", block):
             small_ties, small_stats = same_as_full_enumeration(model)
         assert [(p.tobytes(), o, x.tobytes()) for p, o, x in small_ties] == \
             [(p.tobytes(), o, x.tobytes()) for p, o, x in ties]
@@ -401,7 +424,7 @@ class TestDualSkip:
         # the walk takes the all-on pattern, the reference's last, first
         on = np.where(engine.fixed < 0, 1, engine.fixed).astype(np.int8).tobytes()
         kept.sort(key=lambda entry: entry[0].tobytes() != on)
-        got = list(engine.patterns())
+        got = list(walked(engine))
         assert [p.tobytes() for p, _, _ in got] == [p.tobytes() for p, _, _ in kept]
         for (_, lower, b), (_, ref_lower, ref_b) in zip(got, kept):
             np.testing.assert_allclose(lower, ref_lower, rtol=1e-12, atol=1e-12)
@@ -439,7 +462,7 @@ class TestDualSkip:
         model = build(make())
         engine = _ExactEngine(model, SolverConfig())
         expected = unpruned_ties(engine)
-        (winner_b,) = [b for p, _, b in engine.patterns() if p.tobytes() == expected[0][0].tobytes()]
+        (winner_b,) = [b for p, _, b in walked(engine) if p.tobytes() == expected[0][0].tobytes()]
         shift = 0.5 * DUAL_SKIP_REL * (1.0 + abs(expected[0][1]))
         lp, dual_simplex, hits = solve_module.solve_dense_lp, simplex_module._dual_simplex, []
 
@@ -526,10 +549,10 @@ class TestAllOnProbe:
         ties, stats = engine.optimal(), dict(engine.stats)
         monkeypatch.undo()
         on = np.where(engine.fixed < 0, 1, engine.fixed)
-        walked = [(p, b) for p, _, b in engine.patterns() if p.tobytes() == on.tobytes()]
+        all_on = [(p, b) for p, _, b in walked(engine) if p.tobytes() == on.tobytes()]
         same_as_full_enumeration(model)
         assert len(calls) == stats["lps"] + stats["resolved"]
-        return ties, stats, calls, (walked[0] if walked else None)
+        return ties, stats, calls, (all_on[0] if all_on else None)
 
     def assert_probed_first(self, calls, all_on):
         _, b = all_on
@@ -642,6 +665,16 @@ class TestCheckSolution:
         values[model.column_of(column)] = value
         assert not check_solution(model, values).passed
 
+    def test_overflowing_activity_fails(self, fixture_inst):
+        # 1e308 in p_1_1 overflows the prod-cost row's activity: NumPy
+        # warned on the way to the failed check
+        model = build(fixture_inst)
+        values = solve_exact(model).values
+        values[model.column_of("p_1_1")] = 1e308
+        report = check_solution(model, values)
+        assert report.family_residuals["prod-cost"] == report.max_residual == np.inf
+        assert not report.passed
+
     @pytest.mark.parametrize("values", [{}, {0: 1.0}, np.zeros(3), np.zeros((1, 18))],
                              ids=["empty-dict", "dict", "short", "two-dimensional"])
     def test_other_shapes_raise(self, fixture_inst, values):
@@ -702,6 +735,22 @@ class TestParseSolutionFile:
                 "v_1_1 1\n")
         values = parse_solution_file(text, model)
         assert values[model.column_of("v_1_1")] == 1.0
+
+    @pytest.mark.parametrize("line, name, first", [
+        ("ru_1 1", "ru_1", "17 'ru_1 0.0'"),
+        ("cu_1_1=1", "cu_1_1", "9 'cu_1_1 0.0'"),
+        ("19 v_1_2 1 0", "v_1_2", "2 'v_1_2 1.0'"),
+    ], ids=["name-value", "equals", "indexed"])
+    def test_column_given_twice_raises(self, fixture_inst, line, name, first):
+        # appended to the exact solution, ru_1 1 was read as an objective of
+        # 7700 and cu_1_1=1 as one of 2701, the earlier line dropped
+        model = build(fixture_inst)
+        values = solve_exact(model).values
+        text = "".join(f"{column} {float(values[col])!r}\n"
+                       for col, column in enumerate(model.columns.names))
+        message = f"column '{name}' is given twice: in line {first} and in line 19 '{line}'"
+        with pytest.raises(UnparsableSolution, match=f"^{re.escape(message)}$"):
+            parse_solution_file(text + line + "\n", model)
 
     def test_truncated_value_raises(self, fixture_inst):
         model = build(fixture_inst)
