@@ -270,6 +270,8 @@ class _ExactEngine:
                 finite &= np.isfinite(b).all(axis=1)
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, self.free] = (codes[:, None] >> shifts) & 1
+            # the all-on pattern leads the walk in a batch of its own; if it
+            # overflows, it is reported after the last block
             if start == 0 and len(codes) and codes[-1] == n_codes - 1:
                 if finite[-1]:
                     yield block[-1:], lower[-1:], b[-1:]
@@ -286,14 +288,13 @@ class _ExactEngine:
 
     def row_sums(self, rhs, w, codes):
         """``rhs - w @ pattern`` for the pattern of each of the ascending
-        ``codes``, as rows.  The binary columns are subtracted one at a
-        time, in order, each as ``bit * w[:, j]``; a free column doubles
-        the partial sums of each prefix of free bits into those of its two
-        extensions, ``- 0.0 * w[:, j]`` first, and drops the extensions no
-        code has.  Patterns that share a prefix so share its sums, and each
-        row has the bits of its pattern's sum taken alone, whatever
-        patterns share its block, which a BLAS product does not promise
-        (it takes another path for a block of one row)."""
+        ``codes``, as rows, on shared prefixes: a free column doubles the
+        partial sums of each prefix of free bits into those of its two
+        extensions and drops the extensions that no code has.  Each sum
+        still takes ``bit * w[:, j]`` off in column order, as it would
+        alone, so a row has the same bits whatever patterns share its
+        block, which a BLAS product does not promise (it takes another
+        path for a block of one row)."""
         # the distinct prefixes of the codes, longest first: the last is
         # the empty prefix, 0, unless there are no codes
         prefixes = [codes]
