@@ -6,10 +6,10 @@ prunes them with the purely-binary constraint rows (initial-state fixing,
 minimal up/downtime), folds single-variable rows into each pattern's bounds
 and drops the patterns whose bounds cross; then it solves the remaining LP of
 each surviving pattern with the bundled dense simplex.  It is meant as a
-desk-scale oracle, not a production MIP solver.  The walk starts at the
-pattern with every free bit on, the lexicographic last, and then goes on
-from the all-off one: the all-on pattern is often the best, so the running
-best and the dual pool prune from the first pattern on.
+desk-scale oracle, not a production MIP solver.  The walk goes down from
+the pattern with every free bit on in lexicographic order: the all-on
+pattern is often the best, so the running best and the dual pool prune from
+the first pattern on, and the duals of a pattern's neighbours bound it.
 
 A block's row sums ``rhs - w . pattern`` are built on shared prefixes: the
 binary columns are subtracted in order, and each free one doubles the sums
@@ -178,6 +178,11 @@ class _ExactEngine:
         # the single rows of each variable's bound as one run, in row order
         self.ub_rows, self.fin_vars, self.ub_starts = _runs(self.s_var, self.s_is_ub)
         self.lb_rows, self.lb_vars, self.lb_starts = _runs(self.s_var, self.s_is_lb)
+        # the lower-bound runs of fin_vars alone, the only variables whose
+        # bounds can cross, and where each one sits among fin_vars
+        self.fin_lb_rows, fin_lb_vars, self.fin_lb_starts = _runs(
+            self.s_var, self.s_is_lb & np.isin(self.s_var, self.fin_vars))
+        self.fin_lb_at = np.searchsorted(self.fin_vars, fin_lb_vars)
 
         self.m_bin, self.m_cont, self.m_rhs = brows[lp], crows[lp], rows.rhs[lp]
         # the lower bounds enter b only through the LP rows that hold their
@@ -228,22 +233,18 @@ class _ExactEngine:
         """``(patterns, lower, b)`` of the patterns that the binary rows and
         their own bounds allow, a batch of rows at a time: ``lower`` is each
         pattern's shift and ``b`` the right-hand side of its LP over
-        ``x - lower``.  The all-on pattern (every free bit on) comes first,
-        in a batch of its own, the rest follow in lexicographic order, a
-        block at a time.  Checks and counts PATTERN_BLOCK patterns at a
-        time; one whose bounds or ``b`` overflow raises
-        :class:`NumericalFailure` at its lexicographic place, after the
-        batch of the patterns before it, the all-on one after the last
-        block, so that an earlier pattern's LP fails first."""
+        ``x - lower``.  The walk goes down from the all-on pattern (every
+        free bit on) in descending lexicographic order, a batch per block
+        of PATTERN_BLOCK codes, which it checks and counts at once.  A
+        pattern whose bounds or ``b`` overflow raises
+        :class:`NumericalFailure` at its place in the walk, after the batch
+        of the patterns before it, so that an earlier pattern's LP fails
+        first."""
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
-        n_codes = 1 << len(self.free)
         shifts = np.arange(len(self.free) - 1, -1, -1, dtype=np.int64)
-        overflow = None
-        for start in range(0, n_codes, PATTERN_BLOCK):
-            stop = min(start + PATTERN_BLOCK, n_codes)
-            # the block's codes ascending: the all-on one, which leads block
-            # 0 in the walk, is its last
-            codes = np.sort((np.arange(start, stop, dtype=np.int64) - 1) % n_codes)
+        for stop in range(1 << len(self.free), 0, -PATTERN_BLOCK):
+            # row_sums takes the codes ascending; the rows are turned at the end
+            codes = np.arange(max(stop - PATTERN_BLOCK, 0), stop, dtype=np.int64)
             # the residual of each binary row, chosen by its sense code
             gap = -self.row_sums(self.pure_rhs, self.pure_w, codes)
             residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
@@ -251,40 +252,36 @@ class _ExactEngine:
 
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = self.row_sums(self.s_rhs, self.s_bin, codes) * self.s_inv
-                # the upper bounds of fin_vars, the only variables that
-                # can cross one
+                # the bounds of fin_vars first: the patterns they cross get
+                # no other bound
                 upper = np.minimum.reduceat(vals[:, self.ub_rows], self.ub_starts, axis=1)
-                lower = np.zeros((len(codes), self.nc))
-                lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
-                    vals[:, self.lb_rows], self.lb_starts, axis=1))
+                fin_lower = np.zeros_like(upper)
+                fin_lower[:, self.fin_lb_at] = np.maximum(0.0, np.maximum.reduceat(
+                    vals[:, self.fin_lb_rows], self.fin_lb_starts, axis=1))
                 finite = np.isfinite(vals).all(axis=1)
-                crossed = finite & (lower[:, self.fin_vars] > upper + PATTERN_TOL).any(axis=1)
+                crossed = finite & (fin_lower > upper + PATTERN_TOL).any(axis=1)
                 self.stats["patterns"] += len(codes)
                 self.stats["bound_infeasible"] += int(crossed.sum())
                 kept = ~crossed
-                codes, lower, upper, finite = codes[kept], lower[kept], upper[kept], finite[kept]
+                codes, vals, upper, finite = codes[kept], vals[kept], upper[kept], finite[kept]
+                lower = np.zeros((len(codes), self.nc))
+                lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
+                    vals[:, self.lb_rows], self.lb_starts, axis=1))
                 b = self.row_sums(self.m_rhs, self.m_bin, codes)
                 for lp_rows, var, coef in self.lower_rounds:
                     b[:, lp_rows] -= lower[:, var] * coef
                 b = np.hstack([b, upper - lower[:, self.fin_vars]])
                 finite &= np.isfinite(b).all(axis=1)
+            # the walk's order; contiguous rows keep the dual bounds' products on BLAS
+            codes, lower, b, finite = codes[::-1], lower[::-1].copy(), b[::-1].copy(), finite[::-1]
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, self.free] = (codes[:, None] >> shifts) & 1
-            # the all-on pattern leads the walk in a batch of its own; if it
-            # overflows, it is reported after the last block
-            if start == 0 and len(codes) and codes[-1] == n_codes - 1:
-                if finite[-1]:
-                    yield block[-1:], lower[-1:], b[-1:]
-                else:
-                    overflow = _overflow(block[-1])
-                block, lower, b, finite = block[:-1], lower[:-1], b[:-1], finite[:-1]
             bad = np.flatnonzero(~finite)
             if len(bad):
                 yield block[:bad[0]], lower[:bad[0]], b[:bad[0]]
-                raise _overflow(block[bad[0]])
+                raise NumericalFailure("exact solver arithmetic failed: overflow in the LP "
+                                       f"bounds of pattern {''.join(map(str, block[bad[0]]))}")
             yield block, lower, b
-        if overflow is not None:
-            raise overflow
 
     def row_sums(self, rhs, w, codes):
         """``rhs - w @ pattern`` for the pattern of each of the ascending
@@ -318,20 +315,11 @@ class _ExactEngine:
             heads = tails
         return sums
 
-    def feasible_dual(self, dual):
-        """``dual`` clipped to its signs, or None if it breaks a reduced cost."""
-        y = dual.copy()
-        y[self.lp_le] = np.minimum(y[self.lp_le], 0.0)
-        y[self.lp_ge] = np.maximum(y[self.lp_ge], 0.0)
-        if np.all(self.c_cont - self.lp_matrix.T @ y >= -TOL):
-            return y
-        return None
-
     @numerical_guard("exact solver")
     def optimal(self):
         """The (pattern, objective, values) within TIE_REL_TOL of the best
         optimum, in lexicographic order, or None if a pattern's LP is
-        unbounded.  The walk takes the patterns in the order of
+        unbounded.  The walk takes the patterns in the descending order of
         ``patterns()``, so the all-on pattern, often the best, seeds the
         running best, the warm start and the dual pool.  Each later LP with
         rows starts warm from the last optimal basis (a warm "infeasible"
@@ -392,8 +380,12 @@ class _ExactEngine:
                     continue
                 # a row-less LP is optimal at x = 0 cold, with no pivot
                 start = result if len(b) else None
-                y = self.feasible_dual(result.dual)
-                if y is not None:
+                # the dual, clipped to its signs, joins the pool if it keeps
+                # every reduced cost
+                y = result.dual.copy()
+                y[self.lp_le] = np.minimum(y[self.lp_le], 0.0)
+                y[self.lp_ge] = np.maximum(y[self.lp_ge], 0.0)
+                if np.all(self.c_cont - self.lp_matrix.T @ y >= -TOL):
                     duals = np.vstack([duals, y])[-DUAL_POOL:]
                 objective = float(self.c_cont @ (result.x + lower) + self.c_bin @ pattern)
                 if objective <= cut:
@@ -418,11 +410,6 @@ class _ExactEngine:
             cold.append((pattern, float(self.c_cont @ x + self.c_bin @ pattern), x))
         cut = _tie_cut(min((objective for _, objective, _ in cold), default=np.inf))
         return [tie for tie in cold if tie[1] <= cut]
-
-
-def _overflow(pattern) -> NumericalFailure:
-    return NumericalFailure("exact solver arithmetic failed: overflow in the LP bounds "
-                            f"of pattern {''.join(map(str, pattern))}")
 
 
 def _runs(var, mask):
@@ -593,7 +580,10 @@ def accept_solution(text: str, model: MilpModel) -> tuple[np.ndarray, float]:
     Raises :class:`ResidualCheckFailed` if the values violate the model
     beyond :func:`check_solution`'s default tolerance.
     """
-    values = parse_solution_file(text, model)
+    return _checked(model, parse_solution_file(text, model))
+
+
+def _checked(model: MilpModel, values: np.ndarray) -> tuple[np.ndarray, float]:
     report = check_solution(model, values)
     if not report.passed:
         raise ResidualCheckFailed(
@@ -619,8 +609,11 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
     """Run an external MILP solver subprocess on the MPS emission.
 
     The command template must contain {model} and {solution} placeholders.
-    The returned values are verified with :func:`accept_solution` before the
-    solution is accepted.
+    The returned values are checked as by :func:`accept_solution`.
+    ``Solution.stats`` holds the seconds taken to write the MPS file
+    (``emit_s``), by the solver process from spawn to exit (``solver_s``),
+    to read the solution (``parse_s``) and to check it (``check_s``), and the
+    process's ``returncode``.
     """
     if not config.command_template:
         raise SolverLaunchFailed("no solver command template configured")
@@ -630,6 +623,7 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
         model_path = Path(tmp) / "model.mps"
         solution_path = Path(tmp) / "model.sol"
         model_path.write_text(write_mps(model), encoding="utf-8")
+        emitted = time.perf_counter()
 
         command = [
             part.replace("{model}", str(model_path))
@@ -640,6 +634,7 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
             proc = subprocess.run(command, capture_output=True, text=True)
         except OSError as exc:
             raise SolverLaunchFailed(f"cannot launch {command[0]!r}: {exc}") from exc
+        solved = time.perf_counter()
         if proc.returncode != 0:
             raise SolverNonZeroExit(
                 f"solver exited with {proc.returncode}: "
@@ -650,9 +645,13 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
             raise UnparsableSolution(f"solver wrote no solution file: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise UnparsableSolution(f"solution file is not UTF-8 text: {exc}") from exc
-
-        return Solution(*accept_solution(text, model), "optimal", "external",
-                        time.perf_counter() - started)
+        values = parse_solution_file(text, model)
+        parsed = time.perf_counter()
+        values, objective = _checked(model, values)
+        checked = time.perf_counter()
+    return Solution(values, objective, "optimal", "external", checked - started, {
+        "emit_s": emitted - started, "solver_s": solved - emitted, "parse_s": parsed - solved,
+        "check_s": checked - parsed, "returncode": proc.returncode})
 
 
 def solve(model: MilpModel, config: SolverConfig | None = None) -> Solution:

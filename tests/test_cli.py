@@ -335,25 +335,38 @@ class TestSolveCommand:
         assert "enumeration budget of 0" in capsys.readouterr().err
 
     def test_overflowing_costs_exit_three(self, tmp_path, capsys):
-        # the ratio test met a NaN and raised IndexError, a traceback
+        # the walk's first pattern, 11, overflows its bounds before any LP
         instance = make_instance([make_unit(var_cost=1e308)], demand=(100.0, 150.0))
         paths = write_instance_files(instance, tmp_path / "huge")
         out_dir = tmp_path / "results"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", "--out-dir", str(out_dir), *input_args(paths)]) == 3
-        assert "simplex" in capsys.readouterr().err
+        assert "overflow in the LP bounds of pattern 11" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_overflow_prints_one_stderr_line(self, tmp_path):
-        # NumPy's overflow warnings used to come before the error line
-        instance = make_instance([make_unit(var_cost=1e308)], demand=(100.0, 150.0))
+    def stderr_of_child_solve(self, tmp_path, **unit):
+        """The exit code and the stderr lines of ``python -m ucdispatch.cli
+        solve`` on one unit with ``unit``'s overrides."""
+        instance = make_instance([make_unit(**unit)], demand=(100.0, 150.0))
         paths = write_instance_files(instance, tmp_path / "huge")
         result = subprocess.run(
             [sys.executable, "-m", "ucdispatch.cli", "solve",
              "--out-dir", str(tmp_path / "results"), *input_args(paths)],
             capture_output=True, text=True)
-        assert result.returncode == 3
-        (line,) = result.stderr.splitlines()
+        return result.returncode, result.stderr.splitlines()
+
+    def test_overflow_prints_one_stderr_line(self, tmp_path):
+        # NumPy's overflow warnings used to come before the error line
+        code, (line,) = self.stderr_of_child_solve(tmp_path, var_cost=1e308)
+        assert code == 3
+        assert line.startswith("solver error: exact solver arithmetic failed: overflow "
+                               "in the LP bounds of pattern 11")
+
+    def test_simplex_overflow_prints_one_stderr_line(self, tmp_path):
+        # the bounds are finite: the first overflow is in the simplex's
+        # arithmetic, which the guard's errstate covers
+        code, (line,) = self.stderr_of_child_solve(tmp_path, fixed_cost=1e308)
+        assert code == 3
         assert line.startswith("solver error: simplex arithmetic failed: overflow")
 
     def test_json_summary(self, fixture_files, tmp_path, capsys):
@@ -367,6 +380,18 @@ class TestSolveCommand:
         assert stats["warm"] + stats["rejected"] <= stats["lps"]
         assert stats["patterns"] == (stats["bound_infeasible"] + stats["dual_pruned"]
                                      + stats["lps"])
+
+    def test_json_summary_of_the_external_backend(self, fixture_files, tmp_path, capsys):
+        # its stats were {}
+        assert main(["solve", "--json", "--backend", "external", "--solver-cmd", SHIM_TEMPLATE,
+                     "--out-dir", str(tmp_path / "j"), *input_args(fixture_files)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        stats = payload["stats"]
+        assert stats.keys() == {"emit_s", "solver_s", "parse_s", "check_s", "returncode"}
+        assert stats["returncode"] == 0
+        times = [stats[key] for key in ("emit_s", "solver_s", "parse_s", "check_s")]
+        assert min(times) >= 0.0 and stats["solver_s"] > 0.0
+        assert sum(times) == pytest.approx(payload["wall_time"], rel=1e-9)
 
     def test_config_override_changes_solution(self, fixture_files, tmp_path,
                                               capsys):

@@ -181,12 +181,12 @@ class TestSolveExact:
             RowMatrix.from_blocks([RowBlock("r", [1], "<=", 0.0,
                                             [([0, 0], [0, 1], [-1.0, 1e-320])])]),
             {1: 1.0})
-        with pytest.raises(NumericalFailure, match="overflow in the LP bounds of pattern 0"):
+        with pytest.raises(NumericalFailure, match="overflow in the LP bounds of pattern 1$"):
             solve_exact(model)
 
     def test_overflowing_dual_bound_is_a_numerical_failure(self):
-        # p1 + p2 + 1e307 v1 >= 1.0000001e307: the all-on LP's dual, 20,
-        # times the next pattern's b, 1.0000001e307, overflows
+        # p1 + p2 + 1e307 v1 >= 1.0000001e307: the walk solves 11 and 10;
+        # their dual, 20, times the b of 01, 1.0000001e307, overflows
         model = MilpModel(
             ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("p", 1, 1), ("p", 2, 1)]),
             RowMatrix.from_blocks([RowBlock("d", [1], ">=", 1.0000001e307,
@@ -195,7 +195,36 @@ class TestSolveExact:
         engine = _ExactEngine(model, SolverConfig())
         with pytest.raises(NumericalFailure, match="overflow encountered in matmul"):
             engine.optimal()
-        assert (engine.stats["lps"], engine.stats["dual_pruned"]) == (1, 0)
+        assert (engine.stats["lps"], engine.stats["dual_pruned"]) == (2, 0)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_overflow_raises_at_its_place_across_blocks(self, block, monkeypatch):
+        # p1 + p2 - 1e308 v1 + 1e308 v2 + 1e308 v3 <= 0: only pattern 011's
+        # b overflows, the fifth of the walk; blocks of 3 cut the walk into
+        # 111 110 101 | 100 011 010 | 001 000
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("v", 3, 1),
+                                   ("p", 1, 1), ("p", 2, 1)]),
+            RowMatrix.from_blocks([
+                RowBlock("room", [1], "<=", 0.0, [([0] * 5, [0, 1, 2, 3, 4],
+                                                   [-1e308, 1e308, 1e308, 1.0, 1.0])]),
+                RowBlock("demand", [1], ">=", 1.0, [([0, 0], [3, 4], [1.0, 1.0])])]),
+            {3: 1.0, 4: 2.0})
+        monkeypatch.setattr(solve_module, "PATTERN_BLOCK", block)
+        before = []
+        with pytest.raises(NumericalFailure, match="LP bounds of pattern 011$"):
+            for pattern, _, b in walked(_ExactEngine(model, SolverConfig())):
+                before.append((tuple(pattern), b.tobytes()))
+        assert [p for p, _ in before] == [(1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0)]
+
+        calls, lp = [], solve_module.solve_dense_lp
+        monkeypatch.setattr(solve_module, "solve_dense_lp", lambda c, A, senses, b, start=None:
+                            calls.append(b.tobytes()) or lp(c, A, senses, b, start=start))
+        engine = _ExactEngine(model, SolverConfig())
+        with pytest.raises(NumericalFailure, match="LP bounds of pattern 011$"):
+            engine.optimal()
+        assert calls == [b for _, b in before]
+        assert engine.stats["lps"] == 4
 
     @pytest.mark.parametrize("rows", [
         # v = 1 and v = 0 on the same column
@@ -285,7 +314,7 @@ def test_exact_answers_are_pinned():
 #: SHA-256 over every counter of ``Solution.stats`` and the optimal
 #: patterns of the exact engine on ``pinned_instances``: a change that only
 #: simplifies the engine must leave each of them as it was
-PINNED_COUNTERS = "6809b0f49039f6348e80cee9946259f621171bac2ea4e9880e9382dba0423737"
+PINNED_COUNTERS = "71ac9fdfa674f326e44e0a7791f6c9c34e74b3c2d4a38fab6e20c509a9caff5a"
 
 
 def test_exact_counters_are_pinned():
@@ -421,9 +450,8 @@ class TestDualSkip:
         engine = _ExactEngine(build(instance), SolverConfig())
         reference = list(reference_patterns(engine))
         kept = [(pattern, *shifted) for pattern, shifted in reference if shifted]
-        # the walk takes the all-on pattern, the reference's last, first
-        on = np.where(engine.fixed < 0, 1, engine.fixed).astype(np.int8).tobytes()
-        kept.sort(key=lambda entry: entry[0].tobytes() != on)
+        # the walk goes down from the all-on pattern, the reference's last
+        kept.reverse()
         got = list(walked(engine))
         assert [p.tobytes() for p, _, _ in got] == [p.tobytes() for p, _, _ in kept]
         for (_, lower, b), (_, ref_lower, ref_b) in zip(got, kept):
@@ -529,9 +557,9 @@ def desk_slot_r00_seed5():
 
 
 class TestAllOnProbe:
-    """The pattern with every free bit on is the walk's first, so its LP is
-    solved cold before any other, and only once; the answer is that of a
-    full cold enumeration."""
+    """The walk goes down from the pattern with every free bit on, so that
+    pattern's LP is solved cold before any other, and only once; the answer
+    is that of a full cold enumeration."""
 
     def probe(self, model, monkeypatch):
         """The engine's ties, its stats and each LP it solved: ``(b, start,
@@ -620,8 +648,9 @@ class TestAllOnProbe:
         assert (stats["patterns"], stats["lps"], len(calls)) == (1, 1, 1)
 
     def test_overflowing_all_on_is_reported_where_the_walk_reaches_it(self):
-        # the probe skips the pattern whose bound overflows; the walk rules
-        # out the other three and then names it
+        # the all-on pattern's bound overflows: it leads the walk, so it is
+        # named before any LP; its block is counted whole, and its bounds
+        # rule out 10 and 01
         model = MilpModel(
             ColumnIndex.from_keys([("v", 1, 1), ("v", 1, 2), ("cu", 1, 2)]),
             RowMatrix.from_blocks([RowBlock("r", [1], "<=", 1.0,
@@ -631,8 +660,7 @@ class TestAllOnProbe:
         with pytest.raises(NumericalFailure, match="LP bounds of pattern 11$"):
             engine.optimal()
         stats = engine.stats
-        assert (stats["patterns"], stats["bound_infeasible"] + stats["dual_pruned"]
-                + stats["lps"]) == (4, 3)
+        assert (stats["patterns"], stats["bound_infeasible"], stats["lps"]) == (4, 2, 0)
 
 
 class TestCheckSolution:
@@ -830,6 +858,18 @@ def test_random_instances_agree_with_shim():
         external = solve_external(model, config)
         scale = 1.0 + abs(exact.objective)
         assert abs(external.objective - exact.objective) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("T", [8, 10])
+def test_sixteen_to_twenty_binaries_agree_with_shim(T):
+    # two units over 8 and 10 periods: 16 and 20 free binaries, the second
+    # spread over 256 blocks of PATTERN_BLOCK patterns
+    model = build(random_instance(np.random.default_rng(7), 2, T))
+    assert len(model.binary_columns()) == 2 * T
+    exact = solve_exact(model)
+    status, objective, _ = mipshim.solve_problem(mipshim.parse_mps(write_mps(model)))
+    assert exact.status == status == "optimal"
+    assert abs(objective - exact.objective) <= 1e-6 * abs(exact.objective)
 
 
 def test_shim_solves_to_optimality():
