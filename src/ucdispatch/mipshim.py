@@ -10,9 +10,15 @@ so an agreement between this path and the built-in exact solver checks both
 sides.  It calls HiGHS through the module SciPy bundles as
 ``scipy.optimize._highspy._core``, loaded from its file next to the
 installed ``scipy`` so that a solver child never imports the much larger
-``scipy.optimize``; it hands HiGHS the model and options that
-``scipy.optimize.milp`` would.  Where that file is missing or lacks a name
-the shim uses (the module is private to SciPy), it calls ``milp`` instead.
+``scipy.optimize``.  :func:`main` reads the file with its own reader first,
+then has HiGHS read the same file and solves that only if HiGHS holds
+exactly the shim's reading of it; HiGHS hands the checks lists and scalars,
+so on this route the child imports no NumPy.  Where HiGHS refuses the file
+or reads another model, :func:`solve_problem` hands HiGHS the shim's
+reading in memory, as the model and options that ``scipy.optimize.milp``
+would; both routes give HiGHS the same model, so the same answer.  Where
+the module file is missing or lacks a name the shim uses (the module is
+private to SciPy), it calls ``milp`` instead.
 
 Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
@@ -32,13 +38,12 @@ from __future__ import annotations
 import argparse
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 
 @dataclass
@@ -165,9 +170,9 @@ def parse_mps(text: str) -> MipProblem:
             elif section == "BOUNDS":
                 btype, col = tokens[0].upper(), problem.touch(tokens[2])
                 if btype == "UP":
-                    problem.upper[col] = _number(tokens[3], np.inf)
+                    problem.upper[col] = _number(tokens[3], math.inf)
                 elif btype == "LO":
-                    problem.lower[col] = _number(tokens[3], -np.inf)
+                    problem.lower[col] = _number(tokens[3], -math.inf)
                 elif btype == "FX":
                     problem.lower[col] = problem.upper[col] = _number(tokens[3])
                 elif btype == "BV":
@@ -175,12 +180,12 @@ def parse_mps(text: str) -> MipProblem:
                     problem.lower[col] = 0.0
                     problem.upper[col] = 1.0
                 elif btype == "MI":
-                    problem.lower[col] = -np.inf
+                    problem.lower[col] = -math.inf
                 elif btype == "PL":
-                    problem.upper[col] = np.inf
+                    problem.upper[col] = math.inf
                 elif btype == "FR":
-                    problem.lower[col] = -np.inf
-                    problem.upper[col] = np.inf
+                    problem.lower[col] = -math.inf
+                    problem.upper[col] = math.inf
                 else:
                     raise ValueError(f"unsupported bound type {btype}")
             elif section == "OBJSENSE" and tokens[0].upper() in _MPS_OBJSENSE:
@@ -354,8 +359,8 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
     free = re.match(r"^(\S+)\s+free$", text, re.IGNORECASE)
     if free:
         col = _lp_column(free.group(1), line, problem)
-        problem.lower[col] = -np.inf
-        problem.upper[col] = np.inf
+        problem.lower[col] = -math.inf
+        problem.upper[col] = math.inf
         return
     parts = [part.strip() for part in re.split(f"({'|'.join(_LP_SENSE)})", text)]
     parts[1::2] = [_LP_SENSE[op] for op in parts[1::2]]
@@ -363,8 +368,8 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
     numbers = [part.replace(" ", "") for part in parts]
     if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
         col = _lp_column(parts[2], line, problem)
-        problem.lower[col] = _number(numbers[0], -np.inf)
-        problem.upper[col] = _number(numbers[4], np.inf)
+        problem.lower[col] = _number(numbers[0], -math.inf)
+        problem.upper[col] = _number(numbers[4], math.inf)
     elif len(parts) == 3:
         op = parts[1]
         if _LP_NUMBER.match(numbers[0]) or _LP_INFINITY.match(numbers[0]):
@@ -375,9 +380,9 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
         if op == "=":
             problem.lower[col] = problem.upper[col] = _number(value)
         elif (op == "<=") != flip:
-            problem.upper[col] = _number(value, np.inf)
+            problem.upper[col] = _number(value, math.inf)
         else:
-            problem.lower[col] = _number(value, -np.inf)
+            problem.lower[col] = _number(value, -math.inf)
     else:
         raise ValueError(f"cannot parse bound line {line!r}")
 
@@ -389,20 +394,24 @@ def _parse_lp_bound(line: str, problem: MipProblem) -> None:
 #: SciPy's bundled HiGHS module, and the names the shim uses from it
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_NAMES = ("HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus",
-                "HighsVarType", "MatrixFormat", "_Highs")
+                "HighsVarType", "MatrixFormat", "ObjSense", "_Highs")
 
 
 def _highs_core():
-    """SciPy's bundled HiGHS module, or None if this SciPy has no such file
-    or it lacks a name the shim uses.  It is loaded from its file next to the
-    installed ``scipy``, under its own name, so ``scipy/optimize/__init__.py``
-    never runs, and a later ``import scipy.optimize`` takes it from
-    ``sys.modules`` instead of loading it twice."""
+    """SciPy's bundled HiGHS module, or None if SciPy is not installed, has
+    no such file, or the module lacks a name the shim uses.  It is loaded
+    from its file next to the installed ``scipy``, which ``find_spec``
+    locates without running ``scipy/__init__.py`` (that imports NumPy), and
+    under its own name, so ``scipy/optimize/__init__.py`` never runs either,
+    and a later ``import scipy.optimize`` takes it from ``sys.modules``
+    instead of loading it twice.  The module itself imports NumPy only when
+    a call takes or returns an array."""
     core = sys.modules.get(_HIGHS_MODULE)
     if core is None:
-        import scipy
-
-        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            return None
+        folder = Path(scipy.origin).parent / "optimize" / "_highspy"
         paths = (folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
         path = next((path for path in paths if path.is_file()), None)
         if path is None:
@@ -414,26 +423,66 @@ def _highs_core():
     return core if all(hasattr(core, name) for name in _HIGHS_NAMES) else None
 
 
+def _columns(problem: MipProblem):
+    """The rows' matrix as ``(start, index, value)`` lists, column by column
+    with the row indices ascending within a column, as ``milp`` passes it."""
+    entries = [[] for _ in problem.var_order]
+    for row, (coefs, _, _) in enumerate(problem.rows):
+        for col, value in coefs.items():
+            entries[col].append((row, value))
+    start = [0, *itertools.accumulate(map(len, entries))]
+    return (start, [row for column in entries for row, _ in column],
+            [value for column in entries for _, value in column])
+
+
 def _column_wise(problem: MipProblem):
-    """The rows' matrix as ``(start, index, value)``, column by column with
-    the row indices ascending within a column, as ``milp`` passes it."""
-    n = len(problem.var_order)
-    sizes = [len(coefs) for coefs, _, _ in problem.rows]
-    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    cols = np.fromiter((col for coefs, _, _ in problem.rows for col in coefs),
-                       dtype=np.int32, count=len(rows))
-    values = np.fromiter((value for coefs, _, _ in problem.rows for value in coefs.values()),
-                         dtype=float, count=len(rows))
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-    order = np.lexsort((rows, cols))
-    return start, rows[order], values[order]
+    """:func:`_columns` as NumPy arrays, the indices as ``int32``."""
+    import numpy as np
+
+    start, index, value = _columns(problem)
+    return (np.array(start, dtype=np.int32), np.array(index, dtype=np.int32),
+            np.array(value, dtype=float))
+
+
+def _model(problem: MipProblem):
+    """``(costs, lower, upper, integrality, row lower, row upper)`` as lists,
+    as ``milp`` would give them to HiGHS: the costs negated for a
+    maximization, a missing bound infinite and the integrality 1 or 0."""
+    columns = range(len(problem.var_order))
+    sign = -1.0 if problem.maximize else 1.0
+    return ([sign * problem.objective.get(col, 0.0) for col in columns],
+            [problem.lower.get(col, 0.0) for col in columns],
+            [problem.upper.get(col, math.inf) for col in columns],
+            [int(col in problem.integers) for col in columns],
+            [-math.inf if sense == "<=" else rhs for _, sense, rhs in problem.rows],
+            [math.inf if sense == ">=" else rhs for _, sense, rhs in problem.rows])
+
+
+def _highs(core):
+    """A HiGHS instance with the shim's options."""
+    options = core.HighsOptions()
+    options.log_to_console = False
+    # a zero gap: HiGHS's default 1e-4 stops short of the optimum the
+    # cross-check against the built-in solver needs
+    options.mip_rel_gap = 0.0
+    highs = core._Highs()
+    highs.passOptions(options)
+    return highs
+
+
+def _run(core, highs):
+    """(status, objective, list of column values) of the model ``highs``
+    holds; the status is HiGHS's model status unless it is optimal."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(status), None, None
+    return "optimal", highs.getInfo().objective_function_value, highs.getSolution().col_value
 
 
 def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
     """(status, objective, list of column values) from HiGHS itself, given
-    what ``milp`` would give it; the status is HiGHS's model status unless
-    it is optimal."""
+    what ``milp`` would give it."""
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lb)
@@ -442,19 +491,10 @@ def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
     lp.row_lower_, lp.row_upper_ = row_lb, row_ub
     lp.integrality_ = [core.HighsVarType(kind) for kind in integrality.tolist()]
-    options = core.HighsOptions()
-    options.log_to_console = False
-    options.mip_rel_gap = 0.0
-    highs = core._Highs()
-    highs.passOptions(options)
+    highs = _highs(core)
     if highs.passModel(lp) == core.HighsStatus.kError:
-        status = core.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        status = highs.getModelStatus()
-    if status != core.HighsModelStatus.kOptimal:
-        return highs.modelStatusToString(status), None, None
-    return "optimal", highs.getInfo().objective_function_value, highs.getSolution().col_value
+        return highs.modelStatusToString(core.HighsModelStatus.kModelError), None, None
+    return _run(core, highs)
 
 
 def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
@@ -474,44 +514,70 @@ def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
     return "optimal", result.fun, result.x.tolist()
 
 
-def solve_problem(problem: MipProblem):
-    """Returns (status_string, objective, {name: value}).  Solves with
-    SciPy's bundled HiGHS module where :func:`_highs_core` finds it, else
-    with ``scipy.optimize.milp``; both paths give HiGHS the same model and
-    options, so the same answer."""
-    n = len(problem.var_order)
-    con_lb = np.array([-np.inf if sense == "<=" else rhs for _, sense, rhs in problem.rows])
-    con_ub = np.array([np.inf if sense == ">=" else rhs for _, sense, rhs in problem.rows])
-    if n == 0:
-        # milp needs a column; without one every row's activity is 0
-        if np.all(con_lb <= 0.0) and np.all(con_ub >= 0.0):
-            return "optimal", 0.0, {}
-        return "infeasible: a row without columns does not hold at 0", None, {}
-
-    c = np.zeros(n)
-    c[list(problem.objective)] = list(problem.objective.values())
-    if problem.maximize:
-        c = -c
-    lb, ub = np.zeros(n), np.full(n, np.inf)
-    lb[list(problem.lower)] = list(problem.lower.values())
-    ub[list(problem.upper)] = list(problem.upper.values())
-    integrality = np.zeros(n, dtype=int)
-    integrality[list(problem.integers)] = 1
-
-    # a zero gap: HiGHS's default 1e-4 stops short of the optimum the
-    # cross-check against the built-in solver needs
-    core = _highs_core()
-    if core is None:
-        status, objective, x = _solve_milp(problem, c, lb, ub, integrality, con_lb, con_ub)
-    else:
-        status, objective, x = _solve_highs(core, problem, c, lb, ub, integrality,
-                                            con_lb, con_ub)
+def _answer(problem: MipProblem, status, objective, x):
+    """(status_string, objective, {name: value}) from a solve of the
+    problem with the costs of :func:`_model`."""
     if status != "optimal":
         return status, None, {}
     objective = float(objective)
     if problem.maximize:
         objective = -objective
     return "optimal", objective, dict(zip(problem.var_order, x))
+
+
+def solve_problem(problem: MipProblem):
+    """Returns (status_string, objective, {name: value}).  Solves with
+    SciPy's bundled HiGHS module where :func:`_highs_core` finds it, else
+    with ``scipy.optimize.milp``; both paths give HiGHS the same model and
+    options, so the same answer."""
+    import numpy as np
+
+    c, lb, ub, integrality, con_lb, con_ub = map(np.array, _model(problem))
+    if not problem.var_order:
+        # milp needs a column; without one every row's activity is 0
+        if np.all(con_lb <= 0.0) and np.all(con_ub >= 0.0):
+            return "optimal", 0.0, {}
+        return "infeasible: a row without columns does not hold at 0", None, {}
+
+    core = _highs_core()
+    if core is None:
+        return _answer(problem, *_solve_milp(problem, c, lb, ub, integrality, con_lb, con_ub))
+    return _answer(problem, *_solve_highs(core, problem, c, lb, ub, integrality,
+                                          con_lb, con_ub))
+
+
+def _solve_file(core, path: str, problem: MipProblem):
+    """What :func:`solve_problem` returns, from HiGHS reading the model file
+    at ``path`` itself, which imports no NumPy; or None if HiGHS refuses the
+    file or reads a model other than ``problem``, the shim's reading of it.
+    The models are the same when HiGHS holds the columns in the same order
+    under the same names, with the same costs, bounds and integrality, the
+    rows with the same bounds, the same column-wise matrix, the same
+    objective sense and no objective constant.  A maximization is then
+    turned into the minimization with negated costs that
+    :func:`solve_problem` hands HiGHS, so both give the same answer."""
+    highs = _highs(core)
+    if highs.readModel(path) == core.HighsStatus.kError:
+        return None
+    cost, lower, upper, integers, row_lower, row_upper = _model(problem)
+    sign = -1.0 if problem.maximize else 1.0
+    sense = core.ObjSense.kMaximize if problem.maximize else core.ObjSense.kMinimize
+    lp, columns = highs.getLp(), range(len(cost))
+    matrix = lp.a_matrix_
+    if not (lp.col_names_ == list(problem.var_order)
+            and lp.sense_ == sense and lp.offset_ == 0.0
+            and [sign * highs.getCol(col)[1] for col in columns] == cost
+            and lp.col_lower_ == lower and lp.col_upper_ == upper
+            and [int(kind) for kind in lp.integrality_ or [0] * len(cost)] == integers
+            and lp.row_lower_ == row_lower and lp.row_upper_ == row_upper
+            and matrix.format_ == core.MatrixFormat.kColwise
+            and (matrix.start_, matrix.index_, matrix.value_) == _columns(problem)):
+        return None
+    if problem.maximize:
+        highs.changeObjectiveSense(core.ObjSense.kMinimize)
+        for col in columns:
+            highs.changeColCost(col, cost[col])
+    return _answer(problem, *_run(core, highs))
 
 
 def _detect_format(path: str, text: str) -> str:
@@ -550,7 +616,10 @@ def main(argv=None) -> int:
         print(f"ucdispatch-mip: cannot parse {args.model}: {exc}", file=sys.stderr)
         return 2
 
-    status, objective, values = solve_problem(problem)
+    # a model without columns never reaches HiGHS, which calls it "Empty"
+    core = _highs_core() if problem.var_order else None
+    answer = core and _solve_file(core, args.model, problem)
+    status, objective, values = answer or solve_problem(problem)
     if status != "optimal":
         print(f"ucdispatch-mip: solve failed: {status}", file=sys.stderr)
         return 1

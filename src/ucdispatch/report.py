@@ -163,10 +163,6 @@ def _fmt(value: float) -> str:
     return _NUM_FMT.format(value)
 
 
-def _timestamp(instance: Instance, k: int) -> str:
-    return instance.period_timestamp(k).strftime("%Y-%m-%d %H:%M:%S")
-
-
 def write_reports(instance: Instance, model: MilpModel, solution: Solution,
                   report: DispatchReport, out_dir) -> list[Path]:
     """Write the per-variable tables, price, slacks and summary CSV files.
@@ -183,6 +179,9 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
 
     T = instance.num_periods
     unit_ids = [u.unit_id for u in sorted(instance.units, key=lambda u: u.unit_id)]
+    # "k,timestamp" of each period, formatted once for all the tables
+    stamps = [f"{k},{instance.period_timestamp(k).strftime('%Y-%m-%d %H:%M:%S')}"
+              for k in range(1, T + 1)]
     written: list[Path] = []
 
     def emit(name: str, lines: list[str]) -> None:
@@ -197,10 +196,8 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     def unit_table(name: str, series: dict[int, list[float]]) -> None:
         header = "k,timestamp," + ",".join(str(j) for j in unit_ids)
         lines = [header]
-        for k in range(1, T + 1):
-            cells = [str(k), _timestamp(instance, k)]
-            cells += [_fmt(series[j][k - 1]) for j in unit_ids]
-            lines.append(",".join(cells))
+        for i, stamp in enumerate(stamps):
+            lines.append(",".join([stamp, *(_fmt(series[j][i]) for j in unit_ids)]))
         emit(name, lines)
 
     for kind in ("v", "p", "s", "c", "cp", "cu", "cd"):
@@ -209,10 +206,8 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     unit_table("p_max.csv", report.exact_p_max)
 
     lines = ["k,timestamp,price"]
-    for k in range(1, T + 1):
-        price = report.price[k - 1]
-        cell = "" if price is None else _fmt(price)
-        lines.append(f"{k},{_timestamp(instance, k)},{cell}")
+    for stamp, price in zip(stamps, report.price):
+        lines.append(f"{stamp},{'' if price is None else _fmt(price)}")
     emit("price.csv", lines)
 
     slacks = [_solved(instance, model, solution, kind)

@@ -35,21 +35,34 @@ def fixture_files(tmp_path):
 
 @pytest.fixture
 def both_solve_paths(monkeypatch):
-    """Each ``mipshim.solve_problem`` call in the test solves on both of the
-    shim's paths: SciPy's bundled HiGHS module, then ``scipy.optimize.milp``,
-    which the shim takes when its locator finds nothing.  The two answers
-    must be the same to the bit, or neither optimal; the test sees the first."""
+    """Each ``mipshim.main`` run in the test solves on every route it can
+    take: HiGHS reading the model file itself, SciPy's bundled HiGHS module
+    given the shim's reading of it in memory, and ``scipy.optimize.milp``,
+    which the shim takes when its locator finds nothing.  The answers must
+    be the same to the bit, or none optimal; the test sees the one ``main``
+    takes."""
     from ucdispatch import mipshim
 
-    solve = mipshim.solve_problem
+    solve, solve_file = mipshim.solve_problem, mipshim._solve_file
 
-    def solve_both(problem):
-        direct = solve(problem)
+    def agree(answers):
+        if any(answer[0] == "optimal" for answer in answers):
+            assert len({repr(answer) for answer in answers}) == 1, answers
+
+    def in_memory(problem):
+        answers = [solve(problem)]
         with monkeypatch.context() as patch:
             patch.setattr(mipshim, "_highs_core", lambda: None)
-            fallback = solve(problem)
-        if "optimal" in (direct[0], fallback[0]):
-            assert repr(fallback) == repr(direct)
-        return direct
+            answers.append(solve(problem))
+        agree(answers)
+        return answers[0]
 
-    monkeypatch.setattr(mipshim, "solve_problem", solve_both)
+    def from_file(core, path, problem):
+        # None sends main to the in-memory routes, which then agree there
+        answer = solve_file(core, path, problem)
+        if answer is not None:
+            agree([answer, in_memory(problem)])
+        return answer
+
+    monkeypatch.setattr(mipshim, "solve_problem", in_memory)
+    monkeypatch.setattr(mipshim, "_solve_file", from_file)

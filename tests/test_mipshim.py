@@ -213,6 +213,7 @@ def test_undeclared_row_on_a_same_column_line_exits_two(tmp_path, capsys):
 
 
 X_LINE = "    x         obj       3              c1        1"
+Y_LINE = "    y         obj       1              c1"
 
 
 @pytest.mark.parametrize("text, number", [
@@ -632,16 +633,46 @@ def test_either_import_order_works(order):
 
 
 def test_shim_child_does_not_import_scipy_optimize(tmp_path):
-    # its package import cost about 0.7 s of every external solve
-    instance = fixture_instance()
-    model = tmp_path / "model.mps"
-    model.write_text(write_mps(build_model(instance, thin_all(instance))), encoding="utf-8")
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ucdispatch.mipshim",
-         str(model), str(tmp_path / "model.sol")],
-        capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "optimal objective 2700\n"
-    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
-    assert "scipy" in imported
-    assert "scipy.optimize" not in imported
+    # HiGHS reads each of these files itself, so the child imports neither
+    # scipy.optimize, whose package import cost about 0.7 s of every
+    # external solve, nor NumPy, which took about half of the rest; the
+    # fourth golden instance takes HiGHS seconds to solve
+    for label in ("fixture", "storage", "multi-unit"):
+        instance = GOLDEN_INSTANCES[label]()
+        model = build_model(instance, thin_all(instance))
+        for write, name in ((write_mps, "model.mps"), (write_lp, "model.lp")):
+            path = tmp_path / label / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(write(model), encoding="utf-8")
+            run = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "ucdispatch.mipshim",
+                 str(path), str(tmp_path / label / "model.sol")],
+                capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.startswith("optimal objective "), (label, name)
+            imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+            assert not imported & {"numpy", "scipy", "scipy.optimize"}, (label, name)
+
+
+@pytest.mark.parametrize("text, name, read", [
+    # HiGHS picks the format by the extension only
+    (GOOD_MPS, "model", False),
+    # HiGHS reads two of the three (row, value) pairs on x's COLUMNS line
+    (BOUNDS_MPS.format(sign="-", bounds=" UP BND x 3\n"), "model.mps", True),
+    # HiGHS reads y's coefficient 1_0 as 1, the shim as 10: the same entries
+    (GOOD_MPS.replace(f"{Y_LINE}        1", f"{Y_LINE}        1_0"), "model.mps", True),
+], ids=["refused", "read-differently", "value-read-differently"])
+def test_file_that_highs_does_not_read_as_the_shim_is_solved_in_memory(
+        tmp_path, capsys, both_solve_paths, text, name, read):
+    core = mipshim._highs_core()
+    highs = mipshim._highs(core)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert (highs.readModel(str(tmp_path / name)) != core.HighsStatus.kError) == read
+    problem = mipshim.parse_mps(text)
+    assert mipshim._solve_file(core, str(tmp_path / name), problem) is None
+    code, solution = run_shim(tmp_path, text, name)
+    assert code == 0
+    status, objective, values = mipshim.solve_problem(problem)
+    assert capsys.readouterr().out == f"optimal objective {objective:.12g}\n"
+    assert solution.read_text() == "".join(
+        [f"# objective {objective:.17g}\n", *(f"{col} {x:.17g}\n" for col, x in values.items())])
