@@ -640,16 +640,22 @@ def test_shim_child_does_not_import_scipy_optimize(tmp_path):
     for label in ("fixture", "storage", "multi-unit"):
         instance = GOLDEN_INSTANCES[label]()
         model = build_model(instance, thin_all(instance))
-        for write, name in ((write_mps, "model.mps"), (write_lp, "model.lp")):
+        for write, parse, name in ((write_mps, mipshim.parse_mps, "model.mps"),
+                                   (write_lp, mipshim.parse_lp, "model.lp")):
+            text = write(model)
             path = tmp_path / label / name
             path.parent.mkdir(exist_ok=True)
-            path.write_text(write(model), encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
             run = subprocess.run(
                 [sys.executable, "-X", "importtime", "-m", "ucdispatch.mipshim",
                  str(path), str(tmp_path / label / "model.sol")],
                 capture_output=True, text=True, timeout=120)
             assert run.returncode == 0, run.stderr
-            assert run.stdout.startswith("optimal objective "), (label, name)
+            status, objective, _ = mipshim.solve_problem(parse(text))
+            assert status == "optimal", (label, name)
+            if label == "fixture":
+                assert objective == 2700
+            assert run.stdout == f"optimal objective {objective:.12g}\n", (label, name)
             imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
             assert not imported & {"numpy", "scipy", "scipy.optimize"}, (label, name)
 
