@@ -26,7 +26,8 @@ The MPS reader honours ``OBJSENSE``; a section it does not read or a row
 declared twice is a parse error (exit 2), never a silently different model;
 so is, in an LP file, a line before the first section or in a section the
 reader does not support, and in either format a number that is not finite,
-save an infinite bound that means "no bound".
+save an infinite bound that means "no bound", or that only Python reads,
+such as ``1_0`` or ``١٢``.
 It walks the text a block of about 1 MiB at a time rather than splitting it
 into one list of lines, converts each distinct number text once, and takes
 a COLUMNS line for the same column as the line before it straight to its
@@ -35,28 +36,37 @@ row.
 
 from __future__ import annotations
 
-import argparse
 import importlib.machinery
 import importlib.util
 import itertools
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
-@dataclass
 class MipProblem:
-    maximize: bool = False
-    #: column name -> position, in the order the names were first read
-    var_order: dict[str, int] = field(default_factory=dict)
-    objective: dict[int, float] = field(default_factory=dict)
-    #: one [coefficients by position, sense, rhs] cell per constraint row
-    rows: list[list] = field(default_factory=list)
-    integers: set[int] = field(default_factory=set)
-    lower: dict[int, float] = field(default_factory=dict)
-    upper: dict[int, float] = field(default_factory=dict)
+    """A model as the readers hold it.  A plain class: ``dataclasses``
+    would import ``inspect``, about 10 ms of every solver child's start-up.
+
+    ``var_order`` maps each column name to its position, in the order the
+    names were first read; ``rows`` holds one [coefficients by position,
+    sense, rhs] cell per constraint row; ``objective``, ``lower`` and
+    ``upper`` map a position to its value, and ``integers`` holds the
+    positions of the integer columns."""
+
+    def __init__(self, maximize: bool = False, var_order: dict[str, int] | None = None,
+                 objective: dict[int, float] | None = None, rows: list[list] | None = None,
+                 integers: set[int] | None = None, lower: dict[int, float] | None = None,
+                 upper: dict[int, float] | None = None):
+        self.maximize = maximize
+        self.var_order = {} if var_order is None else var_order
+        self.objective = {} if objective is None else objective
+        self.rows = [] if rows is None else rows
+        self.integers = set() if integers is None else integers
+        self.lower = {} if lower is None else lower
+        self.upper = {} if upper is None else upper
 
     def touch(self, name: str) -> int:
         """The position of column ``name``, adding it if it is new."""
@@ -80,7 +90,11 @@ def _mps_pairs(tokens):
 
 def _number(text: str, infinity: float | None = None) -> float:
     """The float that ``text`` spells.  A NaN is an error, and so is an
-    infinity other than ``infinity``, the bound that means "no bound"."""
+    infinity other than ``infinity``, the bound that means "no bound", and
+    so is syntax that ``float`` takes but other readers do not: ``1_0`` and
+    digits other than ASCII ones, such as ``١٢``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"number {text!r} is not in plain ASCII syntax")
     value = float(text)
     if not (math.isfinite(value) or value == infinity):
         raise ValueError(f"number {text!r} is not finite")
@@ -203,13 +217,15 @@ def parse_mps(text: str) -> MipProblem:
 #: the relational operators; each two-character one comes before the
 #: one-character ones, so that a regex alternation tries it first
 _LP_SENSE = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "=", "<": "<=", ">": ">="}
-_LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+#: ``re.ASCII``: ``\d`` would also match digits such as "١"
+_LP_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 _LP_INFINITY = re.compile(r"^[+-]?inf(inity)?$", re.IGNORECASE)
 #: a column or row name; one that starts with "." and a digit is a number
 _LP_NAME = re.compile(
     r"(?!\.\d)[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.]*")
 _LP_TOKEN = re.compile(
-    rf"{'|'.join(_LP_SENSE)}|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|{_LP_NAME.pattern}")
+    rf"{'|'.join(_LP_SENSE)}|\+|-|:|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|{_LP_NAME.pattern}",
+    re.ASCII)
 
 #: the keywords, of one or two words, that open a section, and the section;
 #: None for the CPLEX sections this reader does not support
@@ -521,7 +537,8 @@ def _answer(problem: MipProblem, status, objective, x):
         return status, None, {}
     objective = float(objective)
     if problem.maximize:
-        objective = -objective
+        # "+ 0.0": a maximum of 0 is 0, not the -0.0 that negating 0.0 gives
+        objective = -objective + 0.0
     return "optimal", objective, dict(zip(problem.var_order, x))
 
 
@@ -597,34 +614,42 @@ def _detect_format(path: str, text: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ucdispatch-mip",
-        description="Solve an MPS or LP file with HiGHS and write 'name value' lines.")
-    parser.add_argument("model", help="input model file (.mps or .lp)")
-    parser.add_argument("solution", help="output solution file")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) != 2 or any(arg.startswith("-") for arg in argv):
+        # argparse prints the help and the usage errors (exit 2); two plain
+        # operands need no parser, whose import costs a few ms a child
+        import argparse
+
+        parser = argparse.ArgumentParser(
+            prog="ucdispatch-mip",
+            description="Solve an MPS or LP file with HiGHS and write 'name value' lines.")
+        parser.add_argument("model", help="input model file (.mps or .lp)")
+        parser.add_argument("solution", help="output solution file")
+        args = parser.parse_args(argv)
+        argv = [args.model, args.solution]
+    model, solution = argv
 
     try:
-        text = Path(args.model).read_text(encoding="utf-8")
+        text = Path(model).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ucdispatch-mip: {exc}", file=sys.stderr)
         return 2
 
     try:
-        problem = (parse_mps if _detect_format(args.model, text) == "mps" else parse_lp)(text)
+        problem = (parse_mps if _detect_format(model, text) == "mps" else parse_lp)(text)
     except (ValueError, IndexError) as exc:
-        print(f"ucdispatch-mip: cannot parse {args.model}: {exc}", file=sys.stderr)
+        print(f"ucdispatch-mip: cannot parse {model}: {exc}", file=sys.stderr)
         return 2
 
     # a model without columns never reaches HiGHS, which calls it "Empty"
     core = _highs_core() if problem.var_order else None
-    answer = core and _solve_file(core, args.model, problem)
+    answer = core and _solve_file(core, model, problem)
     status, objective, values = answer or solve_problem(problem)
     if status != "optimal":
         print(f"ucdispatch-mip: solve failed: {status}", file=sys.stderr)
         return 1
 
-    with open(args.solution, "w", encoding="utf-8", newline="\n") as handle:
+    with open(solution, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# objective {objective:.17g}\n")
         for name, value in values.items():
             handle.write(f"{name} {value:.17g}\n")
@@ -632,5 +657,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def _command():
+    """The ``ucdispatch-mip`` command, as installed and as ``python -m``:
+    :func:`main`, then the exit without the interpreter's teardown, which
+    with HiGHS loaded costs about 10 ms of every solver child.  The solution
+    file is closed by then, and stdout and stderr are flushed first; an
+    exception in :func:`main` propagates as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _command()

@@ -2,8 +2,11 @@
 
 import ast
 import inspect
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,33 @@ def test_non_finite_lp_number_exits_two(tmp_path, capsys, old, new, number):
     assert not solution.exists()
 
 
+@pytest.mark.parametrize("text, name, message", [
+    # Python's float reads "1_0" as 10, HiGHS reads 1: the shim solved to
+    # 0.2 where HiGHS, given the same file, solves to 2
+    (GOOD_MPS.replace(f"{Y_LINE}        1", f"{Y_LINE}        1_0"), "model.mps",
+     "number '1_0' is not in plain ASCII syntax"),
+    # the rest were read as 12, 3 or 1 and solved, exit 0
+    (GOOD_MPS.replace("    rhs       c1        2", "    rhs       c1        \u0661\u0662"),
+     "model.mps", "number '\u0661\u0662' is not in plain ASCII syntax"),
+    (GOOD_MPS.replace("ENDATA", "BOUNDS\n UP BND       x         \uff13\nENDATA"), "model.mps",
+     "number '\uff13' is not in plain ASCII syntax"),
+    (GOOD_LP.replace("obj: x + y", "obj: \u0661\u0662 x + y"), "model.lp",
+     "unexpected character '\u0661'"),
+    (GOOD_LP.replace(">= 2", ">= \u0661"), "model.lp", "unexpected character '\u0661'"),
+    (GOOD_LP.replace("End", "Bounds\n x <= \u0661\u0662\nEnd"), "model.lp",
+     "number '\u0661\u0662' is not in plain ASCII syntax"),
+    (GOOD_LP.replace("End", "Bounds\n x <= 1_0\nEnd"), "model.lp",
+     "number '1_0' is not in plain ASCII syntax"),
+], ids=["mps-underscore", "mps-arabic-indic-rhs", "mps-fullwidth-bound",
+        "lp-arabic-indic-coefficient", "lp-arabic-indic-rhs", "lp-arabic-indic-bound",
+        "lp-underscore-bound"])
+def test_number_only_python_reads_exits_two(tmp_path, capsys, text, name, message):
+    code, solution = run_shim(tmp_path, text, name)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not solution.exists()
+
+
 @pytest.mark.parametrize("objective, bound, optimum", [
     # a name ending in "inf" was taken for a number: exit 2
     ("- xinf", "xinf <= 5", -5),
@@ -632,11 +662,21 @@ def test_either_import_order_works(order):
     assert run.stdout.splitlines() == [printed[step] for step in order]
 
 
+def imported_modules(args):
+    """The modules ``python -X importtime *args`` imports, and its run."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, timeout=120)
+    return {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}, run
+
+
 def test_shim_child_does_not_import_scipy_optimize(tmp_path):
     # HiGHS reads each of these files itself, so the child imports neither
     # scipy.optimize, whose package import cost about 0.7 s of every
     # external solve, nor NumPy, which took about half of the rest; the
-    # fourth golden instance takes HiGHS seconds to solve
+    # fourth golden instance takes HiGHS seconds to solve.  Nor does it
+    # import dataclasses (with inspect, about 12 ms a child) or argparse,
+    # beyond what site imports into a bare interpreter in the same environment
+    bare, _ = imported_modules(["-c", "pass"])
     for label in ("fixture", "storage", "multi-unit"):
         instance = GOLDEN_INSTANCES[label]()
         model = build_model(instance, thin_all(instance))
@@ -646,18 +686,16 @@ def test_shim_child_does_not_import_scipy_optimize(tmp_path):
             path = tmp_path / label / name
             path.parent.mkdir(exist_ok=True)
             path.write_text(text, encoding="utf-8")
-            run = subprocess.run(
-                [sys.executable, "-X", "importtime", "-m", "ucdispatch.mipshim",
-                 str(path), str(tmp_path / label / "model.sol")],
-                capture_output=True, text=True, timeout=120)
+            imported, run = imported_modules(
+                ["-m", "ucdispatch.mipshim", str(path), str(tmp_path / label / "model.sol")])
             assert run.returncode == 0, run.stderr
             status, objective, _ = mipshim.solve_problem(parse(text))
             assert status == "optimal", (label, name)
             if label == "fixture":
                 assert objective == 2700
             assert run.stdout == f"optimal objective {objective:.12g}\n", (label, name)
-            imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
             assert not imported & {"numpy", "scipy", "scipy.optimize"}, (label, name)
+            assert not (imported - bare) & {"dataclasses", "inspect", "argparse"}, (label, name)
 
 
 @pytest.mark.parametrize("text, name, read", [
@@ -665,9 +703,7 @@ def test_shim_child_does_not_import_scipy_optimize(tmp_path):
     (GOOD_MPS, "model", False),
     # HiGHS reads two of the three (row, value) pairs on x's COLUMNS line
     (BOUNDS_MPS.format(sign="-", bounds=" UP BND x 3\n"), "model.mps", True),
-    # HiGHS reads y's coefficient 1_0 as 1, the shim as 10: the same entries
-    (GOOD_MPS.replace(f"{Y_LINE}        1", f"{Y_LINE}        1_0"), "model.mps", True),
-], ids=["refused", "read-differently", "value-read-differently"])
+], ids=["refused", "read-differently"])
 def test_file_that_highs_does_not_read_as_the_shim_is_solved_in_memory(
         tmp_path, capsys, both_solve_paths, text, name, read):
     core = mipshim._highs_core()
@@ -682,3 +718,61 @@ def test_file_that_highs_does_not_read_as_the_shim_is_solved_in_memory(
     assert capsys.readouterr().out == f"optimal objective {objective:.12g}\n"
     assert solution.read_text() == "".join(
         [f"# objective {objective:.17g}\n", *(f"{col} {x:.17g}\n" for col, x in values.items())])
+
+
+def run_child(argv):
+    """The ``-m`` child's run, its stdout block-buffered into the pipe even
+    where PYTHONUNBUFFERED is set around the tests."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "ucdispatch.mipshim", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_child_prints_a_maximum_of_zero_as_zero(tmp_path):
+    # negating HiGHS's 0.0 printed "optimal objective -0" and wrote "# objective -0"
+    text = MAX_MPS.format(objsense="OBJSENSE MAX\n").replace("obj       1 ", "obj       -1 ")
+    (tmp_path / "model.mps").write_text(text, encoding="utf-8")
+    run = run_child([str(tmp_path / "model.mps"), str(tmp_path / "model.sol")])
+    assert (run.returncode, run.stdout, run.stderr) == (0, "optimal objective 0\n", "")
+    assert (tmp_path / "model.sol").read_text() == "# objective 0\nx 0\ny 0\n"
+
+
+@pytest.mark.parametrize("text, argv, code", [
+    (GOOD_MPS, ["{model}", "{solution}"], 0),
+    (INFEASIBLE_MPS, ["{model}", "{solution}"], 1),
+    (GOOD_MPS.replace(" G  c1", " X  c1"), ["{model}", "{solution}"], 2),
+    (GOOD_MPS, ["{model}"], 2),
+], ids=["optimal", "infeasible", "parse-error", "argument-count"])
+def test_child_exits_as_main_returns(tmp_path, capsys, text, argv, code):
+    # the child ends with os._exit, skipping the interpreter's teardown: it
+    # must flush what it prints first, and a piped stdout is block-buffered
+    model = tmp_path / "model.mps"
+    model.write_text(text, encoding="utf-8")
+    outcomes = []
+    for where in ("child", "in-process"):
+        solution = tmp_path / where / "model.sol"
+        solution.parent.mkdir()
+        args = [arg.format(model=model, solution=solution) for arg in argv]
+        if where == "child":
+            run = run_child(args)
+            outcome = run.returncode, run.stdout, run.stderr
+        else:
+            try:
+                returned = mipshim.main(args)
+            except SystemExit as exc:  # argparse's usage error
+                returned = exc.code
+            outcome = returned, *capsys.readouterr()
+        outcomes.append((*outcome, solution.read_bytes() if solution.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+
+
+def test_console_script_runs_what_python_m_runs():
+    # the documented --solver-cmd "ucdispatch-mip {model} {solution}" gets
+    # the fast exit of "python -m ucdispatch.mipshim", which perfbench runs
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    (target,) = re.findall(r'^ucdispatch-mip = "ucdispatch\.mipshim:(\w+)"$', pyproject, re.M)
+    (block,) = [node for node in ast.parse(inspect.getsource(mipshim)).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{target}()"]
+    assert target != "main"  # main returns its code, for in-process callers
