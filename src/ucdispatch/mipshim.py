@@ -22,8 +22,9 @@ private to SciPy), it calls ``milp`` instead.
 
 Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
-The MPS reader honours ``OBJSENSE``; a section it does not read or a row
-declared twice is a parse error (exit 2), never a silently different model;
+The MPS reader honours ``OBJSENSE``; a section it does not read, a row
+declared twice or a third (row, value) pair on a COLUMNS or RHS line is a
+parse error (exit 2), never a silently different model;
 so is, in an LP file, a line before the first section or in a section the
 reader does not support, and in either format a number that is not finite,
 save an infinite bound that means "no bound", or that only Python reads,
@@ -82,9 +83,12 @@ _MPS_OBJSENSE = {"MAX": True, "MAXIMIZE": True, "MIN": False, "MINIMIZE": False}
 
 
 def _mps_pairs(tokens):
-    """The (row, value) pairs after the leading name of a COLUMNS or RHS line."""
+    """The (row, value) pairs after the leading name of a COLUMNS or RHS
+    line: one or two, as MPS allows.  Other readers drop a third pair."""
     if len(tokens) % 2 == 0:
         raise ValueError(f"unpaired entry {tokens[-1]!r} after {tokens[0]}")
+    if len(tokens) > 5:
+        raise ValueError(f"more than two (row, value) pairs after {tokens[0]}")
     return zip(tokens[1::2], tokens[2::2])
 
 

@@ -187,8 +187,8 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     def emit(name: str, lines: list[str]) -> None:
         path = out / name
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("\n".join(lines) + "\n")
+            with open(path, "wb") as handle:
+                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)

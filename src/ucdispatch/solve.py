@@ -11,14 +11,17 @@ the pattern with every free bit on in lexicographic order: the all-on
 pattern is often the best, so the running best and the dual pool prune from
 the first pattern on, and the duals of a pattern's neighbours bound it.
 
-A block's row sums ``rhs - w . pattern`` are built on shared prefixes: the
+A block's row sums ``rhs - w . pattern`` are built by one prefix walk: the
 binary columns are subtracted in order, and each free one doubles the sums
-of every prefix of free bits into those of its two extensions.  That is
-about two sweeps over a block's rows instead of one per binary column, and
-each sum has the same bits as the sum taken alone for its pattern.  The
-binary rows are summed for the whole block, the bound rows only for the
-patterns that pass them and the LP rows only for those whose bounds do not
-cross.
+of every prefix of free bits into those of its two extensions, so each sum
+has the same bits as the sum taken alone for its pattern.  The walk drops a
+prefix, and every pattern below it, at the column that settles a row it
+fails (Land and Doig's depth-first bound, applied to the screen).  It runs
+three times per block: over the binary rows; over the bound rows of the
+patterns that pass them, dropping a prefix as soon as two settled bounds of
+one variable cross; and over the LP rows of the patterns whose bounds do
+not cross.  A family of rows whose sums could overflow is checked only at
+the leaves, as a whole, so that an overflow raises where it always did.
 
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
@@ -229,29 +232,75 @@ class _ExactEngine:
                     self.fixed[nz[0]] = bit
         self.free = np.flatnonzero(self.fixed < 0)
 
+        # the screen's checks, by depth (binary columns walked).  A row's sum
+        # is settled one past its last nonzero binary column, unless a sum
+        # of its family could overflow on the way: then the family is
+        # checked at the leaves, where patterns() forms the bounds whole.
+        # The bound checks take pairs (lo, up) of one variable's rows, up an
+        # upper bound and lo a lower bound or up itself: its bounds cross
+        # where max(0, lo) > up + PATTERN_TOL for a pair.  A pair is checked
+        # before the leaves if the ranges of its bounds let it cross at all
+        n_bin = len(bin_cols)
+        settled = ((brows != 0.0) * np.arange(1, n_bin + 1)).max(axis=1, initial=0)
+        ub = np.flatnonzero(self.s_is_ub)
+        pairs = (self.s_var[:, None] == self.s_var[ub]) & self.s_is_lb[:, None]
+        pairs[ub, np.arange(len(ub))] = True
+        lo, up = np.nonzero(pairs)
+        up = ub[up]
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = 2.0 * (np.abs(rows.rhs) + np.abs(brows).sum(axis=1))
+            pure_at = np.where(np.isfinite(reach[pure]).all(), settled[pure], n_bin)
+            s_at = np.where(np.isfinite(reach[single] * self.s_inv).all(), settled[single], n_bin)
+            base = self.s_rhs - self.s_bin @ np.maximum(self.fixed, 0)
+            free_w = self.s_bin[:, self.free]
+            ends = np.stack([base - np.maximum(free_w, 0.0).sum(axis=1),
+                             base - np.minimum(free_w, 0.0).sum(axis=1)]) * self.s_inv
+            least, most = ends.min(axis=0), ends.max(axis=0)
+            may_cross = np.where(lo == up, least[up] < 0.0, np.maximum(most[lo], 0.0) > least[up])
+        lo, up = lo[may_cross], up[may_cross]
+        self.bound_checks = {depth: _cross_check(lo[items], up[items], self.s_inv)
+                             for depth, items in _by_depth(np.maximum(s_at[lo], s_at[up]), n_bin)}
+        # the binary rows as "sum <= PATTERN_TOL", in the order they settle:
+        # a row that must not go below -PATTERN_TOL is negated, which negates
+        # each of its sums exactly, and an equality row goes both ways
+        above, below = self.pure_sense != _SENSE_LE, self.pure_sense != _SENSE_GE
+        fit = np.concatenate([np.flatnonzero(above), np.flatnonzero(below)])
+        sign = np.repeat([1.0, -1.0], [above.sum(), below.sum()])
+        order = np.argsort(pure_at[fit], kind="stable")
+        fit, sign = fit[order], sign[order]
+        self.fit_rhs, self.fit_w = self.pure_rhs[fit] * sign, self.pure_w[fit] * sign[:, None]
+        self.fit_checks = {depth: _fit_check(slice(items[0], items[-1] + 1))
+                           for depth, items in _by_depth(pure_at[fit], n_bin + 1)}
+
     def patterns(self):
         """``(patterns, lower, b)`` of the patterns that the binary rows and
         their own bounds allow, a batch of rows at a time: ``lower`` is each
         pattern's shift and ``b`` the right-hand side of its LP over
         ``x - lower``.  The walk goes down from the all-on pattern (every
         free bit on) in descending lexicographic order, a batch per block
-        of PATTERN_BLOCK codes, which it checks and counts at once.  A
-        pattern whose bounds or ``b`` overflow raises
-        :class:`NumericalFailure` at its place in the walk, after the batch
-        of the patterns before it, so that an earlier pattern's LP fails
-        first."""
+        of PATTERN_BLOCK codes.  Each block takes three prefix walks of
+        ``row_sums``: the binary rows, checked as they settle; the
+        single-variable rows of the patterns that pass, whose bound pairs
+        drop a prefix as soon as they cross; and the LP rows of the
+        patterns whose bounds do not cross.  At the leaves the bounds are
+        formed and checked as a whole.  A pattern whose bounds or ``b``
+        overflow raises :class:`NumericalFailure` at its place in the walk,
+        after the batch of the patterns before it, so that an earlier
+        pattern's LP fails first."""
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
         shifts = np.arange(len(self.free) - 1, -1, -1, dtype=np.int64)
         for stop in range(1 << len(self.free), 0, -PATTERN_BLOCK):
             # row_sums takes the codes ascending; the rows are turned at the end
             codes = np.arange(max(stop - PATTERN_BLOCK, 0), stop, dtype=np.int64)
-            # the residual of each binary row, chosen by its sense code
-            gap = -self.row_sums(self.pure_rhs, self.pure_w, codes)
-            residual = np.choose(self.pure_sense, (gap, np.abs(gap), -gap))
-            codes = codes[(residual <= PATTERN_TOL).all(axis=1)]
+            codes, _ = self.row_sums(self.fit_rhs, self.fit_w, codes, self.fit_checks)
+            passed = len(codes)
+            if not passed:
+                continue
+            self.stats["patterns"] += passed
 
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = self.row_sums(self.s_rhs, self.s_bin, codes) * self.s_inv
+                codes, vals = self.row_sums(self.s_rhs, self.s_bin, codes, self.bound_checks)
+                vals *= self.s_inv
                 # the bounds of fin_vars first: the patterns they cross get
                 # no other bound
                 upper = np.minimum.reduceat(vals[:, self.ub_rows], self.ub_starts, axis=1)
@@ -260,14 +309,15 @@ class _ExactEngine:
                     vals[:, self.fin_lb_rows], self.fin_lb_starts, axis=1))
                 finite = np.isfinite(vals).all(axis=1)
                 crossed = finite & (fin_lower > upper + PATTERN_TOL).any(axis=1)
-                self.stats["patterns"] += len(codes)
-                self.stats["bound_infeasible"] += int(crossed.sum())
-                kept = ~crossed
-                codes, vals, upper, finite = codes[kept], vals[kept], upper[kept], finite[kept]
+                self.stats["bound_infeasible"] += passed - len(codes) + int(crossed.sum())
+                if crossed.any():
+                    kept = ~crossed
+                    codes, vals, upper, finite = codes[kept], vals[kept], upper[kept], finite[kept]
                 lower = np.zeros((len(codes), self.nc))
                 lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
                     vals[:, self.lb_rows], self.lb_starts, axis=1))
-                b = self.row_sums(self.m_rhs, self.m_bin, codes)
+                del vals   # its memory serves the LP rows' sums
+                _, b = self.row_sums(self.m_rhs, self.m_bin, codes)
                 for lp_rows, var, coef in self.lower_rounds:
                     b[:, lp_rows] -= lower[:, var] * coef
                 b = np.hstack([b, upper - lower[:, self.fin_vars]])
@@ -283,37 +333,65 @@ class _ExactEngine:
                                        f"bounds of pattern {''.join(map(str, block[bad[0]]))}")
             yield block, lower, b
 
-    def row_sums(self, rhs, w, codes):
-        """``rhs - w @ pattern`` for the pattern of each of the ascending
-        ``codes``, as rows, on shared prefixes: a free column doubles the
-        partial sums of each prefix of free bits into those of its two
-        extensions and drops the extensions that no code has.  Each sum
-        still takes ``bit * w[:, j]`` off in column order, as it would
-        alone, so a row has the same bits whatever patterns share its
+    def row_sums(self, rhs, w, codes, checks=()):
+        """The ascending ``codes`` that ``checks`` keep, and ``rhs - w @
+        pattern`` of the pattern of each, as rows: the screen's one prefix
+        walk.  A free column doubles the partial sums of each prefix of
+        free bits into those of its two extensions and drops the
+        extensions that no code has.  After ``depth`` binary columns,
+        ``checks[depth]``, if there is one, takes the partial sums and keeps
+        the prefixes for which it is true, with every code below them.
+        Each sum still takes ``bit * w[:, j]`` off in column order, as it
+        would alone, so a row has the same bits whatever patterns share its
         block, which a BLAS product does not promise (it takes another
         path for a block of one row)."""
-        # the distinct prefixes of the codes, longest first: the last is
-        # the empty prefix, 0, unless there are no codes
-        prefixes = [codes]
-        for _ in self.free:
-            shorter = prefixes[-1] >> 1
-            first = np.ones(len(shorter), dtype=bool)
-            np.not_equal(shorter[1:], shorter[:-1], out=first[1:])
-            prefixes.append(shorter[first])
-        heads = prefixes.pop()
+        n_free = len(self.free)
+        # a run of codes, such as a whole block, lacks only extensions
+        # below its first or last code, so the walk needs just its prefixes;
+        # other codes come with their prefix tree, planned again after a cut
+        run = len(codes) and codes[-1] - codes[0] == len(codes) - 1
+        heads, planned = codes[:1] >> n_free, 0
+        if not run:
+            starts, rank, into = _plan(codes, n_free, planned)
         sums = np.repeat(rhs[None, :], len(heads), axis=0)
         # bit * w[:, j] for bit 0 and 1, per column, each pair contiguous
         steps = np.ascontiguousarray(np.stack([0.0 * w.T, w.T], axis=1))
-        for bit, step in zip(self.fixed, steps):
-            if bit >= 0:
-                sums -= step[bit]
-                continue
-            tails = prefixes.pop()
-            sums = (sums[:, None, :] - step).reshape(2 * len(sums), len(rhs))
-            if len(tails) < len(sums):
-                sums = sums[2 * np.searchsorted(heads, tails >> 1) + (tails & 1)]
-            heads = tails
-        return sums
+        level = 0   # free columns walked
+        for depth in range(len(self.fixed) + 1):
+            if not len(sums):
+                break
+            if depth:
+                bit, step = self.fixed[depth - 1], steps[depth - 1]
+                if bit >= 0:
+                    sums -= step[bit]
+                elif not run:
+                    level += 1
+                    sums = (sums[:, None, :] - step).reshape(2 * len(sums), len(rhs))
+                    extended = into[level - 1 - planned][starts[level - planned]]
+                    if len(extended) < len(sums):
+                        sums = sums[extended]
+                else:
+                    level += 1
+                    first, last = codes[0] >> n_free - level, codes[-1] >> n_free - level
+                    if first == last:
+                        heads = 2 * heads + (first & 1)
+                        sums -= step[first & 1]
+                    else:
+                        heads = np.repeat(2 * heads, 2)
+                        heads[1::2] += 1
+                        sums = (sums[:, None, :] - step).reshape(len(heads), len(rhs))
+                        cut = int(heads[0] < first), len(heads) - int(heads[-1] > last)
+                        heads, sums = heads[cut[0]:cut[1]], sums[cut[0]:cut[1]]
+            if depth in checks:
+                keep = checks[depth](sums)
+                if not keep.all():
+                    sums = sums[keep]
+                    if run:
+                        heads = heads[keep]
+                    else:
+                        codes, planned = codes[keep[rank[level - planned]]], level
+                        starts, rank, into = _plan(codes, n_free, planned)
+        return heads if run else codes, sums
 
     @numerical_guard("exact solver")
     def optimal(self):
@@ -410,6 +488,43 @@ class _ExactEngine:
             cold.append((pattern, float(self.c_cont @ x + self.c_bin @ pattern), x))
         cut = _tie_cut(min((objective for _, objective, _ in cold), default=np.inf))
         return [tie for tie in cold if tie[1] <= cut]
+
+
+def _plan(codes, n, shortest):
+    """The prefix tree of ascending ``codes`` of ``n`` bits, a row per
+    prefix length from ``shortest`` to ``n``: where each distinct prefix
+    ``starts`` among the codes and the ``rank`` of each code's prefix, and,
+    from the second row on, where each code's prefix lies ``into`` the two
+    extensions of every prefix one bit shorter."""
+    prefixes = codes >> np.arange(n - shortest, -1, -1)[:, None]
+    starts = np.ones(prefixes.shape, dtype=bool)
+    np.not_equal(prefixes[:, 1:], prefixes[:, :-1], out=starts[:, 1:])
+    # a rank counts no more than a block's codes; cumsum is quicker to int32
+    rank = np.cumsum(starts, axis=1, dtype=np.int32) - 1
+    return starts, rank, 2 * rank[:-1] + (prefixes[1:] & 1).astype(np.int32)
+
+
+def _by_depth(depth, n):
+    """Each depth below ``n`` that some items have, with those items."""
+    order = np.argsort(depth, kind="stable")
+    ends = np.searchsorted(depth[order], np.arange(n + 1))
+    return [(d, order[ends[d]:ends[d + 1]]) for d in range(n) if ends[d] < ends[d + 1]]
+
+
+def _fit_check(rows):
+    """Whether each prefix's ``rows`` of sums are at most PATTERN_TOL."""
+    return lambda sums: (sums[:, rows] <= PATTERN_TOL).all(axis=1)
+
+
+def _cross_check(lo, up, inv):
+    """Whether no pair of single-variable rows ``(lo, up)`` of a prefix's
+    sums crosses: ``max(0, lo)`` above ``up`` by more than PATTERN_TOL."""
+    inv_lo, inv_up = inv[lo], inv[up]
+
+    def check(sums):
+        lower = np.maximum(sums[:, lo] * inv_lo, 0.0)
+        return ~(lower > sums[:, up] * inv_up + PATTERN_TOL).any(axis=1)
+    return check
 
 
 def _runs(var, mask):

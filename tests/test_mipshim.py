@@ -74,9 +74,14 @@ def test_good_model_solves(tmp_path, capsys, both_solve_paths):
     # a right-hand side on the objective row: dropped, it reported 2 where
     # other readers add the constant 5 and report 7
     ("    rhs       c1        2", "    rhs       c1        2              obj       -5"),
+    # a third (row, value) pair, which MPS does not allow and HiGHS drops
+    ("    y         obj       1              c1        1",
+     "    y         obj       1              c1        1              obj       1"),
+    ("    rhs       c1        2", "    rhs       c1        2  c1  2  c1  2"),
 ], ids=["undeclared-column-row", "unpaired-token", "undeclared-rhs-row",
         "unknown-row-type", "ranges", "objname", "sos", "quadobj",
-        "unknown-objsense", "duplicate-row", "stray-line", "objective-rhs"])
+        "unknown-objsense", "duplicate-row", "stray-line", "objective-rhs",
+        "three-column-pairs", "three-rhs-pairs"])
 def test_malformed_mps_is_a_parse_error(tmp_path, capsys, old, new):
     assert old in GOOD_MPS
     code, solution = run_shim(tmp_path, GOOD_MPS.replace(old, new))
@@ -260,7 +265,8 @@ ROWS
  G  c1
  L  c2
 COLUMNS
-    x  obj  {sign}1  c1  1  c2  1
+    x  obj  {sign}1  c1  1
+    x  c2  1
 RHS
     rhs  c1  -5  c2  5
 BOUNDS
@@ -701,8 +707,8 @@ def test_shim_child_does_not_import_scipy_optimize(tmp_path):
 @pytest.mark.parametrize("text, name, read", [
     # HiGHS picks the format by the extension only
     (GOOD_MPS, "model", False),
-    # HiGHS reads two of the three (row, value) pairs on x's COLUMNS line
-    (BOUNDS_MPS.format(sign="-", bounds=" UP BND x 3\n"), "model.mps", True),
+    # HiGHS keeps the first of two bounds on x, UP 3 before FR
+    (BOUNDS_MPS.format(sign="-", bounds=" UP BND x 3\n FR BND x\n"), "model.mps", True),
 ], ids=["refused", "read-differently"])
 def test_file_that_highs_does_not_read_as_the_shim_is_solved_in_memory(
         tmp_path, capsys, both_solve_paths, text, name, read):

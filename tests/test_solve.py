@@ -423,6 +423,134 @@ def same_as_full_enumeration(model):
     return ties, solution.stats
 
 
+def alone(rhs, w, pattern):
+    """``rhs - w @ pattern`` for one pattern, one column at a time in
+    column order: ``bit * w[:, j]`` off each sum, as the walk takes it."""
+    sums = rhs.copy()
+    for j, bit in enumerate(pattern):
+        sums = sums - (w[:, j] if bit else 0.0 * w[:, j])
+    return sums
+
+
+def screened_alone(engine):
+    """``(pattern, lower, b)`` of each pattern that the binary rows and its
+    bounds allow, in the walk's order, each pattern's binary, bound and LP
+    rows taken alone, with the counts of ``patterns`` and
+    ``bound_infeasible``."""
+    walk, passed, crossed = [], 0, 0
+    template = np.maximum(engine.fixed, 0)
+    fin = engine.fin_vars
+    for code in range((1 << len(engine.free)) - 1, -1, -1):
+        pattern = template.copy()
+        pattern[engine.free] = [int(bit) for bit in format(code, f"0{len(engine.free)}b")]
+        gap = -alone(engine.pure_rhs, engine.pure_w, pattern)
+        if not (np.choose(engine.pure_sense, (gap, np.abs(gap), -gap)) <= 1e-9).all():
+            continue
+        passed += 1
+        vals = alone(engine.s_rhs, engine.s_bin, pattern) * engine.s_inv
+        upper, lower = np.full(engine.nc, np.inf), np.zeros(engine.nc)
+        np.minimum.at(upper, engine.s_var[engine.s_is_ub], vals[engine.s_is_ub])
+        np.maximum.at(lower, engine.s_var[engine.s_is_lb], vals[engine.s_is_lb])
+        assert np.isfinite(vals).all()
+        if (lower > upper + 1e-9).any():
+            crossed += 1
+            continue
+        b = alone(engine.m_rhs, engine.m_bin, pattern)
+        for var in engine.lb_vars:
+            b = b - lower[var] * engine.m_cont[:, var]
+        walk.append((pattern, lower, np.concatenate([b, upper[fin] - lower[fin]])))
+    return walk, passed, crossed
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @settings(max_examples=25, deadline=None)
+    @given(desk_instances())
+    def test_walk_matches_each_pattern_alone(self, block, instance):
+        # every yielded byte and both screen counters, whatever prefixes
+        # the binary rows and the crossing bounds cut, and wherever the
+        # block seams fall
+        engine = _ExactEngine(build(instance), SolverConfig())
+        expected, passed, crossed = screened_alone(engine)
+        with mock.patch.object(solve_module, "PATTERN_BLOCK", block):
+            got = list(walked(engine))
+        assert [(p.astype(np.int8).tobytes(), lower.tobytes(), b.tobytes())
+                for p, lower, b in got] == [
+            (p.astype(np.int8).tobytes(), lower.tobytes(), b.tobytes())
+            for p, lower, b in expected]
+        assert (engine.stats["patterns"], engine.stats["bound_infeasible"]) == (passed, crossed)
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_bounds_that_settle_late_match_each_pattern_alone(self, block):
+        # y <= -1 + v1 + v3 crosses y >= 0 unless v1 or v3 is on, and
+        # 2 v1 <= z <= 1 + v3 cross on 1?0: both settle at v3, and checked
+        # on the prefixes 0 and 1 alone they would cut 0?1 and 1?1
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("v", 3, 1),
+                                   ("p", 1, 1), ("p", 2, 1), ("p", 3, 1)]),
+            RowMatrix.from_blocks([
+                RowBlock("y", [1], "<=", -1.0, [([0] * 3, [0, 2, 3], [-1.0, -1.0, 1.0])]),
+                RowBlock("z-low", [1], ">=", 0.0, [([0, 0], [0, 4], [-2.0, 1.0])]),
+                RowBlock("z-high", [1], "<=", 1.0, [([0, 0], [2, 4], [-1.0, 1.0])]),
+                RowBlock("demand", [1], ">=", 1.0, [([0, 0], [3, 5], [1.0, 1.0])])]),
+            {3: 1.0, 4: 1.0, 5: 3.0})
+        engine = _ExactEngine(model, SolverConfig())
+        expected, passed, crossed = screened_alone(engine)
+        with mock.patch.object(solve_module, "PATTERN_BLOCK", block):
+            got = list(walked(engine))
+        assert [tuple(p) for p, _, _ in got] == [(1, 1, 1), (1, 0, 1), (0, 1, 1), (0, 0, 1)]
+        assert [(lower.tobytes(), b.tobytes()) for _, lower, b in got] == [
+            (lower.tobytes(), b.tobytes()) for _, lower, b in expected]
+        assert (engine.stats["patterns"], engine.stats["bound_infeasible"]) == (passed, crossed)
+
+    @pytest.mark.parametrize("block, reached", [(2, 2), (4096, 0)])
+    def test_binary_overflow_after_a_failed_row_raises_before_its_blocks_lps(
+            self, block, reached, monkeypatch):
+        # v1 >= 1 fails the prefix 0 at v1, and -1e308 v1 + 1e308 v2 <= -1e308
+        # overflows later, on the prefix 01.  Blocks of 2 cut the walk into
+        # 111 110 | 101 100 | 011 010 | 001 000: the first fails the second
+        # row, the second passes and the third raises before its LPs
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("v", 3, 1),
+                                   ("p", 1, 1), ("p", 2, 1)]),
+            RowMatrix.from_blocks([
+                RowBlock("on", [1], ">=", 1.0, [([0], [1.0])]),
+                RowBlock("big", [1], "<=", -1e308, [([0, 0], [0, 1], [-1e308, 1e308])]),
+                RowBlock("demand", [1], ">=", 1.0, [([0, 0], [3, 4], [1.0, 1.0])])]),
+            {3: 1.0, 4: 2.0})
+        monkeypatch.setattr(solve_module, "PATTERN_BLOCK", block)
+        engine = _ExactEngine(model, SolverConfig())
+        with pytest.raises(NumericalFailure, match="overflow encountered in subtract"):
+            engine.optimal()
+        assert engine.stats["patterns"] == reached
+        assert engine.stats["lps"] + engine.stats["dual_pruned"] == reached
+
+    @pytest.mark.parametrize("block, crossed", [(1, 0), (3, 0), (4096, 1)])
+    def test_overflowing_bounds_that_also_cross_raise_at_their_place(
+            self, block, crossed, monkeypatch):
+        # x <= 1e308 - 1e308 v1 + 1e308 v2 overflows on pattern 01, and
+        # y <= -1 + 2 v1 crosses y >= 0 on 01 and 00: the walk yields 11 and
+        # 10 and raises at 01, which it would skip if it cut the prefix 0;
+        # 00 is counted crossed only if it shares the block of 01
+        model = MilpModel(
+            ColumnIndex.from_keys([("v", 1, 1), ("v", 2, 1), ("p", 1, 1), ("p", 2, 1)]),
+            RowMatrix.from_blocks([
+                RowBlock("cap", [1], "<=", 1e308, [([0] * 3, [0, 1, 2], [1e308, -1e308, 1.0])]),
+                RowBlock("low", [1], "<=", -1.0, [([0, 0], [0, 3], [-2.0, 1.0])]),
+                RowBlock("demand", [1], ">=", 1.0, [([0, 0], [2, 3], [1.0, 1.0])])]),
+            {2: 1.0, 3: 2.0})
+        monkeypatch.setattr(solve_module, "PATTERN_BLOCK", block)
+        before = []
+        with pytest.raises(NumericalFailure, match="LP bounds of pattern 01$"):
+            for pattern, _, _ in walked(_ExactEngine(model, SolverConfig())):
+                before.append(tuple(pattern))
+        assert before == [(1, 1), (1, 0)]
+        engine = _ExactEngine(model, SolverConfig())
+        with pytest.raises(NumericalFailure, match="LP bounds of pattern 01$"):
+            engine.optimal()
+        assert engine.stats["bound_infeasible"] == crossed
+
+
 class TestDualSkip:
     @settings(max_examples=40, deadline=None)
     @given(desk_instances())
@@ -860,10 +988,11 @@ def test_random_instances_agree_with_shim():
         assert abs(external.objective - exact.objective) <= 1e-6 * scale
 
 
-@pytest.mark.parametrize("T", [8, 10])
+@pytest.mark.parametrize("T", [8, 10, 12])
 def test_sixteen_to_twenty_binaries_agree_with_shim(T):
-    # two units over 8 and 10 periods: 16 and 20 free binaries, the second
-    # spread over 256 blocks of PATTERN_BLOCK patterns
+    # two units over 8, 10 and 12 periods: 16, 20 and 24 binaries, the
+    # budget; the last two spread over 256 and 1,024 blocks of
+    # PATTERN_BLOCK patterns
     model = build(random_instance(np.random.default_rng(7), 2, T))
     assert len(model.binary_columns()) == 2 * T
     exact = solve_exact(model)
