@@ -7,18 +7,17 @@ objective line, and exits nonzero unless the solve reached optimality.
 This module deliberately shares no code with the model builder or the file
 writers: it parses the standard formats from scratch and solves with HiGHS,
 so an agreement between this path and the built-in exact solver checks both
-sides.  It calls HiGHS through the module SciPy bundles as
+sides.  HiGHS is its one solver, called through the module SciPy bundles as
 ``scipy.optimize._highspy._core``, loaded from its file next to the
 installed ``scipy`` so that a solver child never imports the much larger
-``scipy.optimize``.  :func:`main` reads the file with its own reader first,
-then has HiGHS read the same file and solves that only if HiGHS holds
-exactly the shim's reading of it; HiGHS hands the checks lists and scalars,
-so on this route the child imports no NumPy.  Where HiGHS refuses the file
-or reads another model, :func:`solve_problem` hands HiGHS the shim's
-reading in memory, as the model and options that ``scipy.optimize.milp``
-would; both routes give HiGHS the same model, so the same answer.  Where
-the module file is missing or lacks a name the shim uses (the module is
-private to SciPy), it calls ``milp`` instead.
+``scipy.optimize``; without that module a solve fails (exit 1).  The shim
+hands HiGHS the model one of two ways.  :func:`main` reads the file with its
+own reader first, then has HiGHS read the same file and solves that only if
+HiGHS holds exactly the shim's reading of it; HiGHS hands the checks lists
+and scalars, so on this route the child imports no NumPy.  Where HiGHS
+refuses the file or reads another model, :func:`solve_problem` hands HiGHS
+the shim's reading in memory, as the same lists the checks compare; both
+ways give HiGHS the same model, so the same answer.
 
 Each column name is resolved once, as it is read, to its position in
 ``MipProblem.var_order``, and everything else is keyed by that position.
@@ -445,7 +444,7 @@ def _highs_core():
 
 def _columns(problem: MipProblem):
     """The rows' matrix as ``(start, index, value)`` lists, column by column
-    with the row indices ascending within a column, as ``milp`` passes it."""
+    with the row indices ascending within a column: its CSC form."""
     entries = [[] for _ in problem.var_order]
     for row, (coefs, _, _) in enumerate(problem.rows):
         for col, value in coefs.items():
@@ -455,19 +454,10 @@ def _columns(problem: MipProblem):
             [value for column in entries for _, value in column])
 
 
-def _column_wise(problem: MipProblem):
-    """:func:`_columns` as NumPy arrays, the indices as ``int32``."""
-    import numpy as np
-
-    start, index, value = _columns(problem)
-    return (np.array(start, dtype=np.int32), np.array(index, dtype=np.int32),
-            np.array(value, dtype=float))
-
-
 def _model(problem: MipProblem):
     """``(costs, lower, upper, integrality, row lower, row upper)`` as lists,
-    as ``milp`` would give them to HiGHS: the costs negated for a
-    maximization, a missing bound infinite and the integrality 1 or 0."""
+    as HiGHS takes them: the costs negated for a maximization, a missing
+    bound infinite and the integrality 1 or 0."""
     columns = range(len(problem.var_order))
     sign = -1.0 if problem.maximize else 1.0
     return ([sign * problem.objective.get(col, 0.0) for col in columns],
@@ -500,46 +490,11 @@ def _run(core, highs):
     return "optimal", highs.getInfo().objective_function_value, highs.getSolution().col_value
 
 
-def _solve_highs(core, problem, c, lb, ub, integrality, row_lb, row_ub):
-    """(status, objective, list of column values) from HiGHS itself, given
-    what ``milp`` would give it."""
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lb)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _column_wise(problem)
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
-    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
-    lp.integrality_ = [core.HighsVarType(kind) for kind in integrality.tolist()]
-    highs = _highs(core)
-    if highs.passModel(lp) == core.HighsStatus.kError:
-        return highs.modelStatusToString(core.HighsModelStatus.kModelError), None, None
-    return _run(core, highs)
-
-
-def _solve_milp(problem, c, lb, ub, integrality, row_lb, row_ub):
-    """The same solve through ``scipy.optimize.milp``, given the matrix
-    that :func:`_solve_highs` passes."""
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    # without rows this is the empty constraint milp itself makes for none
-    start, index, value = _column_wise(problem)
-    matrix = sparse.csc_array((value, index, start), shape=(len(row_lb), len(c)))
-    result = milp(c=c, constraints=LinearConstraint(matrix, row_lb, row_ub),
-                  integrality=integrality, bounds=Bounds(lb, ub),
-                  options={"mip_rel_gap": 0.0})
-    if result.status != 0 or result.x is None:
-        return result.message or f"status {result.status}", None, None
-    return "optimal", result.fun, result.x.tolist()
-
-
 def _answer(problem: MipProblem, status, objective, x):
     """(status_string, objective, {name: value}) from a solve of the
     problem with the costs of :func:`_model`."""
     if status != "optimal":
         return status, None, {}
-    objective = float(objective)
     if problem.maximize:
         # "+ 0.0": a maximum of 0 is 0, not the -0.0 that negating 0.0 gives
         objective = -objective + 0.0
@@ -547,24 +502,34 @@ def _answer(problem: MipProblem, status, objective, x):
 
 
 def solve_problem(problem: MipProblem):
-    """Returns (status_string, objective, {name: value}).  Solves with
-    SciPy's bundled HiGHS module where :func:`_highs_core` finds it, else
-    with ``scipy.optimize.milp``; both paths give HiGHS the same model and
-    options, so the same answer."""
-    import numpy as np
-
-    c, lb, ub, integrality, con_lb, con_ub = map(np.array, _model(problem))
-    if not problem.var_order:
-        # milp needs a column; without one every row's activity is 0
-        if np.all(con_lb <= 0.0) and np.all(con_ub >= 0.0):
+    """Returns (status_string, objective, {name: value}) from HiGHS handed
+    the shim's reading in memory: the lists of :func:`_model` and
+    :func:`_columns`, which :func:`_solve_file` checks HiGHS's own reading
+    of a file against, so both ways give the same answer.  A model without
+    columns never reaches HiGHS; without SciPy's HiGHS module the solve
+    fails with a status that names it."""
+    cost, lower, upper, integers, row_lower, row_upper = _model(problem)
+    if not cost:
+        # without a column every row's activity is 0
+        if all(bound <= 0.0 for bound in row_lower) and all(bound >= 0.0 for bound in row_upper):
             return "optimal", 0.0, {}
         return "infeasible: a row without columns does not hold at 0", None, {}
 
     core = _highs_core()
     if core is None:
-        return _answer(problem, *_solve_milp(problem, c, lb, ub, integrality, con_lb, con_ub))
-    return _answer(problem, *_solve_highs(core, problem, c, lb, ub, integrality,
-                                          con_lb, con_ub))
+        return f"HiGHS not found: SciPy has no usable {_HIGHS_MODULE}", None, {}
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _columns(problem)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.integrality_ = [core.HighsVarType(kind) for kind in integers]
+    highs = _highs(core)
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        return highs.modelStatusToString(core.HighsModelStatus.kModelError), None, {}
+    return _answer(problem, *_run(core, highs))
 
 
 def _solve_file(core, path: str, problem: MipProblem):
@@ -653,10 +618,14 @@ def main(argv=None) -> int:
         print(f"ucdispatch-mip: solve failed: {status}", file=sys.stderr)
         return 1
 
-    with open(solution, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# objective {objective:.17g}\n")
-        for name, value in values.items():
-            handle.write(f"{name} {value:.17g}\n")
+    try:
+        with open(solution, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(f"# objective {objective:.17g}\n")
+            for name, value in values.items():
+                handle.write(f"{name} {value:.17g}\n")
+    except OSError as exc:
+        print(f"ucdispatch-mip: {exc}", file=sys.stderr)
+        return 2
     print(f"optimal objective {objective:.12g}")
     return 0
 

@@ -122,7 +122,7 @@ def test_objsense_is_honoured(tmp_path, capsys, both_solve_paths, objsense, opti
 @pytest.mark.parametrize("write, name", [(write_mps, "model.mps"), (write_lp, "model.lp")],
                          ids=["mps", "lp"])
 def test_empty_model_solves(tmp_path, capsys, write, name):
-    # milp refuses a problem without columns: this was a traceback, exit 1
+    # answered without HiGHS, which calls a model without columns "Empty"
     code, solution = run_shim(tmp_path, write(empty_model()), name)
     assert code == 0
     assert capsys.readouterr().out == "optimal objective 0\n"
@@ -577,13 +577,20 @@ def test_unread_column_reads_back(tmp_path, capsys, both_solve_paths, write, nam
 
 
 def test_shim_imports_nothing_from_the_package():
-    # the shim is an independent cross-check of the builder and the writers
+    # the shim is an independent cross-check of the builder and the writers;
+    # its one solver is the HiGHS module it loads by file, so no import at
+    # any level, a function's included, brings in NumPy or scipy.optimize
     tree = ast.parse(inspect.getsource(mipshim))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0 and not node.module.startswith("ucdispatch"), node.module
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("ucdispatch") for alias in node.names)
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(re.match(r"(numpy|scipy\.optimize)(\.|$)", name) for name in names), names
 
 
 # min 3x + y  s.t.  x + y >= 2 with x, y <= 0.5 and x integer: no point
@@ -594,13 +601,15 @@ INFEASIBLE_MPS = GOOD_MPS.replace(
 UNBOUNDED_MPS = GOOD_MPS.replace("    y         obj       1", "    y         obj       -1")
 
 
-@pytest.mark.parametrize("path", ["highs", "milp"])
+@pytest.mark.parametrize("path", ["highs", "in-memory"])
 @pytest.mark.parametrize("text, status", [(INFEASIBLE_MPS, "infeasible"),
                                           (UNBOUNDED_MPS, "unbounded")],
                          ids=["infeasible", "unbounded"])
 def test_failed_solve_exits_one(tmp_path, capsys, monkeypatch, text, status, path):
-    if path == "milp":
-        monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
+    # "highs": HiGHS reads the file itself; "in-memory": it is handed the
+    # shim's reading, as when it refuses the file
+    if path == "in-memory":
+        monkeypatch.setattr(mipshim, "_solve_file", lambda *args: None)
     code, solution = run_shim(tmp_path, text)
     assert code == 1
     err = capsys.readouterr().err
@@ -612,16 +621,24 @@ def test_failed_solve_exits_one(tmp_path, capsys, monkeypatch, text, status, pat
                          ids=["mps", "lp"])
 @pytest.mark.parametrize("label", sorted(GOLDEN_INSTANCES))
 def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write, name):
+    # HiGHS reading the file itself against HiGHS handed the shim's reading
     instance = GOLDEN_INSTANCES[label]()
     text = write(build_model(instance, thin_all(instance)))
+    solve_file, read = mipshim._solve_file, []
+
+    def from_file(*args):
+        answer = solve_file(*args)
+        read.append(answer is not None)
+        return answer
+
     solutions = []
-    for path in ("highs", "milp"):
-        if path == "milp":
-            monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
+    for path, route in (("file", from_file), ("in-memory", lambda *args: None)):
+        monkeypatch.setattr(mipshim, "_solve_file", route)
         (tmp_path / path).mkdir()
         code, solution = run_shim(tmp_path / path, text, name)
         assert code == 0
         solutions.append(solution.read_bytes())
+    assert read == [True]
     assert solutions[0] == solutions[1]
 
 
@@ -631,8 +648,8 @@ def test_both_paths_write_the_same_solution(tmp_path, monkeypatch, label, write,
     columns_mps("    y  c2  1  c1  2\n    z  obj  1\n    x  c1  0  c2  4\n    y  obj  3\n"),
 ], ids=["good", "integer", "zero-and-empty"])
 def test_column_wise_matrix_is_milps(text):
-    # milp hands HiGHS the CSC form of this CSR matrix; the shim must hand
-    # it the same arrays, explicit zeros included
+    # the shim hands HiGHS the CSC form of this CSR matrix, as milp does,
+    # explicit zeros included
     from scipy import sparse
 
     problem = mipshim.parse_mps(text)
@@ -641,10 +658,24 @@ def test_column_wise_matrix_is_milps(text):
     rows, cols, values = zip(*entries)
     csc = sparse.csc_array(sparse.csr_matrix(
         (values, (rows, cols)), shape=(len(problem.rows), len(problem.var_order))))
-    start, index, value = mipshim._column_wise(problem)
-    assert start.tolist() == csc.indptr.tolist()
-    assert index.tolist() == csc.indices.tolist()
-    assert value.tobytes() == csc.data.tobytes()
+    start, index, value = mipshim._columns(problem)
+    assert start == csc.indptr.tolist()
+    assert index == csc.indices.tolist()
+    assert np.array(value).tobytes() == csc.data.tobytes()
+
+
+def test_scipy_without_the_highs_module_fails_the_solve(tmp_path, capsys, monkeypatch):
+    # no second solver: the status names the missing module
+    monkeypatch.setattr(mipshim, "_highs_core", lambda: None)
+    code, solution = run_shim(tmp_path, GOOD_MPS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ucdispatch-mip: solve failed: ") and mipshim._HIGHS_MODULE in err
+    assert not solution.exists()
+    # a model without columns never needs HiGHS
+    code, solution = run_shim(tmp_path, write_mps(empty_model()))
+    assert code == 0
+    assert solution.read_text() == "# objective 0\n"
 
 
 ORDER_STEPS = {
@@ -748,7 +779,10 @@ def test_child_prints_a_maximum_of_zero_as_zero(tmp_path):
     (INFEASIBLE_MPS, ["{model}", "{solution}"], 1),
     (GOOD_MPS.replace(" G  c1", " X  c1"), ["{model}", "{solution}"], 2),
     (GOOD_MPS, ["{model}"], 2),
-], ids=["optimal", "infeasible", "parse-error", "argument-count"])
+    (GOOD_MPS, ["{model}", "{folder}"], 2),
+    (GOOD_MPS, ["{model}", "{folder}/nodir/model.sol"], 2),
+], ids=["optimal", "infeasible", "parse-error", "argument-count", "solution-is-a-directory",
+        "solution-folder-missing"])
 def test_child_exits_as_main_returns(tmp_path, capsys, text, argv, code):
     # the child ends with os._exit, skipping the interpreter's teardown: it
     # must flush what it prints first, and a piped stdout is block-buffered
@@ -758,7 +792,7 @@ def test_child_exits_as_main_returns(tmp_path, capsys, text, argv, code):
     for where in ("child", "in-process"):
         solution = tmp_path / where / "model.sol"
         solution.parent.mkdir()
-        args = [arg.format(model=model, solution=solution) for arg in argv]
+        args = [arg.format(model=model, solution=solution, folder=tmp_path) for arg in argv]
         if where == "child":
             run = run_child(args)
             outcome = run.returncode, run.stdout, run.stderr
