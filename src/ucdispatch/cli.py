@@ -27,7 +27,7 @@ from .model import build_model, model_stats
 from .report import build_report, write_reports
 from .solve import SolverConfig, Solution, accept_solution, solve
 from .thinning import thin_all
-from .writers import write_lp, write_mps
+from .writers import write_file, write_lp, write_mps
 
 
 def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
@@ -148,8 +148,7 @@ def _cmd_build(args, parser) -> int:
     model = build_model(_load(args, parser))
     text = write_mps(model) if args.format == "mps" else write_lp(model)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_file(args.out, text)
     except OSError as exc:
         raise IoFailure(f"cannot write {args.out}: {exc}") from exc
     stats = model_stats(model)

@@ -17,6 +17,7 @@ from .errors import IoFailure
 from .instance import Instance, UnitSpec
 from .model import MilpModel
 from .solve import Solution
+from .writers import write_file
 
 _NUM_FMT = "{:.12g}"
 
@@ -169,7 +170,10 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
 
     Per-variable files have one row per period (k plus timestamp) and one
     column per unit; p_max.csv holds the recomputed maximal possible
-    production.  Returns the written paths.
+    production.  Each file is rewritten in place by
+    :func:`~ucdispatch.writers.write_file`, so a failure midway leaves the
+    files not yet reached as the previous run wrote them.  Returns the
+    written paths.
     """
     out = Path(out_dir)
     try:
@@ -187,8 +191,7 @@ def write_reports(instance: Instance, model: MilpModel, solution: Solution,
     def emit(name: str, lines: list[str]) -> None:
         path = out / name
         try:
-            with open(path, "wb") as handle:
-                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+            write_file(path, "\n".join(lines) + "\n")
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)

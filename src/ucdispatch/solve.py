@@ -65,6 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    IoFailure,
     NumericalFailure,
     ResidualCheckFailed,
     SolverLaunchFailed,
@@ -74,7 +75,7 @@ from .errors import (
 )
 from .model import SENSE_CODE, SENSES, MilpModel
 from .simplex import TOL, numerical_guard, solve_dense_lp
-from .writers import write_mps
+from .writers import write_file, write_mps
 
 logger = logging.getLogger(__name__)
 
@@ -728,16 +729,24 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
     ``Solution.stats`` holds the seconds taken to write the MPS file
     (``emit_s``), by the solver process from spawn to exit (``solver_s``),
     to read the solution (``parse_s``) and to check it (``check_s``), and the
-    process's ``returncode``.
+    process's ``returncode``.  Raises :class:`IoFailure` if the temporary
+    directory or the model file cannot be written.
     """
     if not config.command_template:
         raise SolverLaunchFailed("no solver command template configured")
 
     started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="ucdispatch-") as tmp:
+    try:
+        workspace = tempfile.TemporaryDirectory(prefix="ucdispatch-")
+    except OSError as exc:
+        raise IoFailure(f"cannot create a temporary directory: {exc}") from exc
+    with workspace as tmp:
         model_path = Path(tmp) / "model.mps"
         solution_path = Path(tmp) / "model.sol"
-        model_path.write_text(write_mps(model), encoding="utf-8")
+        try:
+            write_file(model_path, write_mps(model))
+        except OSError as exc:
+            raise IoFailure(f"cannot write {model_path}: {exc}") from exc
         emitted = time.perf_counter()
 
         command = [

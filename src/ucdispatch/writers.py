@@ -1,4 +1,4 @@
-"""Deterministic MPS and LP text emission.
+"""Deterministic MPS and LP text emission, and the file writer.
 
 Both writers produce byte-identical output for the same model: columns and
 rows appear in model order, numbers are printed with 17 significant digits
@@ -7,11 +7,17 @@ rows appear in model order, numbers are printed with 17 significant digits
 Each distinct number is formatted once per emission (a model repeats a few
 thousand values millions of times), and the text is built as one chunk per
 MPS column or LP row straight from the model's arrays, then joined once.
+
+:func:`write_file` writes the report CSVs, ``ucdispatch build --out`` and
+the model file of an external solve; only the ``ucdispatch-mip`` shim, which
+imports nothing from the package, writes its solution file itself.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -174,3 +180,29 @@ def write_lp(model: MilpModel) -> str:
         chunks.append(_wrapped("", [f" {name}" for name in binaries]))
     chunks.append("End\n")
     return "".join(chunks)
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC``: on ext4 (``auto_da_alloc``)
+    closing a file that was truncated to zero length starts its writeback
+    at once, which costs more than formatting the reports does.  The new
+    bytes overwrite the old ones from the start, and the file is cut to
+    their length only when it is a regular file that was longer: an
+    ``ftruncate`` on a new or same-length file is pure cost, and
+    ``/dev/null`` or a pipe refuses one.  The bytes are those of ``text``,
+    LF line ends kept (``O_BINARY`` where it exists).  Raises
+    :class:`OSError` as ``os.open`` and ``os.write`` do.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

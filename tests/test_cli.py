@@ -1,5 +1,6 @@
 """CLI subcommands and their exit codes."""
 
+import errno
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from helpers import (
     storage_instance,
     write_instance_files,
 )
+import ucdispatch.solve as solve_module
 from ucdispatch import cli
 from ucdispatch.cli import main
 from ucdispatch.instance import StartupCostCurve
@@ -228,6 +230,26 @@ class TestBuildCommand:
         expected = model_stats(build_model(fixture_instance()))
         assert json.loads(capsys.readouterr().out) == expected
 
+    def test_rewrite_leaves_exactly_the_new_bytes(self, fixture_files, tmp_path):
+        out = tmp_path / "model"
+        for fmt in ("mps", "lp", "mps"):  # the LP text is the shorter
+            fresh = tmp_path / f"fresh.{fmt}"
+            for path in (out, fresh):
+                assert main(["build", "--format", fmt, "--out", str(path),
+                             *input_args(fixture_files)]) == 0
+            assert out.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "fresh.lp").stat().st_size < \
+            (tmp_path / "fresh.mps").stat().st_size
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_dev_null_output_exits_zero(self, fixture_files, capsys):
+        assert main(["build", "--out", "/dev/null", *input_args(fixture_files)]) == 0
+        assert capsys.readouterr().out.startswith("wrote /dev/null")
+
+    def test_directory_output_exits_two(self, fixture_files, tmp_path, capsys):
+        assert main(["build", "--out", str(tmp_path), *input_args(fixture_files)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
+
     def test_invalid_instance_writes_nothing(self, broken_files, tmp_path):
         out = tmp_path / "model.mps"
         assert main(["build", "--format", "mps", "--out", str(out),
@@ -421,6 +443,54 @@ class TestSolveCommand:
         assert info.value.code == 2
         assert "--set expects KEY=VALUE, got 'UPP'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_rerun_leaves_exactly_the_new_reports(self, fixture_files, tmp_path, capsys):
+        # four periods and two units, then the two-period fixture
+        longer = write_instance_files(storage_instance(), tmp_path / "storage")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["solve", "--out-dir", str(shared), *input_args(longer)]) == 0
+        before = {path.name: path.stat().st_size for path in shared.iterdir()}
+        for out_dir in (shared, fresh):
+            assert main(["solve", "--out-dir", str(out_dir),
+                         *input_args(fixture_files)]) == 0
+        names = sorted(before)
+        assert names == sorted(path.name for path in fresh.iterdir())
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert all(before[name] > (fresh / name).stat().st_size
+                   for name in names if name != "summary.csv")
+
+    def test_report_name_that_is_a_directory_exits_two(self, fixture_files, tmp_path,
+                                                       capsys):
+        out_dir = tmp_path / "results"
+        (out_dir / "v.csv").mkdir(parents=True)
+        assert main(["solve", "--out-dir", str(out_dir), *input_args(fixture_files)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out_dir / 'v.csv'}")
+
+    def test_out_dir_that_is_a_file_exits_two(self, fixture_files, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        out_dir.write_text("not a directory\n")
+        assert main(["solve", "--out-dir", str(out_dir), *input_args(fixture_files)]) == 2
+        assert "error: cannot " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["model file", "temporary directory"])
+    def test_external_write_failure_exits_two(self, fixture_files, tmp_path, monkeypatch,
+                                              capsys, fault):
+        # the raw OSError of a failed model write escaped as a traceback
+        if fault == "model file":
+            def refuse(path, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(solve_module, "write_file", refuse)
+        else:
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--backend", "external", "--solver-cmd", SHIM_TEMPLATE,
+                     "--out-dir", str(out_dir), *input_args(fixture_files)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_solve_reproducible_outputs(self, fixture_files, tmp_path, capsys):
         for name in ("one", "two"):

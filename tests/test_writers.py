@@ -1,6 +1,7 @@
-"""MPS and LP emission: shape, determinism, self-consistency."""
+"""MPS and LP emission: shape, determinism, self-consistency; the file writer."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ucdispatch.model import (
     model_stats,
 )
 from ucdispatch.thinning import thin_all
-from ucdispatch.writers import _row_name, _row_names, write_lp, write_mps
+from ucdispatch.writers import _row_name, _row_names, write_file, write_lp, write_mps
 
 
 def empty_model():
@@ -114,6 +115,35 @@ class TestLp:
         instance = storage_instance()
         text = write_lp(build_model(instance, thin_all(instance)))
         assert all(len(line) <= 100 for line in text.splitlines())
+
+
+def test_write_file_rewrites_in_place(tmp_path, monkeypatch):
+    """No open truncates; only a rewrite that is shorter cuts the file,
+    to the new length in bytes."""
+    flags, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    def spy_ftruncate(fd, length):
+        cuts.append(length)
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    path = tmp_path / "out.txt"
+    for text, cut in [("new file\n", []),   # created
+                      ("same len\n", []),   # rewritten, same length
+                      ("a longer line\nand more\n", []),
+                      ("é\n", [3]),         # shorter: cut to three bytes
+                      ("", [0])]:
+        cuts.clear()
+        write_file(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert cuts == cut
+    assert len(flags) == 5 and not any(flag & os.O_TRUNC for flag in flags)
 
 
 @settings(max_examples=300, deadline=None)
