@@ -164,7 +164,7 @@ def _cmd_build(args, parser) -> int:
 
 
 def _solver_config(args, parser) -> SolverConfig:
-    command = args.solver_cmd or os.environ.get("UC_SOLVER_CMD", "")
+    command = (args.solver_cmd or os.environ.get("UC_SOLVER_CMD", "")).strip()
     if args.backend == "external" and not command:
         parser.error("--backend external requires --solver-cmd or UC_SOLVER_CMD")
     if args.binary_budget < 0:

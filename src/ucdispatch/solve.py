@@ -13,15 +13,17 @@ the first pattern on, and the duals of a pattern's neighbours bound it.
 
 A block's row sums ``rhs - w . pattern`` are built by one prefix walk: the
 binary columns are subtracted in order, and each free one doubles the sums
-of every prefix of free bits into those of its two extensions, so each sum
-has the same bits as the sum taken alone for its pattern.  The walk drops a
+of every prefix of free bits into those of its two extensions, bit 1 first,
+so each sum has the same bits as the sum taken alone for its pattern and
+the block comes out in the walk's descending order.  The walk drops a
 prefix, and every pattern below it, at the column that settles a row it
 fails (Land and Doig's depth-first bound, applied to the screen).  It runs
-three times per block: over the binary rows; over the bound rows of the
-patterns that pass them, dropping a prefix as soon as two settled bounds of
-one variable cross; and over the LP rows of the patterns whose bounds do
-not cross.  A family of rows whose sums could overflow is checked only at
-the leaves, as a whole, so that an overflow raises where it always did.
+twice per block: over the binary rows alone, which counts the patterns,
+skips a block they empty and raises where one overflows; then over the
+binary, bound and LP rows at once, dropping a prefix where it fails a
+binary row or two settled bounds of one variable cross.  A family of rows
+whose sums could overflow is checked only at the leaves, as a whole, so
+that an overflow raises where it always did.
 
 Every pattern's LP has the same matrix, senses and costs; only its
 right-hand side ``b`` and the shift ``lower`` (its variables' lower bounds)
@@ -182,11 +184,6 @@ class _ExactEngine:
         # the single rows of each variable's bound as one run, in row order
         self.ub_rows, self.fin_vars, self.ub_starts = _runs(self.s_var, self.s_is_ub)
         self.lb_rows, self.lb_vars, self.lb_starts = _runs(self.s_var, self.s_is_lb)
-        # the lower-bound runs of fin_vars alone, the only variables whose
-        # bounds can cross, and where each one sits among fin_vars
-        self.fin_lb_rows, fin_lb_vars, self.fin_lb_starts = _runs(
-            self.s_var, self.s_is_lb & np.isin(self.s_var, self.fin_vars))
-        self.fin_lb_at = np.searchsorted(self.fin_vars, fin_lb_vars)
 
         self.m_bin, self.m_cont, self.m_rhs = brows[lp], crows[lp], rows.rhs[lp]
         # the lower bounds enter b only through the LP rows that hold their
@@ -259,8 +256,6 @@ class _ExactEngine:
             least, most = ends.min(axis=0), ends.max(axis=0)
             may_cross = np.where(lo == up, least[up] < 0.0, np.maximum(most[lo], 0.0) > least[up])
         lo, up = lo[may_cross], up[may_cross]
-        self.bound_checks = {depth: _cross_check(lo[items], up[items], self.s_inv)
-                             for depth, items in _by_depth(np.maximum(s_at[lo], s_at[up]), n_bin)}
         # the binary rows as "sum <= PATTERN_TOL", in the order they settle:
         # a row that must not go below -PATTERN_TOL is negated, which negates
         # each of its sums exactly, and an equality row goes both ways
@@ -270,8 +265,16 @@ class _ExactEngine:
         order = np.argsort(pure_at[fit], kind="stable")
         fit, sign = fit[order], sign[order]
         self.fit_rhs, self.fit_w = self.pure_rhs[fit] * sign, self.pure_w[fit] * sign[:, None]
-        self.fit_checks = {depth: _fit_check(slice(items[0], items[-1] + 1))
+        self.fit_checks = {depth: [_fit_check(slice(items[0], items[-1] + 1))]
                            for depth, items in _by_depth(pure_at[fit], n_bin + 1)}
+        # the second walk's rows: the binary, the single-variable and the LP
+        # rows, in that order, with the bound checks after the binary ones
+        self.walk_rhs = np.concatenate([self.fit_rhs, self.s_rhs, self.m_rhs])
+        self.walk_w = np.vstack([self.fit_w, self.s_bin, self.m_bin])
+        self.walk_checks = {depth: list(checks) for depth, checks in self.fit_checks.items()}
+        for depth, items in _by_depth(np.maximum(s_at[lo], s_at[up]), n_bin):
+            self.walk_checks.setdefault(depth, []).append(
+                _cross_check(lo[items], up[items], self.s_inv, len(self.fit_rhs)))
 
     def patterns(self):
         """``(patterns, lower, b)`` of the patterns that the binary rows and
@@ -279,52 +282,50 @@ class _ExactEngine:
         pattern's shift and ``b`` the right-hand side of its LP over
         ``x - lower``.  The walk goes down from the all-on pattern (every
         free bit on) in descending lexicographic order, a batch per block
-        of PATTERN_BLOCK codes.  Each block takes three prefix walks of
-        ``row_sums``: the binary rows, checked as they settle; the
-        single-variable rows of the patterns that pass, whose bound pairs
-        drop a prefix as soon as they cross; and the LP rows of the
-        patterns whose bounds do not cross.  At the leaves the bounds are
+        of PATTERN_BLOCK codes.  A block takes two walks of ``row_sums``:
+        one over the binary rows, and, if some patterns pass them, one over
+        the binary, single-variable and LP rows at once, whose bound pairs
+        drop a prefix as soon as they cross.  At the leaves the bounds are
         formed and checked as a whole.  A pattern whose bounds or ``b``
         overflow raises :class:`NumericalFailure` at its place in the walk,
         after the batch of the patterns before it, so that an earlier
         pattern's LP fails first."""
         template = np.where(self.fixed < 0, 0, self.fixed).astype(np.int8)
         shifts = np.arange(len(self.free) - 1, -1, -1, dtype=np.int64)
+        s_cols = slice(len(self.fit_rhs), len(self.fit_rhs) + len(self.s_rhs))
         for stop in range(1 << len(self.free), 0, -PATTERN_BLOCK):
-            # row_sums takes the codes ascending; the rows are turned at the end
-            codes = np.arange(max(stop - PATTERN_BLOCK, 0), stop, dtype=np.int64)
-            codes, _ = self.row_sums(self.fit_rhs, self.fit_w, codes, self.fit_checks)
-            passed = len(codes)
+            first, last = stop - 1, max(stop - PATTERN_BLOCK, 0)
+            # the binary rows alone, under the caller's errstate: this walk
+            # counts the patterns, skips a block they all fail and raises
+            # where a binary row's sum overflows.  The second walk's
+            # prefixes are a subset of its own, so that walk's binary rows
+            # cannot overflow, and it runs with overflow ignored
+            passed = len(self.row_sums(self.fit_rhs, self.fit_w, first, last, self.fit_checks)[0])
             if not passed:
                 continue
             self.stats["patterns"] += passed
 
             with np.errstate(over="ignore", invalid="ignore"):
-                codes, vals = self.row_sums(self.s_rhs, self.s_bin, codes, self.bound_checks)
+                codes, sums = self.row_sums(self.walk_rhs, self.walk_w, first, last,
+                                            self.walk_checks)
+                vals = sums[:, s_cols]
                 vals *= self.s_inv
-                # the bounds of fin_vars first: the patterns they cross get
-                # no other bound
                 upper = np.minimum.reduceat(vals[:, self.ub_rows], self.ub_starts, axis=1)
-                fin_lower = np.zeros_like(upper)
-                fin_lower[:, self.fin_lb_at] = np.maximum(0.0, np.maximum.reduceat(
-                    vals[:, self.fin_lb_rows], self.fin_lb_starts, axis=1))
-                finite = np.isfinite(vals).all(axis=1)
-                crossed = finite & (fin_lower > upper + PATTERN_TOL).any(axis=1)
-                self.stats["bound_infeasible"] += passed - len(codes) + int(crossed.sum())
-                if crossed.any():
-                    kept = ~crossed
-                    codes, vals, upper, finite = codes[kept], vals[kept], upper[kept], finite[kept]
                 lower = np.zeros((len(codes), self.nc))
                 lower[:, self.lb_vars] = np.maximum(0.0, np.maximum.reduceat(
                     vals[:, self.lb_rows], self.lb_starts, axis=1))
-                del vals   # its memory serves the LP rows' sums
-                _, b = self.row_sums(self.m_rhs, self.m_bin, codes)
+                finite = np.isfinite(vals).all(axis=1)
+                crossed = finite & (lower[:, self.fin_vars] > upper + PATTERN_TOL).any(axis=1)
+                self.stats["bound_infeasible"] += passed - len(codes) + int(crossed.sum())
+                b = sums[:, s_cols.stop:]
+                if crossed.any():
+                    codes, lower, b, upper, finite = (
+                        a[~crossed] for a in (codes, lower, b, upper, finite))
                 for lp_rows, var, coef in self.lower_rounds:
                     b[:, lp_rows] -= lower[:, var] * coef
+                # contiguous rows keep the dual bounds' products on BLAS
                 b = np.hstack([b, upper - lower[:, self.fin_vars]])
                 finite &= np.isfinite(b).all(axis=1)
-            # the walk's order; contiguous rows keep the dual bounds' products on BLAS
-            codes, lower, b, finite = codes[::-1], lower[::-1].copy(), b[::-1].copy(), finite[::-1]
             block = np.repeat(template[None, :], len(codes), axis=0)
             block[:, self.free] = (codes[:, None] >> shifts) & 1
             bad = np.flatnonzero(~finite)
@@ -334,65 +335,47 @@ class _ExactEngine:
                                        f"bounds of pattern {''.join(map(str, block[bad[0]]))}")
             yield block, lower, b
 
-    def row_sums(self, rhs, w, codes, checks=()):
-        """The ascending ``codes`` that ``checks`` keep, and ``rhs - w @
-        pattern`` of the pattern of each, as rows: the screen's one prefix
-        walk.  A free column doubles the partial sums of each prefix of
-        free bits into those of its two extensions and drops the
-        extensions that no code has.  After ``depth`` binary columns,
-        ``checks[depth]``, if there is one, takes the partial sums and keeps
-        the prefixes for which it is true, with every code below them.
-        Each sum still takes ``bit * w[:, j]`` off in column order, as it
-        would alone, so a row has the same bits whatever patterns share its
-        block, which a BLAS product does not promise (it takes another
-        path for a block of one row)."""
+    def row_sums(self, rhs, w, first, last, checks):
+        """The codes from ``first`` down to ``last`` that ``checks`` keep,
+        in that order, and ``rhs - w @ pattern`` of the pattern of each, as
+        rows: the screen's one prefix walk.  A free column doubles the
+        partial sums of each prefix of free bits into those of its two
+        extensions, bit 1 first, and drops an extension above ``first``'s
+        prefix or below ``last``'s.  After ``depth`` binary columns, each
+        of ``checks[depth]``, if there are any, takes the partial sums and
+        keeps the prefixes for which it is true, with every code below
+        them.  Each sum still takes ``bit * w[:, j]`` off in column order,
+        as it would alone, so a row has the same bits whatever patterns
+        and rows share its walk, which a BLAS product does not promise (it
+        takes another path for a block of one row)."""
         n_free = len(self.free)
-        # a run of codes, such as a whole block, lacks only extensions
-        # below its first or last code, so the walk needs just its prefixes;
-        # other codes come with their prefix tree, planned again after a cut
-        run = len(codes) and codes[-1] - codes[0] == len(codes) - 1
-        heads, planned = codes[:1] >> n_free, 0
-        if not run:
-            starts, rank, into = _plan(codes, n_free, planned)
-        sums = np.repeat(rhs[None, :], len(heads), axis=0)
-        # bit * w[:, j] for bit 0 and 1, per column, each pair contiguous
-        steps = np.ascontiguousarray(np.stack([0.0 * w.T, w.T], axis=1))
+        heads, sums = np.zeros(1, dtype=np.int64), rhs[None, :].copy()
+        # bit * w[:, j] for bit 1 and 0, per column, each pair contiguous
+        steps = np.ascontiguousarray(np.stack([w.T, 0.0 * w.T], axis=1))
         level = 0   # free columns walked
         for depth in range(len(self.fixed) + 1):
             if not len(sums):
                 break
             if depth:
                 bit, step = self.fixed[depth - 1], steps[depth - 1]
+                if bit < 0:
+                    level += 1
+                    top, bottom = first >> n_free - level, last >> n_free - level
+                    if top == bottom:   # a bit that the whole range shares
+                        bit, heads = top & 1, 2 * heads + (top & 1)
                 if bit >= 0:
-                    sums -= step[bit]
-                elif not run:
-                    level += 1
-                    sums = (sums[:, None, :] - step).reshape(2 * len(sums), len(rhs))
-                    extended = into[level - 1 - planned][starts[level - planned]]
-                    if len(extended) < len(sums):
-                        sums = sums[extended]
+                    sums -= step[1 - bit]
                 else:
-                    level += 1
-                    first, last = codes[0] >> n_free - level, codes[-1] >> n_free - level
-                    if first == last:
-                        heads = 2 * heads + (first & 1)
-                        sums -= step[first & 1]
-                    else:
-                        heads = np.repeat(2 * heads, 2)
-                        heads[1::2] += 1
-                        sums = (sums[:, None, :] - step).reshape(len(heads), len(rhs))
-                        cut = int(heads[0] < first), len(heads) - int(heads[-1] > last)
-                        heads, sums = heads[cut[0]:cut[1]], sums[cut[0]:cut[1]]
-            if depth in checks:
-                keep = checks[depth](sums)
+                    heads = np.repeat(2 * heads, 2)
+                    heads[::2] += 1
+                    sums = (sums[:, None, :] - step).reshape(len(heads), len(rhs))
+                    cut = int(heads[0] > top), len(heads) - int(heads[-1] < bottom)
+                    heads, sums = heads[cut[0]:cut[1]], sums[cut[0]:cut[1]]
+            for check in checks.get(depth, ()):
+                keep = check(sums)
                 if not keep.all():
-                    sums = sums[keep]
-                    if run:
-                        heads = heads[keep]
-                    else:
-                        codes, planned = codes[keep[rank[level - planned]]], level
-                        starts, rank, into = _plan(codes, n_free, planned)
-        return heads if run else codes, sums
+                    heads, sums = heads[keep], sums[keep]
+        return heads, sums
 
     @numerical_guard("exact solver")
     def optimal(self):
@@ -491,20 +474,6 @@ class _ExactEngine:
         return [tie for tie in cold if tie[1] <= cut]
 
 
-def _plan(codes, n, shortest):
-    """The prefix tree of ascending ``codes`` of ``n`` bits, a row per
-    prefix length from ``shortest`` to ``n``: where each distinct prefix
-    ``starts`` among the codes and the ``rank`` of each code's prefix, and,
-    from the second row on, where each code's prefix lies ``into`` the two
-    extensions of every prefix one bit shorter."""
-    prefixes = codes >> np.arange(n - shortest, -1, -1)[:, None]
-    starts = np.ones(prefixes.shape, dtype=bool)
-    np.not_equal(prefixes[:, 1:], prefixes[:, :-1], out=starts[:, 1:])
-    # a rank counts no more than a block's codes; cumsum is quicker to int32
-    rank = np.cumsum(starts, axis=1, dtype=np.int32) - 1
-    return starts, rank, 2 * rank[:-1] + (prefixes[1:] & 1).astype(np.int32)
-
-
 def _by_depth(depth, n):
     """Each depth below ``n`` that some items have, with those items."""
     order = np.argsort(depth, kind="stable")
@@ -517,10 +486,11 @@ def _fit_check(rows):
     return lambda sums: (sums[:, rows] <= PATTERN_TOL).all(axis=1)
 
 
-def _cross_check(lo, up, inv):
+def _cross_check(lo, up, inv, at):
     """Whether no pair of single-variable rows ``(lo, up)`` of a prefix's
-    sums crosses: ``max(0, lo)`` above ``up`` by more than PATTERN_TOL."""
-    inv_lo, inv_up = inv[lo], inv[up]
+    sums, which hold those rows from column ``at`` on, crosses:
+    ``max(0, lo)`` above ``up`` by more than PATTERN_TOL."""
+    inv_lo, inv_up, lo, up = inv[lo], inv[up], lo + at, up + at
 
     def check(sums):
         lower = np.maximum(sums[:, lo] * inv_lo, 0.0)
@@ -729,10 +699,16 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
     ``Solution.stats`` holds the seconds taken to write the MPS file
     (``emit_s``), by the solver process from spawn to exit (``solver_s``),
     to read the solution (``parse_s``) and to check it (``check_s``), and the
-    process's ``returncode``.  Raises :class:`IoFailure` if the temporary
-    directory or the model file cannot be written.
+    process's ``returncode``.  Raises :class:`SolverLaunchFailed` if the
+    template does not split into a command and :class:`IoFailure` if the
+    temporary directory or the model file cannot be written.
     """
-    if not config.command_template:
+    try:
+        template = shlex.split(config.command_template)
+    except ValueError as exc:
+        raise SolverLaunchFailed(f"cannot parse the solver command "
+                                 f"{config.command_template!r}: {exc}") from None
+    if not template:
         raise SolverLaunchFailed("no solver command template configured")
 
     started = time.perf_counter()
@@ -749,13 +725,11 @@ def solve_external(model: MilpModel, config: SolverConfig) -> Solution:
             raise IoFailure(f"cannot write {model_path}: {exc}") from exc
         emitted = time.perf_counter()
 
-        command = [
-            part.replace("{model}", str(model_path))
-                .replace("{solution}", str(solution_path))
-            for part in shlex.split(config.command_template)
-        ]
+        command = [part.replace("{model}", str(model_path))
+                   .replace("{solution}", str(solution_path)) for part in template]
         try:
-            proc = subprocess.run(command, capture_output=True, text=True)
+            # the output only feeds an error message: any bytes will do
+            proc = subprocess.run(command, capture_output=True, encoding="utf-8", errors="replace")
         except OSError as exc:
             raise SolverLaunchFailed(f"cannot launch {command[0]!r}: {exc}") from exc
         solved = time.perf_counter()

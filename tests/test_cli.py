@@ -492,6 +492,69 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_unbalanced_quote_in_solver_command_exits_three(self, fixture_files, tmp_path,
+                                                             capsys):
+        # shlex's ValueError escaped as a traceback
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--backend", "external",
+                     "--solver-cmd", 'ucdispatch-mip "{model} {solution}',
+                     "--out-dir", str(out_dir), *input_args(fixture_files)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: cannot parse the solver command ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_blank_solver_command_is_usage_error(self, fixture_files, tmp_path, monkeypatch,
+                                                 capsys, via):
+        # blanks passed the check, and subprocess.run([]) raised IndexError
+        monkeypatch.setenv("UC_SOLVER_CMD", "   ")
+        flag = ["--solver-cmd", " \t "] if via == "flag" else []
+        out_dir = tmp_path / "results"
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--backend", "external", *flag, "--out-dir", str(out_dir),
+                  *input_args(fixture_files)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith("--backend external requires --solver-cmd or UC_SOLVER_CMD")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def junk_solver(self, tmp_path, code):
+        """A solver command that prints the byte 0xff, which is not UTF-8,
+        then exits with ``code``, or, for 0, runs ``ucdispatch-mip``."""
+        script = tmp_path / "junk_solver.py"
+        script.write_text(
+            "import runpy, sys\n"
+            "sys.stdout.buffer.write(bytes([255, 10]))\n"
+            "sys.stdout.flush()\n"
+            f"if {code}:\n"
+            f"    sys.exit({code})\n"
+            "runpy.run_module('ucdispatch.mipshim', run_name='__main__')\n")
+        return f"{sys.executable} {script} {{model}} {{solution}}"
+
+    def test_solver_output_that_is_not_utf8_exits_three(self, fixture_files, tmp_path,
+                                                        capsys):
+        # the strict decoding raised UnicodeDecodeError, exit 1
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--backend", "external",
+                     "--solver-cmd", self.junk_solver(tmp_path, 4),
+                     "--out-dir", str(out_dir), *input_args(fixture_files)]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver error: solver exited with 4: �\n"
+        assert not out_dir.exists()
+
+    def test_solver_output_that_is_not_utf8_keeps_a_good_solution(self, fixture_files,
+                                                                  tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["solve", "--backend", "external",
+                     "--solver-cmd", self.junk_solver(tmp_path, 0),
+                     "--out-dir", str(out_dir), *input_args(fixture_files)]) == 0
+        captured = capsys.readouterr()
+        assert "objective 2700" in captured.out and captured.err == ""
+        assert (out_dir / "summary.csv").exists() and (out_dir / "v.csv").exists()
+
     def test_solve_reproducible_outputs(self, fixture_files, tmp_path, capsys):
         for name in ("one", "two"):
             assert main(["solve", "--out-dir", str(tmp_path / name),

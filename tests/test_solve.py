@@ -550,6 +550,34 @@ class TestPrefixWalk:
             engine.optimal()
         assert engine.stats["bound_infeasible"] == crossed
 
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("late", [False, True], ids=["settled", "at-leaves"])
+    def test_lp_rows_that_overflow_only_where_bounds_cross_never_raise(self, block, late):
+        # p1 + p2 - 1e308 v2 <= 1e308 overflows on ?1, where p3 <= 1 - 2 v2
+        # crosses p3 >= 0: the bound pair drops ?1 where v2 settles it, or,
+        # with p4 <= 1e308 - 1e308 v1, whose family could overflow, at the
+        # leaves; either way the LP sums of ?1 go with their patterns
+        rows = [RowBlock("room", [1], "<=", 1e308, [([0] * 3, [1, 2, 3], [-1e308, 1.0, 1.0])]),
+                RowBlock("p3-cap", [1], "<=", 1.0, [([0, 0], [1, 4], [2.0, 1.0])]),
+                RowBlock("demand", [1], ">=", 1.0, [([0, 0], [2, 3], [1.0, 1.0])])]
+        keys = [("v", 1, 1), ("v", 2, 1), ("p", 1, 1), ("p", 2, 1), ("p", 3, 1)]
+        if late:
+            rows.append(RowBlock("p4-cap", [1], "<=", 1e308, [([0, 0], [0, 5], [1e308, 1.0])]))
+            keys.append(("p", 4, 1))
+        model = MilpModel(ColumnIndex.from_keys(keys), RowMatrix.from_blocks(rows),
+                          {2: 1.0, 3: 2.0})
+        expected, passed, crossed = screened_alone(_ExactEngine(model, SolverConfig()))
+        assert (passed, crossed) == (4, 2)
+        with mock.patch.object(solve_module, "PATTERN_BLOCK", block):
+            engine = _ExactEngine(model, SolverConfig())
+            got = list(walked(engine))
+            solution = solve_exact(model)
+        assert [(p.tobytes(), lower.tobytes(), b.tobytes()) for p, lower, b in got] == [
+            (p.tobytes(), lower.tobytes(), b.tobytes()) for p, lower, b in expected]
+        assert (solution.status, solution.objective) == ("optimal", 1.0)
+        assert (solution.stats["patterns"], solution.stats["bound_infeasible"]) == (
+            passed, crossed)
+
 
 class TestDualSkip:
     @settings(max_examples=40, deadline=None)
@@ -937,6 +965,12 @@ class TestSolveExternal:
         model = build(fixture_inst)
         with pytest.raises(SolverLaunchFailed):
             solve_external(model, SolverConfig(backend="external"))
+
+    def test_blank_template_raises_launch_failure(self, fixture_inst):
+        # subprocess.run([]) raised IndexError
+        model = build(fixture_inst)
+        with pytest.raises(SolverLaunchFailed, match="no solver command"):
+            solve_external(model, SolverConfig(backend="external", command_template=" \t "))
 
     def test_nonzero_exit_raises(self, fixture_inst):
         model = build(fixture_inst)
